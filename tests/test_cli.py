@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import hashlib
 import json
 import math
 
@@ -219,6 +220,39 @@ def test_verify_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
     _, out2, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
     assert out1 == out2
+
+
+# sha256 of stdout and the exit code, recorded from the reference implementation;
+# any change in output bytes, including the last rendered digit, fails here
+GOLDEN_OUTPUTS = [
+    (("scan", "--chamber", "2"), 0, "bc76de4c1ab14c74e02523fc063befbe30fd53de64d8f25f9ab77a9dbb9e8e61"),
+    (("scan", "--chamber", "8"), 0, "b2db0d5c738b50902a7ffdab05cbad6a9c541e05bc6c159ba0b71dedbb7523c0"),
+    (("scan", "--chamber", "25"), 0, "d7dd7c1d86ec2a48c7a3e4acdd282f11e7077f8f6f8ee5c544b3344b42f3cf17"),
+    (("scan", "--chamber", "40"), 0, "4c6ac9856ea634cd0504c4f0ed53a9262c598423c6f32263d049297f5a97fdbd"),
+    (("scan", "--chamber", "48"), 0, "5e66c6aa8a9023f1a8fcd3ba5a41662b196a9a33097467bca95e283890dbd749"),
+    (("scan", "--edge", "QP", "--steps", "11"), 0, "3469adf9f746ff7d162a974edf9e087668d34da64431cedf271f87e2d4d798ca"),
+    (("scan", "--edge", "QP", "--steps", "101"), 0, "848214584b65c7749cb0a61748ed5f1dafda95aa05a5ad16d87c178239e8e23d"),
+    (("scan", "--edge", "MN", "--steps", "11"), 0, "305ff9a81b688d3c95b946be7a0f619150a4fbfc42cf9258f4e95bc3f217a000"),
+    (("scan", "--edge", "MN", "--steps", "101"), 0, "53d94801dc4f0e0c519878fe83327929acae00995b287ec67f955f5c02aa17f0"),
+    (("scan", "--edge", "PN", "--steps", "11"), 0, "d2c78cb361a453accee909ba4c49d5216bde64ae8d59e2892766a31f89df50c9"),
+    (("scan", "--edge", "PN", "--steps", "101"), 0, "6dd6aa2873eb476d6244a1b63694ff9fd46d36b7e460b6a59bbe166701eff3c3"),
+    (("scan", "--edge", "LQ", "--steps", "11"), 0, "103df8a0065e462fd1896e5f395a01d624d885b47d132bb79efd35ebe8017545"),
+    (("scan", "--edge", "LQ", "--steps", "101"), 0, "81de4489eea12b1b5edde4155799845069483286be080e297e7fb6aa4af84251"),
+    (("scan", "--edge", "LN", "--steps", "11"), 0, "da2cc3bfa65ea394fa65ea23b49f8c03a1e184537374dd03c00fe8e29ed9fd84"),
+    (("scan", "--edge", "LN", "--steps", "101"), 0, "b2b15fcfdfc7127b661e7baa59c49aa8db55de3025062d71868d275fb7480bbd"),
+    (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
+    (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
+    (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "exit_code", "digest"), GOLDEN_OUTPUTS, ids=[" ".join(g[0]) for g in GOLDEN_OUTPUTS]
+)
+def test_output_matches_golden_digest(capsys, argv, exit_code, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -------------------------------------------------------------------- catalog
