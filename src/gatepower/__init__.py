@@ -42,7 +42,7 @@ from .invariants import (
     invariants_at_point,
     invariants_from_matrix,
 )
-from .linalg import SWAP, apply, partial_trace, transposition_13
+from .linalg import SWAP, partial_trace, transposition_13
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "TheoremReport",
     "TheoremViolationError",
     "WeylPoint",
-    "apply",
     "canonical_gate",
     "catalog_records",
     "classify_gate",

@@ -15,6 +15,7 @@ and c2 + c3 = pi/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,10 +28,14 @@ __all__ = [
     "EdgeId",
     "WeylPoint",
     "canonical_gate",
+    "chamber_lattice",
+    "chamber_mask",
     "edge_point",
     "edge_tags",
     "in_weyl_chamber",
     "mirror",
+    "mirror_coords",
+    "random_chamber_coords",
     "random_chamber_points",
 ]
 
@@ -62,14 +67,22 @@ class WeylPoint:
         return (self.c1, self.c2, self.c3)
 
 
+def chamber_mask(c1, c2, c3, tol: float = CHAMBER_TOL) -> np.ndarray:
+    """Elementwise c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to tol."""
+    return (c1 >= c2 - tol) & (c2 >= c3 - tol) & (c3 >= -tol) & (c1 + c2 <= math.pi + tol)
+
+
 def in_weyl_chamber(p: WeylPoint, tol: float = CHAMBER_TOL) -> bool:
     """True when c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to tol."""
-    return (
-        p.c1 >= p.c2 - tol
-        and p.c2 >= p.c3 - tol
-        and p.c3 >= -tol
-        and p.c1 + p.c2 <= math.pi + tol
-    )
+    return bool(chamber_mask(p.c1, p.c2, p.c3, tol))
+
+
+def chamber_lattice(grid_n: int) -> np.ndarray:
+    """Chamber points of the grid_n^3 lattice on [0, pi] x [0, pi/2]^2, c3 varying fastest."""
+    c1s = np.linspace(0.0, math.pi, grid_n)
+    c2s = np.linspace(0.0, _HALF_PI, grid_n)
+    i, j, k = np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s))
+    return np.column_stack((c1s[i], c2s[j], c2s[k]))
 
 
 def mirror(p: WeylPoint) -> WeylPoint:
@@ -91,11 +104,16 @@ def mirror(p: WeylPoint) -> WeylPoint:
     )
     if not ordered:
         raise ValueError(f"mirror expects pi >= c1 >= c2 >= c3 >= 0, got {p}")
-    vals = sorted((math.pi - p.c1, p.c2, p.c3), reverse=True)
-    return WeylPoint(*vals)
+    return WeylPoint(*(float(c) for c in mirror_coords(p.c1, p.c2, p.c3)))
 
 
-def canonical_gate(p: WeylPoint) -> np.ndarray:
+def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending, as three arrays."""
+    s = np.sort(np.stack(np.broadcast_arrays(math.pi - c1, c2, c3), axis=-1), axis=-1)
+    return s[..., 2], s[..., 1], s[..., 0]
+
+
+def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
     """Canonical 4x4 unitary of the local-equivalence class at p.
 
     The matrix equals exp(-i/2 (c1 XX + c2 YY + c3 ZZ)) in the
@@ -184,23 +202,23 @@ def edge_tags(p: WeylPoint, tol: float = 1e-9) -> set[str]:
     return tags
 
 
-def random_chamber_points(seed: int, count: int) -> list[WeylPoint]:
-    """Deterministic uniform sample of chamber points.
+def random_chamber_coords(seed: int, count: int) -> np.ndarray:
+    """Deterministic uniform sample of chamber points as a (count, 3) array.
 
     Draws (c1, c2, c3) uniformly from [0, pi] x [0, pi/2] x [0, pi/2]
     using the documented stream for ``seed`` (three uniforms per attempt,
     consumed in index order) and keeps points inside the chamber.
     """
-    points: list[WeylPoint] = []
+    scale = np.array([math.pi, _HALF_PI, _HALF_PI])
+    kept = [np.empty((0, 3))]
     start = 0
-    while len(points) < count:
-        us = rng.uniform_stream(seed, start, 3 * 128)
+    while sum(map(len, kept)) < count:
+        c = scale * rng.uniform_stream(seed, start, 3 * 128).reshape(128, 3)
         start += 3 * 128
-        for k in range(128):
-            u1, u2, u3 = us[3 * k : 3 * k + 3]
-            p = WeylPoint(math.pi * u1, _HALF_PI * u2, _HALF_PI * u3)
-            if in_weyl_chamber(p):
-                points.append(p)
-                if len(points) == count:
-                    break
-    return points
+        kept.append(c[chamber_mask(*c.T)])
+    return np.concatenate(kept)[:count]
+
+
+def random_chamber_points(seed: int, count: int) -> list[WeylPoint]:
+    """``random_chamber_coords`` as a list of points."""
+    return [WeylPoint(*row) for row in random_chamber_coords(seed, count).tolist()]

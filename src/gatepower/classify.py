@@ -1,16 +1,17 @@
 """Perfect-entangler classification and exhaustive consistency checks.
 
 A two-qubit gate is a perfect entangler when it can produce a maximally
-entangled state from some product state. Two equivalent tests are
-implemented:
+entangled state from some product state. Two tests are implemented:
 
   * geometric: after folding the chamber point into the half-chamber
     c1 <= pi/2 (mirror), require c1 + c2 >= pi/2 and c2 + c3 <= pi/2;
   * invariant-only: require |g1| <= 1/4 and -1 <= g2 <= 1.
 
-Perfect entanglers occupy exactly the entangling-power window
-[1/6, 2/9]. ``verify_theorems`` sweeps a chamber lattice and confirms
-that the two tests agree and that the window holds.
+The geometric test is exact. The invariant box is necessary but not
+sufficient: it also admits a thin sliver of non-perfect entanglers just
+inside its |g1| = 1/4 face. ``verify_theorems`` sweeps a chamber lattice,
+checks the entangling-power window [1/6, 2/9] of perfect entanglers and
+reports every off-boundary point where the two tests disagree.
 """
 from __future__ import annotations
 
@@ -19,13 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canonical import WeylPoint, canonical_gate, edge_tags, in_weyl_chamber, mirror
-from .epower import ep_closed_form, ep_operator_exact
+from .canonical import (
+    WeylPoint,
+    canonical_gate,
+    chamber_lattice,
+    edge_tags,
+    in_weyl_chamber,
+    mirror_coords,
+)
+from .epower import ep_closed_array, ep_closed_form, ep_operator_exact
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
-    g1_abs_closed,
-    g2_closed,
+    g1_abs_array,
+    g2_array,
     invariants_at_point,
     invariants_from_matrix,
 )
@@ -38,8 +46,11 @@ __all__ = [
     "PeVerdict",
     "TheoremReport",
     "classify_gate",
+    "geometric_margins",
+    "invariant_margins",
     "is_pe_geometric",
     "is_pe_invariant",
+    "pe_mask",
     "verify_theorems",
 ]
 
@@ -51,6 +62,39 @@ PE_EP_MIN = 1.0 / 6.0
 PE_EP_MAX = 2.0 / 9.0
 
 _HALF_PI = math.pi / 2
+
+
+def geometric_margins(c1, c2, c3) -> dict[str, np.ndarray]:
+    """Elementwise signed slacks of the geometric test (>= 0 inside).
+
+    Points with c1 > pi/2 are first folded into the half-chamber by mirror.
+    """
+    fold = c1 > _HALF_PI
+    m1, m2, m3 = mirror_coords(c1, c2, c3)
+    q1, q2, q3 = np.where(fold, m1, c1), np.where(fold, m2, c2), np.where(fold, m3, c3)
+    return {
+        "c1_plus_c2": q1 + q2 - _HALF_PI,
+        "c2_plus_c3": _HALF_PI - (q2 + q3),
+    }
+
+
+def invariant_margins(g1_abs, g2) -> dict:
+    """Elementwise signed slacks of the invariant-box test (>= 0 inside)."""
+    return {
+        "g1_abs": 0.25 - g1_abs,
+        "g2_low": g2 + 1.0,
+        "g2_high": 1.0 - g2,
+    }
+
+
+def pe_mask(margins: dict) -> np.ndarray:
+    """True where every margin clears -PE_TOL."""
+    return np.logical_and.reduce([m >= -PE_TOL for m in margins.values()])
+
+
+def _boundary_mask(margins: dict) -> np.ndarray:
+    """True where some margin lies within PE_TOL of zero."""
+    return np.logical_or.reduce([np.abs(m) <= PE_TOL for m in margins.values()])
 
 
 @dataclass(frozen=True)
@@ -67,37 +111,24 @@ class PeVerdict:
 
     @property
     def on_boundary(self) -> bool:
-        return any(abs(m) <= PE_TOL for m in self.margins.values())
+        return bool(_boundary_mask(self.margins))
+
+
+def _verdict(route: str, margins: dict) -> PeVerdict:
+    margins = {k: float(v) for k, v in margins.items()}
+    return PeVerdict(is_pe=bool(pe_mask(margins)), route=route, margins=margins)
 
 
 def is_pe_geometric(p: WeylPoint) -> PeVerdict:
     """Geometric perfect-entangler test at a chamber point."""
     if not in_weyl_chamber(p):
         raise ValueError(f"point outside the Weyl chamber: {p}")
-    q = p if p.c1 <= _HALF_PI else mirror(p)
-    margins = {
-        "c1_plus_c2": q.c1 + q.c2 - _HALF_PI,
-        "c2_plus_c3": _HALF_PI - (q.c2 + q.c3),
-    }
-    return PeVerdict(
-        is_pe=all(m >= -PE_TOL for m in margins.values()),
-        route="geometric",
-        margins=margins,
-    )
+    return _verdict("geometric", geometric_margins(p.c1, p.c2, p.c3))
 
 
 def is_pe_invariant(inv: LocalInvariants) -> PeVerdict:
     """Invariant-only perfect-entangler test."""
-    margins = {
-        "g1_abs": 0.25 - abs(inv.g1),
-        "g2_low": inv.g2 + 1.0,
-        "g2_high": 1.0 - inv.g2,
-    }
-    return PeVerdict(
-        is_pe=all(m >= -PE_TOL for m in margins.values()),
-        route="invariant",
-        margins=margins,
-    )
+    return _verdict("invariant", invariant_margins(abs(inv.g1), inv.g2))
 
 
 @dataclass(frozen=True)
@@ -134,10 +165,8 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     """
     if isinstance(target, WeylPoint):
         p = target
-        if not in_weyl_chamber(p):
-            raise ValueError(f"point outside the Weyl chamber: {p}")
+        geo = is_pe_geometric(p)  # rejects points outside the chamber
         inv = invariants_at_point(p)
-        geo = is_pe_geometric(p)
         ivd = is_pe_invariant(inv)
         if geo.is_pe != ivd.is_pe and not (geo.on_boundary or ivd.on_boundary):
             raise TheoremViolationError(p, geo.margins, ivd.margins)
@@ -215,45 +244,42 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    report = TheoremReport(grid_n=grid_n)
-    report.n_lattice = grid_n**3
-    c1s = np.linspace(0.0, math.pi, grid_n)
-    c2s = np.linspace(0.0, _HALF_PI, grid_n)
-    c3s = np.linspace(0.0, _HALF_PI, grid_n)
-    for c1 in c1s:
-        for c2 in c2s:
-            for c3 in c3s:
-                p = WeylPoint(float(c1), float(c2), float(c3))
-                if not in_weyl_chamber(p):
-                    continue
-                report.n_chamber += 1
-                geo = is_pe_geometric(p)
-                g1a = g1_abs_closed(p)
-                g2 = g2_closed(p)
-                ivd = is_pe_invariant(LocalInvariants(complex(g1a), g2))
-                if geo.is_pe:
-                    report.n_pe += 1
-                    if not -1.0 - PE_TOL <= g2 <= 1.0 + PE_TOL:
-                        report.g2_bound_violations.append(
-                            f"perfect entangler with g2 = {g2!r} at {p}"
-                        )
-                    ep = ep_closed_form(p)
-                    if not PE_EP_MIN - PE_TOL <= ep <= PE_EP_MAX + PE_TOL:
-                        report.ep_range_violations.append(
-                            f"perfect entangler with e_p = {ep!r} at {p}"
-                        )
-                boundary = geo.on_boundary or ivd.on_boundary
-                if boundary:
-                    report.n_boundary_exempt += 1
-                    report.boundary_points.append(p)
-                    continue
-                if not geo.is_pe and g1a <= 0.25 + PE_TOL:
-                    if -1.0 + PE_TOL <= g2 <= 1.0 - PE_TOL:
-                        report.g2_converse_violations.append(
-                            f"non-perfect entangler with g2 = {g2!r} at {p}"
-                        )
-                if geo.is_pe != ivd.is_pe:
-                    report.equivalence_violations.append(
-                        f"geometric {geo.is_pe} vs invariant {ivd.is_pe} at {p}"
-                    )
-    return report
+    pts = chamber_lattice(grid_n)
+    c = pts.T
+    g1a = g1_abs_array(*c)
+    g2 = g2_array(*c)
+    ep = ep_closed_array(*c)
+    geo_margins = geometric_margins(*c)
+    inv_margins = invariant_margins(g1a, g2)
+    geo = pe_mask(geo_margins)
+    inv = pe_mask(inv_margins)
+    boundary = _boundary_mask(geo_margins) | _boundary_mask(inv_margins)
+    g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
+
+    def at(i) -> WeylPoint:
+        return WeylPoint(*pts[i].tolist())
+
+    return TheoremReport(
+        grid_n=grid_n,
+        n_lattice=grid_n**3,
+        n_chamber=len(pts),
+        n_pe=int(np.count_nonzero(geo)),
+        n_boundary_exempt=int(np.count_nonzero(boundary)),
+        boundary_points=[at(i) for i in np.flatnonzero(boundary)],
+        g2_bound_violations=[
+            f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+            for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
+        ],
+        g2_converse_violations=[
+            f"non-perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+            for i in np.flatnonzero(~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside)
+        ],
+        equivalence_violations=[
+            f"geometric {bool(geo[i])} vs invariant {bool(inv[i])} at {at(i)}"
+            for i in np.flatnonzero(~boundary & (geo != inv))
+        ],
+        ep_range_violations=[
+            f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
+            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > PE_EP_MAX + PE_TOL)))
+        ],
+    )

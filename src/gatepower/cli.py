@@ -18,18 +18,25 @@ import sys
 
 import numpy as np
 
-from .canonical import EdgeId, WeylPoint, edge_point, in_weyl_chamber
+from .canonical import EdgeId, WeylPoint, chamber_lattice, edge_point
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import GateRecord, classify_gate, is_pe_geometric, is_pe_invariant, verify_theorems
+from .classify import (
+    GateRecord,
+    classify_gate,
+    geometric_margins,
+    invariant_margins,
+    pe_mask,
+    verify_theorems,
+)
 from .epower import (
-    ep_closed_form,
+    ep_closed_array,
     ep_from_g1_abs,
     ep_monte_carlo,
     ep_operator_exact,
     verify_route_agreement,
 )
 from .errors import ConsistencyError, TheoremViolationError
-from .invariants import g1_abs_closed, g2_closed, invariants_at_point
+from .invariants import g1_abs_array, g1_complex_array, g2_array
 
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
@@ -151,17 +158,10 @@ def cmd_analyze(args) -> int:
     else:
         name, m = load_matrix_file(args.matrix)
         rec = classify_gate(m, name=name)
-    if rec.point is not None:
-        ep_routes = {
-            "closed_form": ep_closed_form(rec.point),
-            "from_g1_abs": ep_from_g1_abs(abs(rec.invariants.g1)),
-            "operator": ep_operator_exact(rec.matrix),
-        }
-    else:
-        ep_routes = {
-            "from_g1_abs": ep_from_g1_abs(abs(rec.invariants.g1)),
-            "operator": rec.ep,
-        }
+    # a point record's ep is the closed form; a matrix record's is the operator route
+    ep_routes = {"closed_form": rec.ep} if rec.point is not None else {}
+    ep_routes["from_g1_abs"] = ep_from_g1_abs(abs(rec.invariants.g1))
+    ep_routes["operator"] = ep_operator_exact(rec.matrix) if rec.point is not None else rec.ep
     if args.mc is not None:
         mc = ep_monte_carlo(rec.matrix, args.mc, args.seed)
     if args.json:
@@ -171,26 +171,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _scan_row(p: WeylPoint) -> str:
-    geo = is_pe_geometric(p)
-    inv = invariants_at_point(p)
-    ivd = is_pe_invariant(inv)
-    return ",".join(
-        [
-            _fmt(p.c1),
-            _fmt(p.c2),
-            _fmt(p.c3),
-            _fmt(g1_abs_closed(p)),
-            _fmt(g2_closed(p)),
-            _fmt(ep_closed_form(p)),
-            _bool(geo.is_pe),
-            _bool(ivd.is_pe),
-        ]
-    )
-
-
 def cmd_scan(args) -> int:
-    lines = [_CSV_HEADER]
     if args.edge is not None:
         try:
             edge = EdgeId[args.edge.upper()]
@@ -201,19 +182,22 @@ def cmd_scan(args) -> int:
             ) from None
         if args.steps < 2:
             raise ValueError(f"--steps must be at least 2, got {args.steps}")
-        for t in np.linspace(0.0, 1.0, args.steps):
-            lines.append(_scan_row(edge_point(edge, float(t))))
+        pts = np.array([edge_point(edge, t).as_tuple() for t in np.linspace(0.0, 1.0, args.steps).tolist()])
     else:
-        grid_n = args.chamber
-        if grid_n < 2:
-            raise ValueError(f"--chamber must be at least 2, got {grid_n}")
-        for c1 in np.linspace(0.0, math.pi, grid_n):
-            for c2 in np.linspace(0.0, math.pi / 2, grid_n):
-                for c3 in np.linspace(0.0, math.pi / 2, grid_n):
-                    p = WeylPoint(float(c1), float(c2), float(c3))
-                    if in_weyl_chamber(p):
-                        lines.append(_scan_row(p))
-    text = "\n".join(lines) + "\n"
+        if args.chamber < 2:
+            raise ValueError(f"--chamber must be at least 2, got {args.chamber}")
+        pts = chamber_lattice(args.chamber)
+    c = pts.T
+    g2 = g2_array(*c)
+    geo = pe_mask(geometric_margins(*c))
+    inv = pe_mask(invariant_margins(np.abs(g1_complex_array(*c)), g2))
+    columns = [*c, g1_abs_array(*c), g2, ep_closed_array(*c), geo, inv]
+    # rendered in blocks: whole columns of Python floats, or one string per row, raise peak memory
+    blocks = [_CSV_HEADER + "\n"]
+    for lo in range(0, len(pts), 1024):
+        rows = zip(*(col[lo : lo + 1024].tolist() for col in columns))
+        blocks.append("".join(",".join([*map(_fmt, v), _bool(g), _bool(i)]) + "\n" for *v, g, i in rows))
+    text = "".join(blocks)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .canonical import WeylPoint
+from .canonical import WeylPoint, canonical_gate, random_chamber_coords
 from .errors import ConsistencyError
+from .invariants import g1_abs_array, g2_array, g2_product_array
 from .linalg import SWAP, hs_inner, kron, partial_trace, require_unitary, transposition_13
 
 __all__ = [
     "EP_MAX",
     "EpEstimate",
     "RouteAgreementReport",
+    "ep_closed_array",
     "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
@@ -67,23 +69,27 @@ def linear_entropy(psi) -> float:
     return 1.0 - purity
 
 
-def ep_from_g1_abs(g1_abs: float) -> float:
-    """Entangling power from the invariant modulus: (2/9)(1 - |g1|)."""
-    if not -_RANGE_TOL <= g1_abs <= 1.0 + _RANGE_TOL:
+def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
+    """Entangling power from the invariant modulus: (2/9)(1 - |g1|), elementwise on arrays."""
+    if not np.all((-_RANGE_TOL <= g1_abs) & (g1_abs <= 1.0 + _RANGE_TOL)):
         raise ValueError(f"|g1| must lie in [0, 1], got {g1_abs!r}")
     return (2.0 / 9.0) * (1.0 - g1_abs)
 
 
-def ep_closed_form(p: WeylPoint) -> float:
-    """Entangling power of the canonical gate at a chamber point.
+def ep_closed_array(c1, c2, c3) -> np.ndarray:
+    """Elementwise closed-form entangling power over broadcastable coordinate arrays.
 
     (1/18)[3 - (cos 2c1 cos 2c2 + cos 2c2 cos 2c3 + cos 2c3 cos 2c1)]
     """
-    c1, c2, c3 = p
-    x1 = math.cos(2 * c1)
-    x2 = math.cos(2 * c2)
-    x3 = math.cos(2 * c3)
+    x1 = np.cos(2 * c1)
+    x2 = np.cos(2 * c2)
+    x3 = np.cos(2 * c3)
     return (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
+
+
+def ep_closed_form(p: WeylPoint) -> float:
+    """Entangling power of the canonical gate at a chamber point; see ep_closed_array."""
+    return float(ep_closed_array(*p))
 
 
 def _real_trace(z: complex, what: str) -> float:
@@ -215,35 +221,27 @@ class RouteAgreementReport:
 
 def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
     """Compare all e_p routes and both g2 forms on random chamber points."""
-    from .canonical import canonical_gate, random_chamber_points
-    from .invariants import g1_abs_closed, g2_closed, g2_closed_product_form
-
-    points = random_chamber_points(seed, n_points)
-    worst_g1 = 0.0
-    worst_op = 0.0
-    worst_g2 = 0.0
+    pts = random_chamber_coords(seed, n_points)
+    c = pts.T
+    closed = ep_closed_array(*c)
+    via_op = np.array([ep_operator_exact(canonical_gate(p)) for p in pts.tolist()])
+    d_g1 = np.abs(closed - ep_from_g1_abs(g1_abs_array(*c)))
+    d_op = np.abs(closed - via_op)
+    d_g2 = np.abs(g2_array(*c) - g2_product_array(*c))
     violations: list[str] = []
-    for p in points:
-        closed = ep_closed_form(p)
-        via_g1 = ep_from_g1_abs(g1_abs_closed(p))
-        via_op = ep_operator_exact(canonical_gate(p))
-        d_g1 = abs(closed - via_g1)
-        d_op = abs(closed - via_op)
-        d_g2 = abs(g2_closed(p) - g2_closed_product_form(p))
-        worst_g1 = max(worst_g1, d_g1)
-        worst_op = max(worst_op, d_op)
-        worst_g2 = max(worst_g2, d_g2)
-        if d_g1 > 1e-12:
-            violations.append(f"closed vs |g1| route: {d_g1:.3e} at {p}")
-        if d_op > 1e-10:
-            violations.append(f"closed vs operator route: {d_op:.3e} at {p}")
-        if d_g2 > 1e-12:
-            violations.append(f"g2 forms: {d_g2:.3e} at {p}")
+    for i in np.flatnonzero((d_g1 > 1e-12) | (d_op > 1e-10) | (d_g2 > 1e-12)):
+        p = WeylPoint(*pts[i].tolist())
+        if d_g1[i] > 1e-12:
+            violations.append(f"closed vs |g1| route: {d_g1[i]:.3e} at {p}")
+        if d_op[i] > 1e-10:
+            violations.append(f"closed vs operator route: {d_op[i]:.3e} at {p}")
+        if d_g2[i] > 1e-12:
+            violations.append(f"g2 forms: {d_g2[i]:.3e} at {p}")
     return RouteAgreementReport(
         n_points=n_points,
         seed=seed,
-        max_closed_vs_g1=worst_g1,
-        max_closed_vs_operator=worst_op,
-        max_g2_forms=worst_g2,
+        max_closed_vs_g1=float(d_g1.max(initial=0.0)),
+        max_closed_vs_operator=float(d_op.max(initial=0.0)),
+        max_g2_forms=float(d_g2.max(initial=0.0)),
         violations=tuple(violations),
     )

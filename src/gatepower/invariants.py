@@ -24,17 +24,21 @@ import numpy as np
 
 from .canonical import WeylPoint
 from .errors import ConsistencyError
-from .linalg import INGEST_UNITARY_TOL, det4, require_unitary
+from .linalg import INGEST_UNITARY_TOL, require_unitary
 
 __all__ = [
     "G2_IMAG_TOL",
     "MAGIC_BASIS",
     "LocalInvariants",
+    "g1_abs_array",
     "g1_abs_closed",
+    "g1_complex_array",
     "g1_complex_closed",
     "g1_conjugate_check",
+    "g2_array",
     "g2_closed",
     "g2_closed_product_form",
+    "g2_product_array",
     "invariants_at_point",
     "invariants_from_matrix",
 ]
@@ -79,47 +83,67 @@ class LocalInvariants:
             raise ValueError(f"g2 = {self.g2!r} lies outside [-3, 3]")
 
 
-def g1_abs_closed(p: WeylPoint) -> float:
-    """|g1| at a chamber point."""
-    c1, c2, c3 = p
-    a = (math.cos(c1) * math.cos(c2) * math.cos(c3)) ** 2
-    b = (math.sin(c1) * math.sin(c2) * math.sin(c3)) ** 2
+def _g1_squares(c1, c2, c3):
+    a = (np.cos(c1) * np.cos(c2) * np.cos(c3)) ** 2
+    b = (np.sin(c1) * np.sin(c2) * np.sin(c3)) ** 2
+    return a, b
+
+
+def g1_abs_array(c1, c2, c3) -> np.ndarray:
+    """Elementwise |g1| over broadcastable coordinate arrays."""
+    a, b = _g1_squares(c1, c2, c3)
     return a + b
 
 
-def g1_complex_closed(p: WeylPoint) -> complex:
-    """Complex g1 at a chamber point.
+def g1_complex_array(c1, c2, c3) -> np.ndarray:
+    """Elementwise complex g1 over broadcastable coordinate arrays.
 
     The real part is cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3
     and the imaginary part -(1/4) sin 2c1 sin 2c2 sin 2c3, matching the
-    magic-basis matrix route on canonical gates. The modulus identity
-    (a - b)^2 + 4ab = (a + b)^2 makes |g1_complex_closed| equal
-    g1_abs_closed exactly.
+    magic-basis matrix route on canonical gates; its modulus is |g1|.
     """
-    c1, c2, c3 = p
-    a = (math.cos(c1) * math.cos(c2) * math.cos(c3)) ** 2
-    b = (math.sin(c1) * math.sin(c2) * math.sin(c3)) ** 2
-    imag = -0.25 * math.sin(2 * c1) * math.sin(2 * c2) * math.sin(2 * c3)
-    return complex(a - b, imag)
+    a, b = _g1_squares(c1, c2, c3)
+    g1 = np.empty(np.shape(a), dtype=complex)
+    # set the parts directly: adding 1j * imag would turn an imaginary -0.0 into 0.0
+    g1.real = a - b
+    g1.imag = -0.25 * np.sin(2 * c1) * np.sin(2 * c2) * np.sin(2 * c3)
+    return g1
 
 
-def g2_closed(p: WeylPoint) -> float:
-    """g2 at a chamber point, as a sum of cosines."""
-    c1, c2, c3 = p
-    return math.cos(2 * c1) + math.cos(2 * c2) + math.cos(2 * c3)
+def g2_array(c1, c2, c3) -> np.ndarray:
+    """Elementwise g2 over broadcastable coordinate arrays, as a sum of cosines."""
+    return np.cos(2 * c1) + np.cos(2 * c2) + np.cos(2 * c3)
 
 
-def g2_closed_product_form(p: WeylPoint) -> float:
-    """g2 via the algebraically equivalent product form.
+def g2_product_array(c1, c2, c3) -> np.ndarray:
+    """Elementwise g2 via the algebraically equivalent product form.
 
     4 cos^2 c1 cos^2 c2 cos^2 c3 - 4 sin^2 c1 sin^2 c2 sin^2 c3
     - cos 2c1 cos 2c2 cos 2c3. Kept separate so tests can compare the
     two expressions rather than assume the identity.
     """
-    c1, c2, c3 = p
-    a = (math.cos(c1) * math.cos(c2) * math.cos(c3)) ** 2
-    b = (math.sin(c1) * math.sin(c2) * math.sin(c3)) ** 2
-    return 4 * a - 4 * b - math.cos(2 * c1) * math.cos(2 * c2) * math.cos(2 * c3)
+    a, b = _g1_squares(c1, c2, c3)
+    return 4 * a - 4 * b - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
+
+
+def g1_abs_closed(p: WeylPoint) -> float:
+    """|g1| at a chamber point."""
+    return float(g1_abs_array(*p))
+
+
+def g1_complex_closed(p: WeylPoint) -> complex:
+    """Complex g1 at a chamber point; see g1_complex_array."""
+    return complex(g1_complex_array(*p))
+
+
+def g2_closed(p: WeylPoint) -> float:
+    """g2 at a chamber point, as a sum of cosines."""
+    return float(g2_array(*p))
+
+
+def g2_closed_product_form(p: WeylPoint) -> float:
+    """g2 at a chamber point via the product form; see g2_product_array."""
+    return float(g2_product_array(*p))
 
 
 def invariants_at_point(p: WeylPoint) -> LocalInvariants:
@@ -146,7 +170,7 @@ def invariants_from_matrix(u) -> LocalInvariants:
         raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
     um = MAGIC_BASIS.conj().T @ m4 @ MAGIC_BASIS
     m = um.T @ um
-    det = det4(um)
+    det = complex(np.linalg.det(um))
     tr = complex(np.trace(m))
     g1 = tr * tr / (16.0 * det)
     g2 = _real_checked((tr * tr - complex(np.trace(m @ m))) / (4.0 * det), G2_IMAG_TOL, "g2")

@@ -14,25 +14,17 @@ from .errors import NonUnitaryError
 
 __all__ = [
     "INGEST_UNITARY_TOL",
-    "INTERNAL_UNITARY_TOL",
     "SWAP",
-    "adjoint",
-    "apply",
-    "det4",
     "hs_inner",
     "kron",
-    "mat_mul",
     "partial_trace",
-    "trace",
     "transposition_13",
     "unitarity_defect",
     "require_unitary",
 ]
 
-# Matrices ingested from files may carry rounded decimals; internally
-# constructed ones are exact up to floating-point rounding.
+# Matrices ingested from files may carry rounded decimals.
 INGEST_UNITARY_TOL = 1e-8
-INTERNAL_UNITARY_TOL = 1e-12
 
 SWAP = np.array(
     [
@@ -47,43 +39,6 @@ SWAP = np.array(
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b."""
-    return _as_complex(a) @ _as_complex(b)
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_complex(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(_as_complex(a)))
-
-
-def det4(a) -> complex:
-    """Determinant of a 4x4 matrix by cofactor expansion along the first row."""
-    m = _as_complex(a)
-    if m.shape != (4, 4):
-        raise ValueError(f"det4 expects a 4x4 matrix, got shape {m.shape}")
-
-    def det3(s):
-        return (
-            s[0, 0] * (s[1, 1] * s[2, 2] - s[1, 2] * s[2, 1])
-            - s[0, 1] * (s[1, 0] * s[2, 2] - s[1, 2] * s[2, 0])
-            + s[0, 2] * (s[1, 0] * s[2, 1] - s[1, 1] * s[2, 0])
-        )
-
-    total = 0j
-    sign = 1.0
-    cols = [0, 1, 2, 3]
-    for j in cols:
-        minor = m[1:][:, [c for c in cols if c != j]]
-        total += sign * m[0, j] * det3(minor)
-        sign = -sign
-    return complex(total)
 
 
 def kron(a, b) -> np.ndarray:
@@ -145,8 +100,3 @@ def require_unitary(u, tol: float = INGEST_UNITARY_TOL) -> np.ndarray:
         raise NonUnitaryError(defect, tol)
     return m
 
-
-def apply(u, psi) -> np.ndarray:
-    """Apply a unitary to a state vector, checking unitarity first."""
-    m = require_unitary(u)
-    return m @ _as_complex(psi).reshape(m.shape[1])

@@ -15,7 +15,7 @@ from gatepower.canonical import (
     mirror,
     random_chamber_points,
 )
-from gatepower.linalg import SWAP, apply, unitarity_defect
+from gatepower.linalg import SWAP, unitarity_defect
 
 PI = math.pi
 
@@ -60,7 +60,7 @@ def test_canonical_gate_cnot_class_structure():
 
 def test_apply_cnot_class_to_00():
     u = canonical_gate(WeylPoint(PI / 2, 0, 0))
-    out = apply(u, np.array([1, 0, 0, 0], dtype=complex))
+    out = u @ np.array([1, 0, 0, 0], dtype=complex)
     expected = np.array([1, 0, 0, -1j]) / math.sqrt(2)
     assert_allclose(out, expected, atol=1e-15)
 

@@ -84,10 +84,20 @@ def test_analyze_bad_point_exits_2(capsys):
     assert "error:" in err
 
 
-def test_analyze_point_outside_chamber_exits_2(capsys):
-    code, _, err = run(capsys, "analyze", "--point", "0.1,0.5,0.2")
-    assert code == 2
-    assert "chamber" in err
+@pytest.mark.parametrize(
+    ("point", "exit_code", "message"),
+    [
+        ("0.1,0.5,0.2", 2, "chamber"),
+        # 17pi/24, 7pi/24, 11pi/48 rounded to 6 decimals: c1 + c2 ends up above pi
+        ("2.225295,0.916298,0.719948", 2, "chamber"),
+        # the same point rounded into the chamber lies in the invariant-box sliver
+        ("2.225295,0.916297,0.719948", 1, "classification routes disagree"),
+    ],
+)
+def test_analyze_point_exit_code(capsys, point, exit_code, message):
+    code, _, err = run(capsys, "analyze", "--point", point)
+    assert code == exit_code
+    assert message in err
 
 
 def test_analyze_unknown_name_exits_2(capsys):

@@ -7,15 +7,10 @@ from numpy.testing import assert_allclose
 from gatepower.errors import NonUnitaryError
 from gatepower.linalg import (
     SWAP,
-    adjoint,
-    apply,
-    det4,
     hs_inner,
     kron,
-    mat_mul,
     partial_trace,
     require_unitary,
-    trace,
     transposition_13,
     unitarity_defect,
 )
@@ -29,35 +24,6 @@ def test_swap_permutes_basis():
     assert_allclose(SWAP @ KET[2], KET[1])
     assert_allclose(SWAP @ KET[0], KET[0])
     assert_allclose(SWAP @ KET[3], KET[3])
-
-
-def test_mat_mul_and_adjoint():
-    a = np.array([[1, 2j], [0, 1]], dtype=complex)
-    b = np.array([[0, 1], [1j, 0]], dtype=complex)
-    assert_allclose(mat_mul(a, b), a @ b)
-    assert_allclose(adjoint(a), np.array([[1, 0], [-2j, 1]]))
-
-
-def test_trace_values():
-    assert trace(SWAP) == 2
-    assert trace(np.eye(4)) == 4
-
-
-def test_det4_of_swap_is_minus_one():
-    # SWAP is an odd permutation of the four basis states
-    assert det4(SWAP) == -1
-
-
-def test_det4_matches_numpy_on_random_matrices():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert abs(det4(m) - np.linalg.det(m)) < 1e-10 * max(1.0, abs(np.linalg.det(m)))
-
-
-def test_det4_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        det4(np.eye(3))
 
 
 def test_kron_block_structure():
@@ -152,19 +118,6 @@ def test_partial_trace_is_density_matrix(seed):
     ev_a = np.sort(np.linalg.eigvalsh(partial_trace(psi, "A")))
     ev_b = np.sort(np.linalg.eigvalsh(partial_trace(psi, "B")))
     assert_allclose(ev_a, ev_b, atol=1e-12)
-
-
-def test_apply_basic():
-    out = apply(SWAP, KET[1])
-    assert_allclose(out, KET[2])
-
-
-def test_apply_rejects_non_unitary():
-    bad = np.diag([1.0, 1.0, 1.0, 1.001])
-    with pytest.raises(NonUnitaryError) as err:
-        apply(bad, KET[0])
-    assert err.value.defect > 1e-8
-    assert "defect" in str(err.value)
 
 
 def test_unitarity_defect_and_require():
