@@ -108,9 +108,10 @@ def mirror(p: WeylPoint) -> WeylPoint:
 
 
 def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending, as three arrays."""
-    s = np.sort(np.stack(np.broadcast_arrays(math.pi - c1, c2, c3), axis=-1), axis=-1)
-    return s[..., 2], s[..., 1], s[..., 0]
+    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending by a sorting network."""
+    lo, hi = np.minimum(math.pi - c1, c2), np.maximum(math.pi - c1, c2)
+    mid, top = np.minimum(hi, c3), np.maximum(hi, c3)
+    return top, np.maximum(lo, mid), np.minimum(lo, mid)
 
 
 def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:

@@ -80,11 +80,7 @@ def geometric_margins(c1, c2, c3) -> dict[str, np.ndarray]:
 
 def invariant_margins(g1_abs, g2) -> dict:
     """Elementwise signed slacks of the invariant-box test (>= 0 inside)."""
-    return {
-        "g1_abs": 0.25 - g1_abs,
-        "g2_low": g2 + 1.0,
-        "g2_high": 1.0 - g2,
-    }
+    return {"g1_abs": 0.25 - g1_abs, "g2_low": g2 + 1.0, "g2_high": 1.0 - g2}
 
 
 def pe_mask(margins: dict) -> np.ndarray:
