@@ -253,6 +253,9 @@ GOLDEN_OUTPUTS = [
     (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
     (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
+    (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
+    (("verify", "montecarlo", "--mc", "20000", "--seed", "42"), 0, "ab568b798557e7c2a8b3588f64691213f0b6bce0a321800d05ebdab05b2b99da"),
+    (("analyze", "--name", "SQRT_SWAP", "--mc", "50000", "--json"), 0, "25c39778d57c7e5a603ab5c2431b23ecc335263495c9673e8e9581a78bc15e5b"),
 ]
 
 

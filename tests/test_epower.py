@@ -189,6 +189,35 @@ def test_mc_matches_analytic_generic_point():
     assert abs(est.mean - ep_closed_form(p)) <= max(3 * est.std_err, 5e-3)
 
 
+def _u3(theta, phi, lam):
+    return np.array([
+        [math.cos(theta / 2), -np.exp(1j * lam) * math.sin(theta / 2)],
+        [np.exp(1j * phi) * math.sin(theta / 2), np.exp(1j * (phi + lam)) * math.cos(theta / 2)],
+    ])
+
+
+def _dressed(point, angles):
+    a, b, c, d = (_u3(*x) for x in angles)
+    return np.kron(a, b) @ canonical_gate(WeylPoint(*point)) @ np.kron(c, d)
+
+
+# canonical gates sandwiched between fixed single-qubit rotations, with
+# estimates recorded from the reference implementation
+DRESSED_MC_GOLDEN = [
+    ((1.1, 0.6, 0.2), [(0.3, 1.2, -0.7), (2.1, -0.4, 0.9), (1.7, 0.5, 0.25), (0.8, -1.3, 2.2)],
+     3000, 11, EpEstimate(0.189984780003, 0.002316049749, 3000, 11)),
+    ((2.0, 1.0, 0.5), [(1.9, 0.1, 0.6), (0.45, 2.7, -1.1), (2.6, -0.9, 1.4), (1.2, 0.3, -0.2)],
+     10000, 7, EpEstimate(0.184959447959, 0.001334038812, 10000, 7)),
+    ((PI / 2, PI / 4, 0.0), [(0.6, -2.0, 0.35), (1.35, 0.8, -2.4), (0.2, 1.6, 0.7), (2.9, -0.6, 1.05)],
+     20000, 42, EpEstimate(0.221014851812, 0.000930654632, 20000, 42)),
+]
+
+
+@pytest.mark.parametrize(("point", "angles", "n", "seed", "expected"), DRESSED_MC_GOLDEN)
+def test_mc_dressed_gates_match_golden(point, angles, n, seed, expected):
+    assert ep_monte_carlo(_dressed(point, angles), n, seed) == expected
+
+
 def test_mc_block_order_independence():
     """The estimate is a pure function of (u, n, seed), not block order."""
     u_t = CNOT.T.copy()
