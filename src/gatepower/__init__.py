@@ -27,6 +27,7 @@ from .epower import (
     ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
+    ep_monte_carlo_many,
     ep_operator_exact,
     linear_entropy,
     verify_route_agreement,
@@ -66,6 +67,7 @@ __all__ = [
     "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
+    "ep_monte_carlo_many",
     "ep_operator_exact",
     "g1_abs_closed",
     "g1_complex_closed",

@@ -1,16 +1,18 @@
 """Entangling power of two-qubit gates.
 
 The entangling power of a gate u is the average linear entropy that u
-generates when applied to uniformly random product states. Three
+generates when applied to uniformly random product states. Four
 independent routes are provided:
 
   * closed form in chamber coordinates,
   * the affine map from |g1|:  e_p = (2/9)(1 - |g1|),
-  * an exact operator average over two copies of the gate.
+  * an exact operator average over two copies of the gate,
+  * a reproducible Monte-Carlo average over Haar-random product states.
 
-All routes return values in [0, 2/9]; the maximum 2/9 is attained exactly
-by the special perfect entanglers (|g1| = 0), and gates in the identity or
-SWAP class give 0.
+The exact routes return values in [0, 2/9]; the maximum 2/9 is attained
+exactly by the special perfect entanglers (|g1| = 0), and gates in the
+identity or SWAP class give 0, which the Monte-Carlo estimate also
+reports exactly.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ __all__ = [
     "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
+    "ep_monte_carlo_many",
     "ep_operator_exact",
     "linear_entropy",
     "verify_route_agreement",
@@ -137,8 +140,8 @@ class EpEstimate:
     seed: int
 
 
-def _block_entropy_sums(u_t: np.ndarray, seed: int, block: int, count: int) -> tuple[float, float]:
-    """Sum and sum of squares of linear entropies for one sample block.
+def _block_states(seed: int, block: int, count: int) -> np.ndarray:
+    """The (count, 4) Haar-random product states of one sample block.
 
     Sample s of block b consumes uniforms 8*(s mod BLOCK) .. +7 of the
     substream keyed by block_key(seed, b): four Box-Muller pairs giving
@@ -154,12 +157,23 @@ def _block_entropy_sums(u_t: np.ndarray, seed: int, block: int, count: int) -> t
     b = np.stack([zb0 + 1j * zb1, zb2 + 1j * zb3], axis=1)
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
-    psi = np.einsum("ni,nj->nij", a, b).reshape(count, 4)
+    return np.einsum("ni,nj->nij", a, b).reshape(count, 4)
+
+
+def _entropy_sums(psi: np.ndarray, u_t: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of the output linear entropies of one block.
+
+    With output amplitudes (a, b, c, d), the first qubit's reduced state has
+    r00 = |a|^2 + |b|^2, r11 = |c|^2 + |d|^2 and r01 = a c* + b d*, so its
+    purity is r00^2 + r11^2 + 2|r01|^2, computed elementwise.
+    """
     out = psi @ u_t
-    m = out.reshape(count, 2, 2)
-    rho = m @ m.conj().swapaxes(1, 2)
-    purity = np.sum(np.abs(rho) ** 2, axis=(1, 2))
-    e = 1.0 - purity
+    a, b, c, d = out.T
+    p = out.real**2 + out.imag**2
+    r00 = p[:, 0] + p[:, 1]
+    r11 = p[:, 2] + p[:, 3]
+    r01 = a * c.conj() + b * d.conj()
+    e = 1.0 - (r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
     return float(np.sum(e)), float(np.sum(e * e))
 
 
@@ -167,40 +181,56 @@ def _snap(x: float) -> float:
     return float(np.round(x, _SNAP_DECIMALS) + 0.0)
 
 
-def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
-    """Estimate entangling power by sampling random product states.
-
-    Applies u to products of independent Haar-random single-qubit states
-    and averages the linear entropy of the output. The sample index space
-    is split into fixed blocks of 1024; block b draws from the substream
-    block_key(seed, b) (see the rng module), so the estimate is a pure
-    function of (u, n_samples, seed) regardless of evaluation order.
-    Per-block sums use numpy pairwise summation and are combined with
-    exact (fsum) accumulation.
-    """
-    m4 = require_unitary(u)
-    if m4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    u_t = m4.T.copy()
-    sums: list[float] = []
-    sqs: list[float] = []
-    done = 0
-    block = 0
-    while done < n_samples:
-        count = min(_BLOCK, n_samples - done)
-        s, s2 = _block_entropy_sums(u_t, seed, block, count)
-        sums.append(s)
-        sqs.append(s2)
-        done += count
-        block += 1
+def _estimate(sums: list[float], sqs: list[float], n_samples: int, seed: int) -> EpEstimate:
     total = math.fsum(sums)
     total2 = math.fsum(sqs)
     mean = total / n_samples
     var = max(0.0, total2 - n_samples * mean * mean) / (n_samples - 1)
     std_err = math.sqrt(var / n_samples)
     return EpEstimate(_snap(mean), _snap(std_err), n_samples, seed)
+
+
+def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
+    """ep_monte_carlo for several gates, drawing each block's states once.
+
+    Every gate is applied to the same product states, so the result for a
+    gate equals ep_monte_carlo(u, n_samples, seed) and does not depend on
+    which other gates are in the list or on their order.
+    """
+    u_ts = []
+    for u in us:
+        m4 = require_unitary(u)
+        if m4.shape != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
+        u_ts.append(m4.T.copy())
+    if n_samples < 100:
+        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
+    if not u_ts:
+        return []
+    sums: list[list[float]] = [[] for _ in u_ts]
+    sqs: list[list[float]] = [[] for _ in u_ts]
+    for block, start in enumerate(range(0, n_samples, _BLOCK)):
+        psi = _block_states(seed, block, min(_BLOCK, n_samples - start))
+        for i, u_t in enumerate(u_ts):
+            s, s2 = _entropy_sums(psi, u_t)
+            sums[i].append(s)
+            sqs[i].append(s2)
+    return [_estimate(s, s2, n_samples, seed) for s, s2 in zip(sums, sqs)]
+
+
+def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
+    """Estimate entangling power by sampling random product states.
+
+    Applies u to products of independent Haar-random single-qubit states
+    and averages the linear entropy of the output, with the purity written
+    elementwise in the output amplitudes. The sample index space is split
+    into fixed blocks of 1024; block b draws from the substream
+    block_key(seed, b) (see the rng module), so the estimate is a pure
+    function of (u, n_samples, seed) regardless of evaluation order.
+    Per-block sums use numpy pairwise summation and are combined with
+    exact (fsum) accumulation. This is ep_monte_carlo_many([u], ...)[0].
+    """
+    return ep_monte_carlo_many([u], n_samples, seed)[0]
 
 
 @dataclass(frozen=True)

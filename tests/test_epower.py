@@ -12,6 +12,7 @@ from gatepower.epower import (
     ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
+    ep_monte_carlo_many,
     ep_operator_exact,
     linear_entropy,
     verify_route_agreement,
@@ -222,10 +223,55 @@ def test_mc_block_order_independence():
     """The estimate is a pure function of (u, n, seed), not block order."""
     u_t = CNOT.T.copy()
     n = 2500
-    pieces = {b: epower._block_entropy_sums(u_t, 17, b, c) for b, c in [(0, 1024), (1, 1024), (2, 452)]}
+    pieces = {
+        b: epower._entropy_sums(epower._block_states(17, b, c), u_t)
+        for b, c in [(0, 1024), (1, 1024), (2, 452)]
+    }
     for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
         total = math.fsum(pieces[b][0] for b in order)
         assert total / n == pytest.approx(ep_monte_carlo(CNOT, n, seed=17).mean, abs=1e-12)
+
+
+def _mc_gates():
+    rng = np.random.default_rng(31)
+    gates = [CNOT, np.eye(4), SWAP, canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4))]
+    gates += [dress(canonical_gate(p), rng) for p in random_chamber_points(3, 3)]
+    return gates
+
+
+@pytest.mark.parametrize(("n", "seed"), [(100, 0), (1500, 4), (2048, 9), (5000, 123)])
+def test_mc_many_equals_single_gate_calls(n, seed):
+    gates = _mc_gates()
+    assert ep_monte_carlo_many(gates, n, seed) == [ep_monte_carlo(u, n, seed) for u in gates]
+
+
+def test_mc_many_independent_of_other_gates_and_order():
+    gates = _mc_gates()
+    full = ep_monte_carlo_many(gates, 3000, 8)
+    order = [4, 0, 6, 2, 5, 1, 3]
+    permuted = ep_monte_carlo_many([gates[i] for i in order], 3000, 8)
+    assert permuted == [full[i] for i in order]
+    assert ep_monte_carlo_many(gates[4:6], 3000, 8) == full[4:6]
+    assert ep_monte_carlo_many([gates[0], gates[0]], 3000, 8) == [full[0], full[0]]
+
+
+def test_mc_many_rejects_bad_input():
+    with pytest.raises(ValueError):
+        ep_monte_carlo_many([CNOT, np.ones((4, 4))], 500, seed=1)
+    with pytest.raises(ValueError):
+        ep_monte_carlo_many([np.eye(2)], 500, seed=1)
+    with pytest.raises(ValueError):
+        ep_monte_carlo_many([CNOT, SWAP], 99, seed=1)
+    with pytest.raises(ValueError):
+        ep_monte_carlo(np.eye(2), 500, seed=1)
+    assert ep_monte_carlo_many([], 100, seed=1) == []
+
+
+def test_mc_many_product_preserving_gates_are_exactly_zero():
+    ident, swap = ep_monte_carlo_many([np.eye(4), SWAP], 2500, seed=6)
+    assert ident == EpEstimate(0.0, 0.0, 2500, 6)
+    assert swap.mean == 0.0
+    assert swap.std_err == 0.0
 
 
 def test_mc_estimate_is_frozen_dataclass():
