@@ -181,15 +181,6 @@ def _snap(x: float) -> float:
     return float(np.round(x, _SNAP_DECIMALS) + 0.0)
 
 
-def _estimate(sums: list[float], sqs: list[float], n_samples: int, seed: int) -> EpEstimate:
-    total = math.fsum(sums)
-    total2 = math.fsum(sqs)
-    mean = total / n_samples
-    var = max(0.0, total2 - n_samples * mean * mean) / (n_samples - 1)
-    std_err = math.sqrt(var / n_samples)
-    return EpEstimate(_snap(mean), _snap(std_err), n_samples, seed)
-
-
 def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
     """ep_monte_carlo for several gates, drawing each block's states once.
 
@@ -207,15 +198,19 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     if not u_ts:
         return []
-    sums: list[list[float]] = [[] for _ in u_ts]
-    sqs: list[list[float]] = [[] for _ in u_ts]
+    block_sums: list[list[tuple[float, float]]] = [[] for _ in u_ts]
     for block, start in enumerate(range(0, n_samples, _BLOCK)):
         psi = _block_states(seed, block, min(_BLOCK, n_samples - start))
-        for i, u_t in enumerate(u_ts):
-            s, s2 = _entropy_sums(psi, u_t)
-            sums[i].append(s)
-            sqs[i].append(s2)
-    return [_estimate(s, s2, n_samples, seed) for s, s2 in zip(sums, sqs)]
+        for sums, u_t in zip(block_sums, u_ts):
+            sums.append(_entropy_sums(psi, u_t))
+    estimates = []
+    for sums in block_sums:
+        total, total2 = (math.fsum(col) for col in zip(*sums))
+        mean = total / n_samples
+        var = max(0.0, total2 - n_samples * mean * mean) / (n_samples - 1)
+        std_err = math.sqrt(var / n_samples)
+        estimates.append(EpEstimate(_snap(mean), _snap(std_err), n_samples, seed))
+    return estimates
 
 
 def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
@@ -228,7 +223,8 @@ def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
     block_key(seed, b) (see the rng module), so the estimate is a pure
     function of (u, n_samples, seed) regardless of evaluation order.
     Per-block sums use numpy pairwise summation and are combined with
-    exact (fsum) accumulation. This is ep_monte_carlo_many([u], ...)[0].
+    exact (fsum) accumulation. This is ep_monte_carlo_many([u], ...)[0];
+    pass several gates there to share each block's draw between them.
     """
     return ep_monte_carlo_many([u], n_samples, seed)[0]
 

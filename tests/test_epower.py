@@ -232,6 +232,20 @@ def test_mc_block_order_independence():
         assert total / n == pytest.approx(ep_monte_carlo(CNOT, n, seed=17).mean, abs=1e-12)
 
 
+def test_mc_entropy_sums_match_reduced_density_matrix_form():
+    """Elementwise purity agrees with tr(rho_A^2) from the batched 2x2 product."""
+    for u in [CNOT, _dressed(*DRESSED_MC_GOLDEN[1][:2])]:
+        for block, count in [(0, 1024), (5, 300)]:
+            psi = epower._block_states(3, block, count)
+            m = (psi @ u.T).reshape(count, 2, 2)
+            rho = m @ m.conj().swapaxes(1, 2)
+            e = 1.0 - np.sum(np.abs(rho) ** 2, axis=(1, 2))
+            s, s2 = epower._entropy_sums(psi, u.T.copy())
+            # a few ulps per sample, summed over at most 1024 samples
+            assert s == pytest.approx(np.sum(e), abs=1e-12)
+            assert s2 == pytest.approx(np.sum(e * e), abs=1e-12)
+
+
 def _mc_gates():
     rng = np.random.default_rng(31)
     gates = [CNOT, np.eye(4), SWAP, canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4))]
