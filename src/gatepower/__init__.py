@@ -43,7 +43,7 @@ from .invariants import (
     invariants_at_point,
     invariants_from_matrix,
 )
-from .linalg import SWAP, partial_trace, transposition_13
+from .linalg import SWAP, partial_trace
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "named_gate",
     "partial_trace",
     "random_chamber_points",
-    "transposition_13",
     "verify_monte_carlo",
     "verify_route_agreement",
     "verify_theorems",

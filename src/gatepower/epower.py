@@ -6,7 +6,7 @@ independent routes are provided:
 
   * closed form in chamber coordinates,
   * the affine map from |g1|:  e_p = (2/9)(1 - |g1|),
-  * an exact operator average over two copies of the gate,
+  * the operator entanglement of u and u·SWAP, from the 4x4 matrix alone,
   * a reproducible Monte-Carlo average over Haar-random product states.
 
 The exact routes return values in [0, 2/9]; the maximum 2/9 is attained
@@ -23,9 +23,8 @@ import numpy as np
 
 from . import rng
 from .canonical import WeylPoint, canonical_gate, random_chamber_coords
-from .errors import ConsistencyError
 from .invariants import g1_abs_array, g2_array, g2_product_array
-from .linalg import SWAP, hs_inner, kron, partial_trace, require_unitary, transposition_13
+from .linalg import SWAP, partial_trace, require_unitary
 
 __all__ = [
     "EP_MAX",
@@ -44,13 +43,6 @@ __all__ = [
 EP_MAX = 2.0 / 9.0
 
 _RANGE_TOL = 1e-9
-# the two equivalent two-trace / single-trace operator expressions must agree
-_OPERATOR_FORM_TOL = 1e-10
-_TRACE_IMAG_TOL = 1e-9
-
-_T13 = transposition_13()
-_S2 = kron(SWAP, SWAP)
-_R = _T13 + _S2.conj().T @ _T13 @ _S2
 
 # samples per block; each block draws from its own substream so results do
 # not depend on how blocks are assigned to workers
@@ -95,39 +87,36 @@ def ep_closed_form(p: WeylPoint) -> float:
     return float(ep_closed_array(*p))
 
 
-def _real_trace(z: complex, what: str) -> float:
-    if abs(z.imag) >= _TRACE_IMAG_TOL:
-        raise ConsistencyError(
-            f"{what} should be real, got imaginary residue {z.imag:.3e}"
-        )
-    return z.real
+def _operator_entanglement(m: np.ndarray) -> float:
+    """Operator entanglement 1 - ||R R†||_F^2 / 16 of a 4x4 unitary m.
+
+    R is the realignment of m, <i k|R|j l> = <i j|m|k l>: it groups the two
+    indices of qubit 1 into rows and those of qubit 2 into columns, so
+    ||R R†||_F^2 is the operator purity of m across the qubit cut. The
+    value is 0 for local gates and 3/4 for SWAP.
+    """
+    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    rr = r @ r.conj().T
+    return 1.0 - float(np.sum(rr.real**2 + rr.imag**2)) / 16.0
+
+
+_E_SWAP = _operator_entanglement(SWAP)
 
 
 def ep_operator_exact(u) -> float:
-    """Entangling power as an exact operator average over two gate copies.
+    """Entangling power from the operator entanglement E of u and u·SWAP.
 
-    With A = u (x) u, T the qubit-1/qubit-3 transposition and
-    S = SWAP (x) SWAP:
+        e_p = (4/9) [E(u) + E(u SWAP) - E(SWAP)]
 
-        e_p = 5/9 - (1/36) Re[ tr(A† T A T) + tr(A† S† T S A T) ]
-
-    The same value is recomputed from the grouped single-trace expression
-    5/9 - (1/36) tr(A† (T + S† T S) A T) and both must agree to 1e-10.
+    (Zanardi, PRA 63, 040304 (2001)). It uses only the 4x4 matrix, not
+    its chamber point, so it is independent of the closed form.
     """
     m4 = require_unitary(u)
     if m4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
-    a = kron(m4, m4)
-    at = a @ _T13
-    term1 = _real_trace(hs_inner(a, _T13 @ at), "tr(A† T A T)")
-    term2 = _real_trace(hs_inner(a, _S2.conj().T @ _T13 @ _S2 @ at), "tr(A† S† T S A T)")
-    value = 5.0 / 9.0 - (term1 + term2) / 36.0
-    single = 5.0 / 9.0 - _real_trace(hs_inner(a, _R @ at), "tr(A† R A T)") / 36.0
-    if abs(value - single) > _OPERATOR_FORM_TOL:
-        raise ConsistencyError(
-            f"operator forms disagree: {value!r} vs {single!r}"
-        )
-    return value
+    return (4.0 / 9.0) * (
+        _operator_entanglement(m4) + _operator_entanglement(m4 @ SWAP) - _E_SWAP
+    )
 
 
 @dataclass(frozen=True)
@@ -247,6 +236,8 @@ class RouteAgreementReport:
 
 def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
     """Compare all e_p routes and both g2 forms on random chamber points."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     pts = random_chamber_coords(seed, n_points)
     c = pts.T
     closed = ep_closed_array(*c)

@@ -1,8 +1,7 @@
-"""Dense complex linear algebra at the fixed sizes used for two-qubit gates.
+"""SWAP, the one-qubit partial trace and unitarity checks for two-qubit gates.
 
 All matrices and state vectors are plain numpy ``complex128`` arrays:
-2x2 and 4x4 for single- and two-qubit operators, 16x16 for two-copy
-operators, length 2/4 for states.
+2x2 and 4x4 for single- and two-qubit operators, length 2/4 for states.
 """
 from __future__ import annotations
 
@@ -15,10 +14,7 @@ from .errors import NonUnitaryError
 __all__ = [
     "INGEST_UNITARY_TOL",
     "SWAP",
-    "hs_inner",
-    "kron",
     "partial_trace",
-    "transposition_13",
     "unitarity_defect",
     "require_unitary",
 ]
@@ -39,33 +35,6 @@ SWAP = np.array(
 
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the high-order index bits."""
-    return np.kron(_as_complex(a), _as_complex(b))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(a† b)."""
-    return complex(np.vdot(_as_complex(a), _as_complex(b)))
-
-
-def transposition_13() -> np.ndarray:
-    """Permutation on four qubits exchanging qubits 1 and 3.
-
-    Basis states are indexed a*8 + b*4 + c*2 + d for qubits (a, b, c, d);
-    the operator maps |a,b,c,d> to |c,b,a,d>. It is real, symmetric and
-    an involution.
-    """
-    t = np.zeros((16, 16), dtype=complex)
-    for idx in range(16):
-        a = (idx >> 3) & 1
-        b = (idx >> 2) & 1
-        c = (idx >> 1) & 1
-        d = idx & 1
-        t[(c << 3) | (b << 2) | (a << 1) | d, idx] = 1.0
-    return t
 
 
 def partial_trace(psi, subsystem: Literal["A", "B"]) -> np.ndarray:

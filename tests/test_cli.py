@@ -60,6 +60,7 @@ def test_analyze_json_round_trip(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["pe"]["verdict"] is True
     assert doc["ep"]["closed_form"] == pytest.approx(1 / 6, abs=1e-12)
+    assert doc["ep"]["operator"] == pytest.approx(doc["ep"]["closed_form"], abs=1e-15)
 
     # re-ingest the emitted matrix and compare invariants
     path = tmp_path / "emitted.json"
@@ -226,6 +227,14 @@ def test_verify_montecarlo_passes(capsys):
     assert "IDENTITY: mean=0" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_verify_routes_rejects_empty_sample_exit_code(capsys, n):
+    code, out, err = run(capsys, "verify", "routes", "--n", n)
+    assert code == 2
+    assert "n_points must be at least 1" in err
+    assert "PASS" not in out
+
+
 def test_verify_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
     _, out2, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
@@ -255,7 +264,7 @@ GOLDEN_OUTPUTS = [
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
     (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
     (("verify", "montecarlo", "--mc", "20000", "--seed", "42"), 0, "ab568b798557e7c2a8b3588f64691213f0b6bce0a321800d05ebdab05b2b99da"),
-    (("analyze", "--name", "SQRT_SWAP", "--mc", "50000", "--json"), 0, "25c39778d57c7e5a603ab5c2431b23ecc335263495c9673e8e9581a78bc15e5b"),
+    (("analyze", "--name", "SQRT_SWAP", "--mc", "50000", "--json"), 0, "56b89d416f6262dd50a85cf1ac6dd63e110e4f505f7dc083a10020a4a2222396"),
 ]
 
 

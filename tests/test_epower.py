@@ -18,7 +18,7 @@ from gatepower.epower import (
     verify_route_agreement,
 )
 from gatepower.invariants import g1_abs_closed
-from gatepower.linalg import SWAP, partial_trace
+from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, partial_trace, unitarity_defect
 
 from helpers import dress, random_state
 
@@ -101,7 +101,15 @@ def test_operator_route_swap():
 
 
 def test_operator_route_cnot():
-    assert ep_operator_exact(CNOT) == pytest.approx(2 / 9, abs=1e-12)
+    value = ep_operator_exact(CNOT)
+    assert type(value) is float
+    assert value == pytest.approx(2 / 9, abs=1e-12)
+
+
+def test_operator_route_entanglement_of_fixed_gates():
+    assert epower._operator_entanglement(np.eye(4, dtype=complex)) == pytest.approx(0.0, abs=1e-15)
+    assert epower._operator_entanglement(CNOT) == pytest.approx(0.5, abs=1e-15)
+    assert epower._operator_entanglement(SWAP) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_operator_route_canonical_examples():
@@ -128,6 +136,22 @@ def test_operator_route_local_dressing_invariance():
         assert ep_operator_exact(dress(u, rng)) == pytest.approx(
             ep_operator_exact(u), abs=1e-9
         )
+
+
+def test_operator_route_rounded_dressed_gates():
+    # gates as read from a file: locally dressed, globally phase-shifted and
+    # rounded to 8 decimals; those still within the ingest tolerance must
+    # stay on the closed form
+    rng = np.random.default_rng(5)
+    checked = 0
+    for p in random_chamber_points(29, 200):
+        phase = np.exp(1j * rng.uniform(0, 2 * PI))
+        u = np.round(phase * dress(canonical_gate(p), rng), 8)
+        if unitarity_defect(u) > INGEST_UNITARY_TOL:
+            continue
+        assert ep_operator_exact(u) == pytest.approx(ep_closed_form(p), abs=1e-6)
+        checked += 1
+    assert checked >= 50
 
 
 def test_operator_route_inverse_invariance():

@@ -7,14 +7,11 @@ from numpy.testing import assert_allclose
 from gatepower.errors import NonUnitaryError
 from gatepower.linalg import (
     SWAP,
-    hs_inner,
-    kron,
     partial_trace,
     require_unitary,
-    transposition_13,
     unitarity_defect,
 )
-from helpers import haar_unitary, random_state
+from helpers import random_state
 
 KET = np.eye(4, dtype=complex)
 
@@ -24,59 +21,6 @@ def test_swap_permutes_basis():
     assert_allclose(SWAP @ KET[2], KET[1])
     assert_allclose(SWAP @ KET[0], KET[0])
     assert_allclose(SWAP @ KET[3], KET[3])
-
-
-def test_kron_block_structure():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    k = kron(np.eye(2), x)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1
-    assert_allclose(k, expected)
-
-
-def test_kron_mixed_product_property():
-    # (A1 A2) (x) (B1 B2) = (A1 (x) B1)(A2 (x) B2)
-    rng = np.random.default_rng(11)
-    for dim in (2, 4):
-        for _ in range(50):
-            a1, a2 = haar_unitary(dim, rng), haar_unitary(dim, rng)
-            b1, b2 = haar_unitary(dim, rng), haar_unitary(dim, rng)
-            lhs = kron(a1 @ a2, b1 @ b2)
-            rhs = kron(a1, b1) @ kron(a2, b2)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_hs_inner_values():
-    assert hs_inner(np.eye(4), SWAP) == 2
-    a = np.array([[1, 1j], [0, 2]], dtype=complex)
-    assert abs(hs_inner(a, a) - 6.0) < 1e-15
-
-
-def test_hs_inner_is_positive_on_diagonal():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        v = hs_inner(a, a)
-        assert abs(v.imag) < 1e-12
-        assert v.real >= 0
-
-
-def test_transposition_13_action():
-    t = transposition_13()
-    e = np.eye(16, dtype=complex)
-    # |1000> (index 8) -> |0010> (index 2)
-    assert_allclose(t @ e[8], e[2])
-    # |1011> has equal first and third bits, so it is a fixed point
-    assert_allclose(t @ e[11], e[11])
-    # |0100> and |0001> only touch qubits 2 and 4, stay fixed
-    assert_allclose(t @ e[4], e[4])
-    assert_allclose(t @ e[1], e[1])
-
-
-def test_transposition_13_is_symmetric_involution():
-    t = transposition_13()
-    assert_allclose(t @ t, np.eye(16))
-    assert_allclose(t, t.T)
 
 
 def test_partial_trace_product_state():
