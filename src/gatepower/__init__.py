@@ -9,7 +9,6 @@ from .canonical import (
     canonical_gate,
     edge_point,
     in_weyl_chamber,
-    mirror,
     random_chamber_points,
 )
 from .catalog import catalog_records, named_gate, verify_monte_carlo
@@ -29,21 +28,15 @@ from .epower import (
     ep_monte_carlo,
     ep_monte_carlo_many,
     ep_operator_exact,
-    linear_entropy,
     verify_route_agreement,
 )
 from .errors import CatalogError, ConsistencyError, NonUnitaryError, TheoremViolationError
 from .invariants import (
     LocalInvariants,
-    g1_abs_closed,
-    g1_complex_closed,
-    g1_conjugate_check,
-    g2_closed,
-    g2_closed_product_form,
     invariants_at_point,
     invariants_from_matrix,
 )
-from .linalg import SWAP, partial_trace
+from .linalg import SWAP
 
 __version__ = "0.1.0"
 
@@ -69,20 +62,12 @@ __all__ = [
     "ep_monte_carlo",
     "ep_monte_carlo_many",
     "ep_operator_exact",
-    "g1_abs_closed",
-    "g1_complex_closed",
-    "g1_conjugate_check",
-    "g2_closed",
-    "g2_closed_product_form",
     "in_weyl_chamber",
     "invariants_at_point",
     "invariants_from_matrix",
     "is_pe_geometric",
     "is_pe_invariant",
-    "linear_entropy",
-    "mirror",
     "named_gate",
-    "partial_trace",
     "random_chamber_points",
     "verify_monte_carlo",
     "verify_route_agreement",

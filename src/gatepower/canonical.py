@@ -33,7 +33,6 @@ __all__ = [
     "edge_point",
     "edge_tags",
     "in_weyl_chamber",
-    "mirror",
     "mirror_coords",
     "random_chamber_coords",
     "random_chamber_points",
@@ -83,28 +82,6 @@ def chamber_lattice(grid_n: int) -> np.ndarray:
     c2s = np.linspace(0.0, _HALF_PI, grid_n)
     i, j, k = np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s))
     return np.column_stack((c1s[i], c2s[j], c2s[k]))
-
-
-def mirror(p: WeylPoint) -> WeylPoint:
-    """Image of a point under c1 -> pi - c1, re-sorted descending.
-
-    The mirrored point labels the same gate up to single-qubit
-    operations, so |g1|, g2 and the entangling power are unchanged.
-    Accepts any ordered point with pi >= c1 >= c2 >= c3 >= 0; for a
-    chamber point the result is again a chamber point.
-    """
-    # ordering only: the fold is defined for c1 up to pi, including
-    # points that fail the c1 + c2 <= pi chamber cut
-    tol = 1e-12
-    ordered = (
-        math.pi + tol >= p.c1
-        and p.c1 + tol >= p.c2
-        and p.c2 + tol >= p.c3
-        and p.c3 >= -tol
-    )
-    if not ordered:
-        raise ValueError(f"mirror expects pi >= c1 >= c2 >= c3 >= 0, got {p}")
-    return WeylPoint(*(float(c) for c in mirror_coords(p.c1, p.c2, p.c3)))
 
 
 def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from .canonical import (
     in_weyl_chamber,
     mirror_coords,
 )
-from .epower import ep_closed_array, ep_closed_form, ep_operator_exact
+from .epower import EP_MAX, ep_closed_array, ep_closed_form, ep_operator_exact
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
@@ -39,7 +39,6 @@ from .invariants import (
 )
 
 __all__ = [
-    "PE_EP_MAX",
     "PE_EP_MIN",
     "PE_TOL",
     "GateRecord",
@@ -59,7 +58,6 @@ __all__ = [
 PE_TOL = 1e-9
 
 PE_EP_MIN = 1.0 / 6.0
-PE_EP_MAX = 2.0 / 9.0
 
 _HALF_PI = math.pi / 2
 
@@ -276,6 +274,6 @@ def verify_theorems(grid_n: int) -> TheoremReport:
         ],
         ep_range_violations=[
             f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
-            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > PE_EP_MAX + PE_TOL)))
+            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)))
         ],
     )

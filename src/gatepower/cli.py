@@ -36,7 +36,7 @@ from .epower import (
     verify_route_agreement,
 )
 from .errors import ConsistencyError, TheoremViolationError
-from .invariants import g1_abs_array, g1_complex_array, g2_array
+from .invariants import g1_abs_array, g2_array
 
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
@@ -188,10 +188,11 @@ def cmd_scan(args) -> int:
             raise ValueError(f"--chamber must be at least 2, got {args.chamber}")
         pts = chamber_lattice(args.chamber)
     c = pts.T
+    g1a = g1_abs_array(*c)
     g2 = g2_array(*c)
     geo = pe_mask(geometric_margins(*c))
-    inv = pe_mask(invariant_margins(np.abs(g1_complex_array(*c)), g2))
-    columns = [*c, g1_abs_array(*c), g2, ep_closed_array(*c), geo, inv]
+    inv = pe_mask(invariant_margins(g1a, g2))
+    columns = [*c, g1a, g2, ep_closed_array(*c), geo, inv]
     # rendered in blocks: whole columns of Python floats, or one string per row, raise peak memory
     blocks = [_CSV_HEADER + "\n"]
     for lo in range(0, len(pts), 1024):

@@ -24,7 +24,7 @@ import numpy as np
 from . import rng
 from .canonical import WeylPoint, canonical_gate, random_chamber_coords
 from .invariants import g1_abs_array, g2_array, g2_product_array
-from .linalg import SWAP, partial_trace, require_unitary
+from .linalg import SWAP, require_unitary
 
 __all__ = [
     "EP_MAX",
@@ -36,7 +36,6 @@ __all__ = [
     "ep_monte_carlo",
     "ep_monte_carlo_many",
     "ep_operator_exact",
-    "linear_entropy",
     "verify_route_agreement",
 ]
 
@@ -53,22 +52,11 @@ _BLOCK = 1024
 _SNAP_DECIMALS = 12
 
 
-def linear_entropy(psi) -> float:
-    """Linear entropy 1 - tr(rho_A^2) of a normalized two-qubit pure state.
-
-    Ranges over [0, 1/2]; 0 exactly for product states, 1/2 for maximally
-    entangled ones. Symmetric in the choice of traced-out qubit.
-    """
-    rho = partial_trace(psi, "A")
-    purity = float(np.sum(np.abs(rho) ** 2))
-    return 1.0 - purity
-
-
 def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
     """Entangling power from the invariant modulus: (2/9)(1 - |g1|), elementwise on arrays."""
     if not np.all((-_RANGE_TOL <= g1_abs) & (g1_abs <= 1.0 + _RANGE_TOL)):
         raise ValueError(f"|g1| must lie in [0, 1], got {g1_abs!r}")
-    return (2.0 / 9.0) * (1.0 - g1_abs)
+    return EP_MAX * (1.0 - g1_abs)
 
 
 def ep_closed_array(c1, c2, c3) -> np.ndarray:
@@ -112,8 +100,6 @@ def ep_operator_exact(u) -> float:
     its chamber point, so it is independent of the closed form.
     """
     m4 = require_unitary(u)
-    if m4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
     return (4.0 / 9.0) * (
         _operator_entanglement(m4) + _operator_entanglement(m4 @ SWAP) - _E_SWAP
     )
@@ -177,12 +163,7 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
     gate equals ep_monte_carlo(u, n_samples, seed) and does not depend on
     which other gates are in the list or on their order.
     """
-    u_ts = []
-    for u in us:
-        m4 = require_unitary(u)
-        if m4.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
-        u_ts.append(m4.T.copy())
+    u_ts = [require_unitary(u).T.copy() for u in us]
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     if not u_ts:

@@ -31,13 +31,8 @@ __all__ = [
     "MAGIC_BASIS",
     "LocalInvariants",
     "g1_abs_array",
-    "g1_abs_closed",
     "g1_complex_array",
-    "g1_complex_closed",
-    "g1_conjugate_check",
     "g2_array",
-    "g2_closed",
-    "g2_closed_product_form",
     "g2_product_array",
     "invariants_at_point",
     "invariants_from_matrix",
@@ -126,29 +121,9 @@ def g2_product_array(c1, c2, c3) -> np.ndarray:
     return 4 * a - 4 * b - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
 
 
-def g1_abs_closed(p: WeylPoint) -> float:
-    """|g1| at a chamber point."""
-    return float(g1_abs_array(*p))
-
-
-def g1_complex_closed(p: WeylPoint) -> complex:
-    """Complex g1 at a chamber point; see g1_complex_array."""
-    return complex(g1_complex_array(*p))
-
-
-def g2_closed(p: WeylPoint) -> float:
-    """g2 at a chamber point, as a sum of cosines."""
-    return float(g2_array(*p))
-
-
-def g2_closed_product_form(p: WeylPoint) -> float:
-    """g2 at a chamber point via the product form; see g2_product_array."""
-    return float(g2_product_array(*p))
-
-
 def invariants_at_point(p: WeylPoint) -> LocalInvariants:
     """Invariants of the local class at a chamber point, via closed forms."""
-    return LocalInvariants(g1_complex_closed(p), g2_closed(p))
+    return LocalInvariants(complex(g1_complex_array(*p)), float(g2_array(*p)))
 
 
 def _real_checked(z: complex, tol: float, what: str) -> float:
@@ -166,8 +141,6 @@ def invariants_from_matrix(u) -> LocalInvariants:
     phase, so inputs need not have unit determinant.
     """
     m4 = require_unitary(u, INGEST_UNITARY_TOL)
-    if m4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m4.shape}")
     um = MAGIC_BASIS.conj().T @ m4 @ MAGIC_BASIS
     m = um.T @ um
     det = complex(np.linalg.det(um))
@@ -175,11 +148,3 @@ def invariants_from_matrix(u) -> LocalInvariants:
     g1 = tr * tr / (16.0 * det)
     g2 = _real_checked((tr * tr - complex(np.trace(m @ m))) / (4.0 * det), G2_IMAG_TOL, "g2")
     return LocalInvariants(g1, g2)
-
-
-def g1_conjugate_check(u, tol: float = 1e-9) -> bool:
-    """True when g1 of the inverse gate equals the conjugate of g1(u)."""
-    m4 = require_unitary(u, INGEST_UNITARY_TOL)
-    g_fwd = invariants_from_matrix(m4).g1
-    g_inv = invariants_from_matrix(m4.conj().T).g1
-    return abs(g_inv - g_fwd.conjugate()) <= tol

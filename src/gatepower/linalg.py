@@ -1,11 +1,8 @@
-"""SWAP, the one-qubit partial trace and unitarity checks for two-qubit gates.
+"""SWAP and 4x4 unitarity checks for two-qubit gates.
 
-All matrices and state vectors are plain numpy ``complex128`` arrays:
-2x2 and 4x4 for single- and two-qubit operators, length 2/4 for states.
+All matrices are plain numpy ``complex128`` arrays.
 """
 from __future__ import annotations
-
-from typing import Literal
 
 import numpy as np
 
@@ -14,7 +11,6 @@ from .errors import NonUnitaryError
 __all__ = [
     "INGEST_UNITARY_TOL",
     "SWAP",
-    "partial_trace",
     "unitarity_defect",
     "require_unitary",
 ]
@@ -37,22 +33,6 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-def partial_trace(psi, subsystem: Literal["A", "B"]) -> np.ndarray:
-    """Reduced density matrix of one qubit of a two-qubit pure state.
-
-    Args:
-        psi: length-4 state vector, basis index = 2*i_A + i_B.
-        subsystem: "A" keeps the first qubit, "B" the second.
-    """
-    v = _as_complex(psi).reshape(4)
-    m = v.reshape(2, 2)
-    if subsystem == "A":
-        return m @ m.conj().T
-    if subsystem == "B":
-        return m.T @ m.conj()
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-
-
 def unitarity_defect(u) -> float:
     """Max-norm of u†u - I."""
     m = _as_complex(u)
@@ -62,10 +42,11 @@ def unitarity_defect(u) -> float:
 
 
 def require_unitary(u, tol: float = INGEST_UNITARY_TOL) -> np.ndarray:
-    """Return u as complex128, raising NonUnitaryError beyond tol."""
+    """Return the 4x4 matrix u as complex128, raising NonUnitaryError beyond tol."""
     m = _as_complex(u)
+    if m.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = unitarity_defect(m)
     if defect > tol:
         raise NonUnitaryError(defect, tol)
     return m
-

@@ -17,8 +17,3 @@ def dress(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     return after @ u @ before
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)

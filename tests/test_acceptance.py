@@ -28,9 +28,8 @@ from gatepower.epower import (
     verify_route_agreement,
 )
 from gatepower.invariants import (
-    g1_abs_closed,
-    g2_closed,
-    g2_closed_product_form,
+    g1_abs_array,
+    g2_array,
     invariants_from_matrix,
 )
 
@@ -52,7 +51,7 @@ def test_criterion_01_extremal_entangling_power():
         worst_closed = max(
             worst_closed,
             abs(ep_closed_form(p) - expected),
-            abs(ep_from_g1_abs(g1_abs_closed(p)) - expected),
+            abs(ep_from_g1_abs(g1_abs_array(*p)) - expected),
         )
         worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - expected))
     assert worst_closed <= 1e-12
@@ -68,7 +67,7 @@ def test_criterion_02_quarter_g1_edges():
             worst_closed = max(
                 worst_closed,
                 abs(ep_closed_form(p) - 1 / 6),
-                abs(g1_abs_closed(p) - 0.25),
+                abs(g1_abs_array(*p) - 0.25),
             )
             worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - 1 / 6))
     assert worst_closed <= 1e-12
@@ -78,12 +77,12 @@ def test_criterion_02_quarter_g1_edges():
 
 def test_criterion_03_g2_extremes():
     worst = max(
-        abs(g2_closed(WeylPoint(0, 0, 0)) - 3.0),
-        abs(g2_closed(WeylPoint(PI / 2, PI / 2, PI / 2)) + 3.0),
-        abs(g2_closed(WeylPoint(PI / 2, PI / 2, 0)) + 1.0),
+        abs(g2_array(0, 0, 0) - 3.0),
+        abs(g2_array(PI / 2, PI / 2, PI / 2) + 3.0),
+        abs(g2_array(PI / 2, PI / 2, 0) + 1.0),
     )
     for t in T11:
-        worst = max(worst, abs(g2_closed(edge_point(EdgeId.LQ, float(t))) - 1.0))
+        worst = max(worst, abs(g2_array(*edge_point(EdgeId.LQ, float(t))) - 1.0))
     assert worst <= 1e-12
     _done(3, f"g2 extremes 3/-3/-1 and LQ=1, max err {worst:.1e}")
 
@@ -107,8 +106,8 @@ def test_criterion_05_matrix_route_consistency():
         inv = invariants_from_matrix(canonical_gate(p))
         worst = max(
             worst,
-            abs(abs(inv.g1) - g1_abs_closed(p)),
-            abs(inv.g2 - g2_closed(p)),
+            abs(abs(inv.g1) - g1_abs_array(*p)),
+            abs(inv.g2 - g2_array(*p)),
         )
     assert worst <= 1e-10
     _done(5, f"matrix vs closed invariants on 500 points, max err {worst:.1e}")
@@ -190,7 +189,7 @@ def test_criterion_09_edge_family_identity():
     for t in T11:
         expected = 0.25 * math.sin(PI * t / 2) ** 2
         values = [
-            g1_abs_closed(edge_point(edge, float(t)))
+            g1_abs_array(*edge_point(edge, float(t)))
             for edge in (EdgeId.LQ, EdgeId.LN, EdgeId.A2P)
         ]
         for v in values:

@@ -15,7 +15,7 @@ from gatepower.classify import (
     verify_theorems,
 )
 from gatepower.errors import TheoremViolationError
-from gatepower.invariants import LocalInvariants, g1_abs_closed, g2_closed
+from gatepower.invariants import LocalInvariants, g1_abs_array, g2_array
 from gatepower.linalg import SWAP
 
 PI = math.pi
@@ -227,16 +227,16 @@ def test_invariant_box_counterexample_pair():
     moving the third gives a different local class with the same pair.
     """
     p_no = WeylPoint(17 * PI / 24, 7 * PI / 24, 11 * PI / 48)
-    e1 = g2_closed(p_no)
-    e2 = 4 * g1_abs_closed(p_no) - 1.0
+    e1 = g2_array(*p_no)
+    e2 = 4 * g1_abs_array(*p_no) - 1.0
     # companion on the same (e1, e2) level set with x2 = 0 (c2 = pi/4)
     disc = math.sqrt(e1 * e1 - 4 * e2)
     xs = ((e1 + disc) / 2, 0.0, (e1 - disc) / 2)
     cs = sorted((math.acos(x) / 2 for x in xs), reverse=True)
     p_yes = WeylPoint(*cs)
 
-    assert g1_abs_closed(p_yes) == pytest.approx(g1_abs_closed(p_no), abs=1e-12)
-    assert g2_closed(p_yes) == pytest.approx(g2_closed(p_no), abs=1e-12)
+    assert g1_abs_array(*p_yes) == pytest.approx(g1_abs_array(*p_no), abs=1e-12)
+    assert g2_array(*p_yes) == pytest.approx(g2_array(*p_no), abs=1e-12)
     assert not is_pe_geometric(p_no).is_pe
     assert is_pe_geometric(p_yes).is_pe
     # the box test cannot tell them apart

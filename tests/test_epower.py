@@ -14,47 +14,18 @@ from gatepower.epower import (
     ep_monte_carlo,
     ep_monte_carlo_many,
     ep_operator_exact,
-    linear_entropy,
     verify_route_agreement,
 )
-from gatepower.invariants import g1_abs_closed
-from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, partial_trace, unitarity_defect
+from gatepower.invariants import g1_abs_array
+from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 
-from helpers import dress, random_state
+from helpers import dress
 
 PI = math.pi
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-# -------------------------------------------------------------- linear entropy
-
-
-def test_linear_entropy_product_state():
-    assert linear_entropy(np.array([1, 0, 0, 0], dtype=complex)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_linear_entropy_bell_state():
-    bell = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
-    assert linear_entropy(bell) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_linear_entropy_partially_entangled():
-    # Schmidt weights 1/3 and 2/3: purity 1/9 + 4/9
-    psi = np.array([math.sqrt(1 / 3), 0, 0, math.sqrt(2 / 3)], dtype=complex)
-    assert linear_entropy(psi) == pytest.approx(4 / 9, abs=1e-14)
-
-
-def test_linear_entropy_symmetric_in_subsystem():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        psi = random_state(4, rng)
-        rho_b = partial_trace(psi, "B")
-        via_b = 1.0 - float(np.sum(np.abs(rho_b) ** 2))
-        assert linear_entropy(psi) == pytest.approx(via_b, abs=1e-12)
-        assert 0.0 - 1e-12 <= linear_entropy(psi) <= 0.5 + 1e-12
 
 
 # ---------------------------------------------------------------- closed forms
@@ -124,7 +95,7 @@ def test_operator_route_canonical_examples():
 def test_three_routes_agree():
     for p in random_chamber_points(11, 50):
         closed = ep_closed_form(p)
-        assert closed == pytest.approx(ep_from_g1_abs(g1_abs_closed(p)), abs=1e-12)
+        assert closed == pytest.approx(ep_from_g1_abs(g1_abs_array(*p)), abs=1e-12)
         assert closed == pytest.approx(ep_operator_exact(canonical_gate(p)), abs=1e-10)
         assert -1e-9 <= closed <= EP_MAX + 1e-9
 

@@ -4,15 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from gatepower.canonical import WeylPoint, canonical_gate, random_chamber_points
+from gatepower.canonical import (
+    WeylPoint,
+    canonical_gate,
+    mirror_coords,
+    random_chamber_coords,
+    random_chamber_points,
+)
 from gatepower.errors import ConsistencyError, NonUnitaryError
 from gatepower.invariants import (
     LocalInvariants,
-    g1_abs_closed,
-    g1_complex_closed,
-    g1_conjugate_check,
-    g2_closed,
-    g2_closed_product_form,
+    g1_abs_array,
+    g1_complex_array,
+    g2_array,
+    g2_product_array,
     invariants_at_point,
     invariants_from_matrix,
 )
@@ -37,26 +42,26 @@ ISWAP = np.array(
 
 
 def test_g1_abs_identity_point():
-    assert g1_abs_closed(WeylPoint(0, 0, 0)) == pytest.approx(1.0, abs=1e-15)
+    assert g1_abs_array(0, 0, 0) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, PI / 4])
 def test_g1_abs_quarter_edge(eta):
     # constant 1/4 along c1 = c2 = pi/4, any c3
-    assert g1_abs_closed(WeylPoint(PI / 4, PI / 4, eta)) == pytest.approx(0.25, abs=1e-13)
+    assert g1_abs_array(PI / 4, PI / 4, eta) == pytest.approx(0.25, abs=1e-13)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.3, PI / 2])
 def test_g1_abs_vanishing_line(phi):
-    assert abs(g1_abs_closed(WeylPoint(PI / 2, phi, 0))) <= 1e-13
+    assert abs(g1_abs_array(PI / 2, phi, 0)) <= 1e-13
 
 
 def test_g1_complex_examples():
-    assert g1_complex_closed(WeylPoint(0, 0, 0)) == pytest.approx(1 + 0j, abs=1e-13)
-    assert g1_complex_closed(WeylPoint(PI / 2, PI / 2, PI / 2)) == pytest.approx(
+    assert invariants_at_point(WeylPoint(0, 0, 0)).g1 == pytest.approx(1 + 0j, abs=1e-13)
+    assert invariants_at_point(WeylPoint(PI / 2, PI / 2, PI / 2)).g1 == pytest.approx(
         -1 + 0j, abs=1e-13
     )
-    assert g1_complex_closed(WeylPoint(PI / 2, 0, 0)) == pytest.approx(0j, abs=1e-13)
+    assert invariants_at_point(WeylPoint(PI / 2, 0, 0)).g1 == pytest.approx(0j, abs=1e-13)
 
 
 def test_g1_modulus_identity():
@@ -66,45 +71,43 @@ def test_g1_modulus_identity():
     (a - b)^2 + (1/4 sin 2c1 sin 2c2 sin 2c3)^2 = (a + b)^2 holds because
     the cross term (1/2 sin 2c)^3-squared equals 4ab.
     """
-    for p in random_chamber_points(7, 200):
-        assert abs(g1_complex_closed(p)) == pytest.approx(g1_abs_closed(p), abs=1e-13)
+    c = random_chamber_coords(7, 200).T
+    np.testing.assert_allclose(
+        np.abs(g1_complex_array(*c)), g1_abs_array(*c), rtol=0, atol=1e-13
+    )
 
 
 def test_g2_examples():
-    assert g2_closed(WeylPoint(0, 0, 0)) == pytest.approx(3.0, abs=1e-15)
-    assert g2_closed(WeylPoint(PI / 2, PI / 2, PI / 2)) == pytest.approx(-3.0, abs=1e-13)
-    assert g2_closed(WeylPoint(PI / 2, PI / 2, 0)) == pytest.approx(-1.0, abs=1e-13)
+    assert g2_array(0, 0, 0) == pytest.approx(3.0, abs=1e-15)
+    assert g2_array(PI / 2, PI / 2, PI / 2) == pytest.approx(-3.0, abs=1e-13)
+    assert g2_array(PI / 2, PI / 2, 0) == pytest.approx(-1.0, abs=1e-13)
     # cos(pi) + cos(pi/2) + cos(0) = -1 + 0 + 1
-    assert g2_closed(WeylPoint(PI / 2, PI / 4, 0)) == pytest.approx(0.0, abs=1e-13)
+    assert g2_array(PI / 2, PI / 4, 0) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_mirror_preserves_invariant_values():
-    from gatepower.canonical import mirror
-    from gatepower.epower import ep_closed_form
+    from gatepower.epower import ep_closed_array
 
-    for p in random_chamber_points(53, 100):
-        q = mirror(p)
-        assert g1_abs_closed(q) == pytest.approx(g1_abs_closed(p), abs=1e-12)
-        assert g2_closed(q) == pytest.approx(g2_closed(p), abs=1e-12)
-        assert ep_closed_form(q) == pytest.approx(ep_closed_form(p), abs=1e-12)
+    c = random_chamber_coords(53, 100).T
+    m = mirror_coords(*c)
+    for f in (g1_abs_array, g2_array, ep_closed_array):
+        np.testing.assert_allclose(f(*m), f(*c), rtol=0, atol=1e-12)
 
 
 def test_g2_two_forms_agree_on_grid():
     """The cosine-sum and product forms agree on a 50^3 lattice."""
-    worst = 0.0
-    for c1 in np.linspace(0.0, PI, 50):
-        for c2 in np.linspace(0.0, PI / 2, 50):
-            for c3 in np.linspace(0.0, PI / 2, 50):
-                p = WeylPoint(c1, c2, c3)
-                worst = max(worst, abs(g2_closed(p) - g2_closed_product_form(p)))
+    c1, c2, c3 = np.meshgrid(
+        np.linspace(0.0, PI, 50), np.linspace(0.0, PI / 2, 50), np.linspace(0.0, PI / 2, 50)
+    )
+    worst = np.max(np.abs(g2_array(c1, c2, c3) - g2_product_array(c1, c2, c3)))
     assert worst <= 1e-12
 
 
 def test_invariants_at_point_bundles_closed_forms():
     p = WeylPoint(1.1, 0.7, 0.2)
     inv = invariants_at_point(p)
-    assert inv.g1 == g1_complex_closed(p)
-    assert inv.g2 == g2_closed(p)
+    assert inv.g1 == complex(g1_complex_array(*p))
+    assert inv.g2 == float(g2_array(*p))
 
 
 # ---------------------------------------------------------------- matrix route
@@ -147,9 +150,10 @@ def test_routes_agree_on_random_points():
     """Matrix and closed-form routes match on 1000 sampled chamber points."""
     for p in random_chamber_points(2024, 1000):
         inv = invariants_from_matrix(canonical_gate(p))
-        assert abs(inv.g1) == pytest.approx(g1_abs_closed(p), abs=1e-10)
-        assert inv.g1 == pytest.approx(g1_complex_closed(p), abs=1e-10)
-        assert inv.g2 == pytest.approx(g2_closed(p), abs=1e-10)
+        closed = invariants_at_point(p)
+        assert abs(inv.g1) == pytest.approx(float(g1_abs_array(*p)), abs=1e-10)
+        assert inv.g1 == pytest.approx(closed.g1, abs=1e-10)
+        assert inv.g2 == pytest.approx(closed.g2, abs=1e-10)
 
 
 def test_global_phase_invariance():
@@ -173,18 +177,25 @@ def test_local_dressing_invariance():
 # --------------------------------------------------------- conjugation property
 
 
+def _assert_inverse_conjugates_g1(u):
+    """g1 of the inverse gate is the complex conjugate of g1(u)."""
+    g_fwd = invariants_from_matrix(u).g1
+    g_inv = invariants_from_matrix(u.conj().T).g1
+    assert abs(g_inv - g_fwd.conjugate()) <= 1e-9
+
+
 def test_conjugate_check_swap():
-    assert g1_conjugate_check(SWAP)
+    _assert_inverse_conjugates_g1(SWAP)
 
 
 def test_conjugate_check_half_swap_class():
-    assert g1_conjugate_check(canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4)))
+    _assert_inverse_conjugates_g1(canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4)))
 
 
 def test_conjugate_check_fuzz():
     rng = np.random.default_rng(4242)
     for p in random_chamber_points(31, 100):
-        assert g1_conjugate_check(dress(canonical_gate(p), rng))
+        _assert_inverse_conjugates_g1(dress(canonical_gate(p), rng))
 
 
 # -------------------------------------------------------------------- guards
