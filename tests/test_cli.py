@@ -262,6 +262,8 @@ GOLDEN_OUTPUTS = [
     (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
     (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
+    (("verify", "routes", "--n", "600", "--seed", "3"), 0, "902fd024599bf155d2bc903db4d1123731f82a46490513e5d74ce6bc8ba2df89"),
+    (("verify", "routes"), 0, "7e5ee9104669e9f7e1cc05517f4ce8ff264a0c56855393085a0c5acd46452254"),
     (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
     (("verify", "montecarlo", "--mc", "20000", "--seed", "42"), 0, "ab568b798557e7c2a8b3588f64691213f0b6bce0a321800d05ebdab05b2b99da"),
     (("analyze", "--name", "SQRT_SWAP", "--mc", "50000", "--json"), 0, "56b89d416f6262dd50a85cf1ac6dd63e110e4f505f7dc083a10020a4a2222396"),
