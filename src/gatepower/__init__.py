@@ -7,6 +7,7 @@ from .canonical import (
     EdgeId,
     WeylPoint,
     canonical_gate,
+    canonical_gate_array,
     edge_point,
     in_weyl_chamber,
     random_chamber_points,
@@ -54,6 +55,7 @@ __all__ = [
     "TheoremViolationError",
     "WeylPoint",
     "canonical_gate",
+    "canonical_gate_array",
     "catalog_records",
     "classify_gate",
     "edge_point",

@@ -28,6 +28,7 @@ __all__ = [
     "EdgeId",
     "WeylPoint",
     "canonical_gate",
+    "canonical_gate_array",
     "chamber_lattice",
     "chamber_mask",
     "edge_point",
@@ -91,10 +92,10 @@ def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return top, np.maximum(lo, mid), np.minimum(lo, mid)
 
 
-def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
-    """Canonical 4x4 unitary of the local-equivalence class at p.
+def canonical_gate_array(c1, c2, c3) -> np.ndarray:
+    """Canonical gates over broadcastable coordinate arrays, as a (..., 4, 4) stack.
 
-    The matrix equals exp(-i/2 (c1 XX + c2 YY + c3 ZZ)) in the
+    Each matrix equals exp(-i/2 (c1 XX + c2 YY + c3 ZZ)) in the
     computational basis |00>, |01>, |10>, |11>:
 
         [ e^{-ic3/2} c-   0               0              -i e^{-ic3/2} s- ]
@@ -104,22 +105,26 @@ def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
 
     with c± = cos((c1 ± c2)/2) and s± = sin((c1 ± c2)/2).
     """
-    c1, c2, c3 = p
-    cm = math.cos((c1 - c2) / 2)
-    sm = math.sin((c1 - c2) / 2)
-    cp = math.cos((c1 + c2) / 2)
-    sp = math.sin((c1 + c2) / 2)
-    em = complex(math.cos(c3 / 2), -math.sin(c3 / 2))
-    ep = em.conjugate()
-    return np.array(
-        [
-            [em * cm, 0, 0, -1j * em * sm],
-            [0, ep * cp, -1j * ep * sp, 0],
-            [0, -1j * ep * sp, ep * cp, 0],
-            [-1j * em * sm, 0, 0, em * cm],
-        ],
-        dtype=complex,
-    )
+    c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c3)))
+    cm = np.cos((c1 - c2) / 2)
+    sm = np.sin((c1 - c2) / 2)
+    cp = np.cos((c1 + c2) / 2)
+    sp = np.sin((c1 + c2) / 2)
+    em = np.empty(c3.shape, dtype=complex)
+    em.real = np.cos(c3 / 2)
+    em.imag = -np.sin(c3 / 2)
+    ep = em.conj()
+    u = np.zeros(c3.shape + (4, 4), dtype=complex)
+    u[..., 0, 0] = u[..., 3, 3] = em * cm
+    u[..., 0, 3] = u[..., 3, 0] = -1j * em * sm
+    u[..., 1, 1] = u[..., 2, 2] = ep * cp
+    u[..., 1, 2] = u[..., 2, 1] = -1j * ep * sp
+    return u
+
+
+def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
+    """Canonical 4x4 unitary of the local-equivalence class at p; see canonical_gate_array."""
+    return canonical_gate_array(*p)
 
 
 class EdgeId(Enum):

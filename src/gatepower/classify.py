@@ -28,15 +28,16 @@ from .canonical import (
     in_weyl_chamber,
     mirror_coords,
 )
-from .epower import EP_MAX, ep_closed_array, ep_closed_form, ep_operator_exact
+from .epower import EP_MAX, _ep_operator, ep_closed_array, ep_closed_form
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
+    _invariants,
     g1_abs_array,
     g2_array,
     invariants_at_point,
-    invariants_from_matrix,
 )
+from .linalg import require_unitary
 
 __all__ = [
     "PE_EP_MIN",
@@ -155,7 +156,8 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     For a WeylPoint the invariants and entangling power come from the
     closed forms and the perfect-entangler verdict is computed by both
     routes; a disagreement away from the boundary raises
-    TheoremViolationError. For a matrix only the invariant route applies.
+    TheoremViolationError. For a matrix only the invariant route applies;
+    the matrix is checked for unitarity once, here.
     """
     if isinstance(target, WeylPoint):
         p = target
@@ -176,15 +178,15 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
             geometric=geo,
             invariant=ivd,
         )
-    u = np.asarray(target, dtype=complex)
-    inv = invariants_from_matrix(u)
+    u = require_unitary(target)
+    inv = _invariants(u)
     ivd = is_pe_invariant(inv)
     return GateRecord(
         name=name,
         matrix=u,
         point=None,
         invariants=inv,
-        ep=ep_operator_exact(u),
+        ep=float(_ep_operator(u)),
         pe_verdict=ivd.is_pe,
         tags=frozenset(_value_tags(inv)),
         geometric=None,

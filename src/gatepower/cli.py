@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification violations, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,10 +30,10 @@ from .classify import (
     verify_theorems,
 )
 from .epower import (
+    _ep_operator,
     ep_closed_array,
     ep_from_g1_abs,
     ep_monte_carlo,
-    ep_operator_exact,
     verify_route_agreement,
 )
 from .errors import ConsistencyError, TheoremViolationError
@@ -158,10 +159,11 @@ def cmd_analyze(args) -> int:
     else:
         name, m = load_matrix_file(args.matrix)
         rec = classify_gate(m, name=name)
-    # a point record's ep is the closed form; a matrix record's is the operator route
+    # a point record's ep is the closed form; a matrix record's is the operator route.
+    # Every record's matrix is unitary: checked on ingest or built by canonical_gate.
     ep_routes = {"closed_form": rec.ep} if rec.point is not None else {}
     ep_routes["from_g1_abs"] = ep_from_g1_abs(abs(rec.invariants.g1))
-    ep_routes["operator"] = ep_operator_exact(rec.matrix) if rec.point is not None else rec.ep
+    ep_routes["operator"] = float(_ep_operator(rec.matrix)) if rec.point is not None else rec.ep
     if args.mc is not None:
         mc = ep_monte_carlo(rec.matrix, args.mc, args.seed)
     if args.json:
@@ -263,7 +265,9 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later main() calls."""
     parser = argparse.ArgumentParser(
         prog="gatepower",
         description="Entangling power and local invariants of two-qubit gates.",

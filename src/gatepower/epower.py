@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .canonical import WeylPoint, canonical_gate, random_chamber_coords
+from .canonical import WeylPoint, canonical_gate_array, random_chamber_coords
 from .invariants import g1_abs_array, g2_array, g2_product_array
 from .linalg import SWAP, require_unitary
 
@@ -75,20 +75,30 @@ def ep_closed_form(p: WeylPoint) -> float:
     return float(ep_closed_array(*p))
 
 
-def _operator_entanglement(m: np.ndarray) -> float:
-    """Operator entanglement 1 - ||R R†||_F^2 / 16 of a 4x4 unitary m.
+def _operator_entanglement(m: np.ndarray) -> np.ndarray:
+    """Operator entanglement 1 - ||R R†||_F^2 / 16 of each 4x4 unitary in a (..., 4, 4) stack.
 
     R is the realignment of m, <i k|R|j l> = <i j|m|k l>: it groups the two
     indices of qubit 1 into rows and those of qubit 2 into columns, so
     ||R R†||_F^2 is the operator purity of m across the qubit cut. The
     value is 0 for local gates and 3/4 for SWAP.
     """
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    rr = r @ r.conj().T
-    return 1.0 - float(np.sum(rr.real**2 + rr.imag**2)) / 16.0
+    lead = m.shape[:-2]
+    r = m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
+    rr = r @ r.conj().swapaxes(-1, -2)
+    return 1.0 - np.sum(rr.real**2 + rr.imag**2, axis=(-2, -1)) / 16.0
 
 
-_E_SWAP = _operator_entanglement(SWAP)
+_E_SWAP = float(_operator_entanglement(SWAP))
+
+
+def _ep_operator(m: np.ndarray) -> np.ndarray:
+    """Operator-route entangling power of each gate in a (..., 4, 4) stack, unchecked.
+
+    The caller guarantees unitarity: ep_operator_exact validates user
+    input, and the library's own canonical gates are unitary by construction.
+    """
+    return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m @ SWAP) - _E_SWAP)
 
 
 def ep_operator_exact(u) -> float:
@@ -99,10 +109,7 @@ def ep_operator_exact(u) -> float:
     (Zanardi, PRA 63, 040304 (2001)). It uses only the 4x4 matrix, not
     its chamber point, so it is independent of the closed form.
     """
-    m4 = require_unitary(u)
-    return (4.0 / 9.0) * (
-        _operator_entanglement(m4) + _operator_entanglement(m4 @ SWAP) - _E_SWAP
-    )
+    return float(_ep_operator(require_unitary(u)))
 
 
 @dataclass(frozen=True)
@@ -222,7 +229,7 @@ def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
     pts = random_chamber_coords(seed, n_points)
     c = pts.T
     closed = ep_closed_array(*c)
-    via_op = np.array([ep_operator_exact(canonical_gate(p)) for p in pts.tolist()])
+    via_op = _ep_operator(canonical_gate_array(*c))
     d_g1 = np.abs(closed - ep_from_g1_abs(g1_abs_array(*c)))
     d_op = np.abs(closed - via_op)
     d_g2 = np.abs(g2_array(*c) - g2_product_array(*c))

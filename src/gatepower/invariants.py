@@ -134,13 +134,8 @@ def _real_checked(z: complex, tol: float, what: str) -> float:
     return z.real
 
 
-def invariants_from_matrix(u) -> LocalInvariants:
-    """Invariants computed directly from a 4x4 unitary.
-
-    Normalizing by the determinant makes the result insensitive to global
-    phase, so inputs need not have unit determinant.
-    """
-    m4 = require_unitary(u, INGEST_UNITARY_TOL)
+def _invariants(m4: np.ndarray) -> LocalInvariants:
+    """Invariants of a 4x4 unitary the caller has already checked."""
     um = MAGIC_BASIS.conj().T @ m4 @ MAGIC_BASIS
     m = um.T @ um
     det = complex(np.linalg.det(um))
@@ -148,3 +143,12 @@ def invariants_from_matrix(u) -> LocalInvariants:
     g1 = tr * tr / (16.0 * det)
     g2 = _real_checked((tr * tr - complex(np.trace(m @ m))) / (4.0 * det), G2_IMAG_TOL, "g2")
     return LocalInvariants(g1, g2)
+
+
+def invariants_from_matrix(u) -> LocalInvariants:
+    """Invariants computed directly from a 4x4 unitary.
+
+    Normalizing by the determinant makes the result insensitive to global
+    phase, so inputs need not have unit determinant.
+    """
+    return _invariants(require_unitary(u, INGEST_UNITARY_TOL))

@@ -9,6 +9,7 @@ from gatepower.canonical import (
     EdgeId,
     WeylPoint,
     canonical_gate,
+    canonical_gate_array,
     chamber_mask,
     edge_point,
     edge_tags,
@@ -81,6 +82,29 @@ def test_canonical_gate_matches_exponential_form():
         c1, c2, c3 = p
         ref = expm(-0.5j * (c1 * xx + c2 * yy + c3 * zz))
         assert np.max(np.abs(canonical_gate(p) - ref)) < 1e-12
+
+
+def test_canonical_gate_array_matches_exponential_form():
+    # an independent reference: canonical_gate itself is canonical_gate_array on one point
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    xx, yy, zz = np.kron(x, x), np.kron(y, y), np.kron(z, z)
+    pts = random_chamber_coords(11, 2000)
+    stack = canonical_gate_array(*pts.T)
+    ref = np.stack([expm(-0.5j * (c1 * xx + c2 * yy + c3 * zz)) for c1, c2, c3 in pts.tolist()])
+    assert np.max(np.abs(stack - ref)) < 1e-14
+
+
+def test_canonical_gate_array_shapes():
+    assert canonical_gate_array(0.3, 0.2, 0.1).shape == (4, 4)
+    c = random_chamber_coords(3, 7)
+    assert canonical_gate_array(*c.T).shape == (7, 4, 4)
+    c1 = np.linspace(1.0, 2.0, 5)[:, None]
+    c2 = np.linspace(0.0, 0.5, 3)
+    grid = canonical_gate_array(c1, c2, 0.25)
+    assert grid.shape == (5, 3, 4, 4)
+    assert np.array_equal(grid[4, 2], canonical_gate(WeylPoint(2.0, 0.5, 0.25)))
 
 
 @pytest.mark.parametrize(

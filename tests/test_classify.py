@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gatepower import linalg
 from gatepower.canonical import WeylPoint, canonical_gate
 from gatepower.classify import (
     PE_TOL,
@@ -152,6 +153,15 @@ def test_classify_point_and_matrix_paths_agree(point, expect_pe):
     assert by_matrix.invariants.g1 == pytest.approx(by_point.invariants.g1, abs=1e-10)
     assert by_matrix.invariants.g2 == pytest.approx(by_point.invariants.g2, abs=1e-10)
     assert by_matrix.ep == pytest.approx(by_point.ep, abs=1e-10)
+
+
+def test_classify_matrix_checks_unitarity_once(monkeypatch):
+    calls = []
+    defect = linalg.unitarity_defect
+    monkeypatch.setattr(linalg, "unitarity_defect", lambda u: calls.append(1) or defect(u))
+    rec = classify_gate(canonical_gate(WeylPoint(2.0, 1.0, 0.5)))
+    assert rec.pe_verdict
+    assert len(calls) == 1
 
 
 def test_classify_rejects_point_outside_chamber():

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gatepower.cli import load_matrix_file, main, matrix_to_json
+from gatepower import linalg
+from gatepower.cli import build_parser, load_matrix_file, main, matrix_to_json
 from gatepower.linalg import SWAP
 
 PI = math.pi
@@ -77,6 +78,20 @@ def test_analyze_with_monte_carlo(capsys):
     assert code == 0
     assert "ep (monte carlo):" in out
     assert "seed=3" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "--point", "0.7853981634,0.7853981634,0"), ("analyze", "--name", "SQRT_SWAP")],
+)
+def test_analyze_library_built_gate_skips_unitarity_check(capsys, monkeypatch, argv):
+    # the canonical matrix of a point or name record is unitary by construction
+    calls = []
+    defect = linalg.unitarity_defect
+    monkeypatch.setattr(linalg, "unitarity_defect", lambda u: calls.append(1) or defect(u))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "ep (operator): 0.166666666667" in out
+    assert calls == []
 
 
 def test_analyze_bad_point_exits_2(capsys):
@@ -239,6 +254,25 @@ def test_verify_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
     _, out2, _ = run(capsys, "verify", "routes", "--n", "60", "--seed", "11")
     assert out1 == out2
+
+
+def test_repeated_main_calls_share_no_parse_state(capsys):
+    # the parser is built once per process; each call must still parse afresh
+    calls = [
+        ("analyze", "--point", "45,45,0", "--deg"),
+        ("analyze", "--point", "0.7853981634,0.7853981634,0"),
+        ("verify", "routes", "--n", "0"),
+        ("verify", "routes"),
+    ]
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    build_parser.cache_clear()
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    assert together == alone
+    assert [code for code, _ in together] == [0, 0, 2, 0]
+    assert build_parser.cache_info().misses == 1
 
 
 # sha256 of stdout and the exit code, recorded from the reference implementation;

@@ -138,6 +138,20 @@ def test_operator_route_rejects_non_unitary():
         ep_operator_exact(np.ones((4, 4)))
 
 
+def test_operator_route_rejects_stack():
+    with pytest.raises(ValueError, match="4x4"):
+        ep_operator_exact(np.stack([np.eye(4)] * 3))
+
+
+def test_stacked_operator_route_equals_scalar_calls():
+    rng = np.random.default_rng(13)
+    us = np.stack([dress(canonical_gate(p), rng) for p in random_chamber_points(17, 300)])
+    stacked = epower._ep_operator(us)
+    assert stacked.shape == (300,)
+    assert stacked.tolist() == [ep_operator_exact(u) for u in us]
+    assert epower._ep_operator(us.reshape(30, 10, 4, 4)).tolist() == stacked.reshape(30, 10).tolist()
+
+
 # ------------------------------------------------------------------ monte carlo
 
 
