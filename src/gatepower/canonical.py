@@ -11,6 +11,9 @@ class), A2 = (pi/2,pi/2,0) and A3 = (pi/2,pi/2,pi/2) (SWAP class), and the
 midpoint L = (pi/2,0,0) of O-A1 is the CNOT class. The polyhedron of
 perfect entanglers sits between the planes c1 + c2 = pi/2, c1 - c2 = pi/2
 and c2 + c3 = pi/2.
+
+canonical_gate_array builds the canonical gates of whole coordinate arrays
+as one (..., 4, 4) stack; canonical_gate is the same formula on one point.
 """
 from __future__ import annotations
 

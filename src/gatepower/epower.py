@@ -13,6 +13,11 @@ The exact routes return values in [0, 2/9]; the maximum 2/9 is attained
 exactly by the special perfect entanglers (|g1| = 0), and gates in the
 identity or SWAP class give 0, which the Monte-Carlo estimate also
 reports exactly.
+
+The operator route is written once over (..., 4, 4) stacks of matrices.
+ep_operator_exact checks one 4x4 input and evaluates it there;
+verify_route_agreement evaluates its whole sample of canonical gates as
+one stack.
 """
 from __future__ import annotations
 
