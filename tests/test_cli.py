@@ -280,8 +280,11 @@ def test_repeated_main_calls_share_no_parse_state(capsys):
 GOLDEN_OUTPUTS = [
     (("scan", "--chamber", "2"), 0, "bc76de4c1ab14c74e02523fc063befbe30fd53de64d8f25f9ab77a9dbb9e8e61"),
     (("scan", "--chamber", "8"), 0, "b2db0d5c738b50902a7ffdab05cbad6a9c541e05bc6c159ba0b71dedbb7523c0"),
+    (("scan", "--chamber", "21"), 0, "d4e788965f4121692e9a83a12a31ffae453b63009c5bf6397f238572fbf98fef"),
     (("scan", "--chamber", "25"), 0, "d7dd7c1d86ec2a48c7a3e4acdd282f11e7077f8f6f8ee5c544b3344b42f3cf17"),
+    (("scan", "--chamber", "33"), 0, "92fe17fb1220010ef08f5fc9856de423cfe30d92a5a995ae57b77cf08d5e8fb1"),
     (("scan", "--chamber", "40"), 0, "4c6ac9856ea634cd0504c4f0ed53a9262c598423c6f32263d049297f5a97fdbd"),
+    (("scan", "--chamber", "47"), 0, "50ebb1f12dbc901da4b54630ea18beacadaf167aa1725fb9daa1c1db3be315f5"),
     (("scan", "--chamber", "48"), 0, "5e66c6aa8a9023f1a8fcd3ba5a41662b196a9a33097467bca95e283890dbd749"),
     (("scan", "--edge", "QP", "--steps", "11"), 0, "3469adf9f746ff7d162a974edf9e087668d34da64431cedf271f87e2d4d798ca"),
     (("scan", "--edge", "QP", "--steps", "101"), 0, "848214584b65c7749cb0a61748ed5f1dafda95aa05a5ad16d87c178239e8e23d"),
@@ -293,6 +296,7 @@ GOLDEN_OUTPUTS = [
     (("scan", "--edge", "LQ", "--steps", "101"), 0, "81de4489eea12b1b5edde4155799845069483286be080e297e7fb6aa4af84251"),
     (("scan", "--edge", "LN", "--steps", "11"), 0, "da2cc3bfa65ea394fa65ea23b49f8c03a1e184537374dd03c00fe8e29ed9fd84"),
     (("scan", "--edge", "LN", "--steps", "101"), 0, "b2b15fcfdfc7127b661e7baa59c49aa8db55de3025062d71868d275fb7480bbd"),
+    (("scan", "--edge", "LN", "--steps", "1001"), 0, "3eb4452e82a6d10587cccc9a7a9953ceff8b076c46d31262f5d6ca64bb3d310f"),
     (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
     (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
