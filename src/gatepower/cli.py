@@ -42,15 +42,14 @@ from .invariants import g1_abs_array, g2_array
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
 _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
+# "%.12g" renders a float with the same bytes as _fmt; a bool mask indexes _CSV_BOOL
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
+_CSV_BOOL = np.array(["false", "true"], dtype=object)
 
 
 def _fmt(x: float) -> str:
     """Decimal rendering with 12 significant digits."""
     return format(float(x), ".12g")
-
-
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -61,19 +60,23 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     """Read a gate matrix from a JSON file.
 
-    Schema: {"matrix": 4x4 array of [re, im] pairs, "name": optional}.
+    Schema: {"matrix": 4x4 array of [re, im] pairs of JSON numbers, "name": optional}.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
     raw = data["matrix"]
-    try:
-        m = np.array([[complex(cell[0], cell[1]) for cell in row] for row in raw], dtype=complex)
-    except (TypeError, IndexError) as exc:
-        raise ValueError(f"{path}: matrix entries must be [re, im] pairs") from exc
-    if m.shape != (4, 4):
-        raise ValueError(f"{path}: matrix must be 4x4, got shape {m.shape}")
+    if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(r, list) and len(r) == 4 for r in raw)):
+        raise ValueError(f"{path}: matrix must be a 4x4 array of [re, im] pairs")
+    for i, cell in enumerate(cell for row in raw for cell in row):
+        # type(), not isinstance(): JSON true and false load as bool, a subclass of int
+        if not (isinstance(cell, list) and len(cell) == 2 and all(type(x) in (int, float) for x in cell)):
+            raise ValueError(f"{path}: matrix[{i // 4}][{i % 4}] must be an [re, im] pair of numbers, got {json.dumps(cell)}")
+    m = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=complex)
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ValueError(f"{path}: 'name' must be a string")
@@ -140,10 +143,7 @@ def _print_record(rec: GateRecord, ep_routes: dict, mc) -> None:
     print(f"perfect entangler: {'yes' if rec.pe_verdict else 'no'}")
     if rec.geometric is not None:
         m = rec.geometric.margins
-        print(
-            "  geometric margins: "
-            + ", ".join(f"{k}={_fmt(v)}" for k, v in m.items())
-        )
+        print("  geometric margins: " + ", ".join(f"{k}={_fmt(v)}" for k, v in m.items()))
     m = rec.invariant.margins
     print("  invariant margins: " + ", ".join(f"{k}={_fmt(v)}" for k, v in m.items()))
     print(f"tags: {', '.join(sorted(rec.tags)) if rec.tags else '-'}")
@@ -192,14 +192,14 @@ def cmd_scan(args) -> int:
     c = pts.T
     g1a = g1_abs_array(*c)
     g2 = g2_array(*c)
-    geo = pe_mask(geometric_margins(*c))
-    inv = pe_mask(invariant_margins(g1a, g2))
+    geo = _CSV_BOOL[pe_mask(geometric_margins(*c)).astype(np.intp)]
+    inv = _CSV_BOOL[pe_mask(invariant_margins(g1a, g2)).astype(np.intp)]
     columns = [*c, g1a, g2, ep_closed_array(*c), geo, inv]
     # rendered in blocks: whole columns of Python floats, or one string per row, raise peak memory
     blocks = [_CSV_HEADER + "\n"]
     for lo in range(0, len(pts), 1024):
         rows = zip(*(col[lo : lo + 1024].tolist() for col in columns))
-        blocks.append("".join(",".join([*map(_fmt, v), _bool(g), _bool(i)]) + "\n" for *v, g, i in rows))
+        blocks.append("".join(map(_CSV_ROW.__mod__, rows)))
     text = "".join(blocks)
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

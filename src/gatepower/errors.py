@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+import math
+
 
 class NonUnitaryError(ValueError):
     """Input matrix fails the unitarity check.
@@ -13,9 +15,11 @@ class NonUnitaryError(ValueError):
     def __init__(self, defect: float, tol: float):
         self.defect = float(defect)
         self.tol = float(tol)
-        super().__init__(
-            f"matrix is not unitary: defect {self.defect:.3e} exceeds tolerance {self.tol:.1e}"
-        )
+        if math.isnan(self.defect):  # u†u met a nan, inf * 0 or inf - inf
+            reason = "an entry is not finite or too large"
+        else:
+            reason = f"defect {self.defect:.3e} exceeds tolerance {self.tol:.1e}"
+        super().__init__(f"matrix is not unitary: {reason}")
 
 
 class ConsistencyError(RuntimeError):

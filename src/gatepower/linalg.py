@@ -34,19 +34,20 @@ def _as_complex(a) -> np.ndarray:
 
 
 def unitarity_defect(u) -> float:
-    """Max-norm of u†u - I."""
+    """Max-norm of u†u - I: nan or inf, without a warning, when an entry is not finite or overflows."""
     m = _as_complex(u)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    with np.errstate(all="ignore"):
+        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
 def require_unitary(u, tol: float = INGEST_UNITARY_TOL) -> np.ndarray:
-    """Return the 4x4 matrix u as complex128, raising NonUnitaryError beyond tol."""
+    """Return the 4x4 matrix u as complex128, raising NonUnitaryError unless its defect is within tol."""
     m = _as_complex(u)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = unitarity_defect(m)
-    if defect > tol:
+    if not defect <= tol:  # a nan defect fails too
         raise NonUnitaryError(defect, tol)
     return m

@@ -15,7 +15,7 @@ from gatepower.classify import (
     is_pe_invariant,
     verify_theorems,
 )
-from gatepower.errors import TheoremViolationError
+from gatepower.errors import NonUnitaryError, TheoremViolationError
 from gatepower.invariants import LocalInvariants, g1_abs_array, g2_array
 from gatepower.linalg import SWAP
 
@@ -162,6 +162,14 @@ def test_classify_matrix_checks_unitarity_once(monkeypatch):
     rec = classify_gate(canonical_gate(WeylPoint(2.0, 1.0, 0.5)))
     assert rec.pe_verdict
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_classify_rejects_non_finite_matrix(value):
+    u = canonical_gate(WeylPoint(2.0, 1.0, 0.5))
+    u[1, 2] = value
+    with pytest.raises(NonUnitaryError):
+        classify_gate(u)
 
 
 def test_classify_rejects_point_outside_chamber():

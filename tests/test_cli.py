@@ -2,12 +2,13 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from gatepower import linalg
-from gatepower.cli import build_parser, load_matrix_file, main, matrix_to_json
+from gatepower.cli import _CSV_BOOL, _CSV_ROW, build_parser, load_matrix_file, main, matrix_to_json
 from gatepower.linalg import SWAP
 
 PI = math.pi
@@ -130,6 +131,20 @@ def test_analyze_non_unitary_matrix_exits_2(capsys, tmp_path):
     assert "unitar" in err
 
 
+@pytest.mark.parametrize("cell", ["NaN", "Infinity", "1e300"])
+def test_analyze_non_finite_matrix_exits_2_without_warning(capsys, tmp_path, cell):
+    # the unitarity check must refuse the matrix before any arithmetic on it can warn
+    path = tmp_path / "m.json"
+    rows = json.dumps(matrix_to_json(np.eye(4)))
+    path.write_text('{"matrix": ' + rows.replace("1.0", cell, 1) + "}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "analyze", "--matrix", str(path))
+    assert code == 2
+    assert "not unitary" in err and "nan" not in err
+    assert "Warning" not in err
+
+
 def test_analyze_missing_matrix_file_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.json"))
     assert code == 3
@@ -143,6 +158,51 @@ def test_matrix_file_schema_errors(tmp_path):
     path.write_text(json.dumps({"matrix": [[[1, 0]] * 3] * 3}))
     with pytest.raises(ValueError, match="4x4"):
         load_matrix_file(str(path))
+
+
+def _with_cell(value) -> list:
+    cells = matrix_to_json(SWAP)
+    cells[1][2] = value
+    return cells
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"matrix": _with_cell([True, False])}),  # complex(True, False) is 1+0j
+        json.dumps({"matrix": _with_cell([1, 0, 7])}),
+        json.dumps({"matrix": _with_cell([1])}),
+        json.dumps({"matrix": _with_cell(["1", "0"])}),
+        json.dumps({"matrix": _with_cell(None)}),
+        json.dumps({"matrix": _with_cell(1.0)}),
+        json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [matrix_to_json(SWAP)[3][:3]]}),  # ragged rows
+        json.dumps({"matrix": matrix_to_json(SWAP)[:3]}),
+        json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [5]}),
+        json.dumps({"matrix": 5}),
+        json.dumps({"matrix": matrix_to_json(SWAP), "name": 7}),
+        json.dumps([matrix_to_json(SWAP)]),
+        "{not json",
+    ],
+    ids=[
+        "bool-cell", "three-number-cell", "one-number-cell", "string-cell", "null-cell",
+        "bare-number-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
+        "name-not-a-string", "no-object", "not-json",
+    ],
+)
+def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_matrix_file_accepts_integer_cells(tmp_path):
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps({"matrix": [[[int(z.real), 0] for z in row] for row in SWAP]}))
+    _, m = load_matrix_file(str(path))
+    assert m.dtype == complex
+    assert np.array_equal(m, SWAP)
 
 
 def test_matrix_file_parses_swap(tmp_path):
@@ -315,6 +375,26 @@ def test_output_matches_golden_digest(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# reference rendering of a scan CSV row: one format(x, ".12g") per number
+def _per_value_row(values, flags) -> str:
+    return ",".join([*(format(x, ".12g") for x in values), *("true" if f else "false" for f in flags)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (-0.0, 5e-324, 1e-300, 1e17, 0.1 + 0.2, math.pi),
+        (0.0, -5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 1e-4),
+        (123456789012.5, 999999999999.5, 1e12, -math.pi / 4, 1 / 3, 2.0**60),
+        (math.inf, -math.inf, math.nan, 1.7976931348623157e308, -1e-300, 0.5),
+    ],
+)
+@pytest.mark.parametrize("flags", [(False, False), (False, True), (True, False), (True, True)])
+def test_csv_row_template_matches_per_value_rendering(values, flags):
+    labels = _CSV_BOOL[np.array(flags).astype(np.intp)].tolist()
+    assert _CSV_ROW % (*values, *labels) == _per_value_row(values, flags)
 
 
 # -------------------------------------------------------------------- catalog

@@ -16,6 +16,7 @@ from gatepower.epower import (
     ep_operator_exact,
     verify_route_agreement,
 )
+from gatepower.errors import NonUnitaryError
 from gatepower.invariants import g1_abs_array
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 
@@ -136,6 +137,17 @@ def test_operator_route_inverse_invariance():
 def test_operator_route_rejects_non_unitary():
     with pytest.raises(ValueError):
         ep_operator_exact(np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_operator_and_monte_carlo_routes_reject_non_finite_matrix(value):
+    # a nan defect must fail the unitarity check, or both routes return nan
+    u = np.eye(4, dtype=complex)
+    u[0, 0] = value
+    with pytest.raises(NonUnitaryError):
+        ep_operator_exact(u)
+    with pytest.raises(NonUnitaryError):
+        ep_monte_carlo(u, 200, 1)
 
 
 def test_operator_route_rejects_stack():

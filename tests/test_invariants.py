@@ -224,6 +224,13 @@ def test_non_unitary_rejected_with_defect():
     assert err.value.defect == pytest.approx(3.0)
 
 
+def test_non_finite_matrix_rejected():
+    u = np.eye(4, dtype=complex)
+    u[3, 3] = math.nan
+    with pytest.raises(NonUnitaryError):
+        invariants_from_matrix(u)
+
+
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError, match="4x4"):
         invariants_from_matrix(np.eye(2))

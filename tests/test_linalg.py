@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -35,3 +38,15 @@ def test_require_unitary_rejects_non_4x4_before_defect(shape):
     with pytest.raises(ValueError, match="4x4") as err:
         require_unitary(m)
     assert not isinstance(err.value, NonUnitaryError)
+
+
+# a nan defect compares False against any tolerance; 1e300 is finite, but its square overflows
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.nan), 1e300])
+def test_require_unitary_rejects_non_finite_entries_without_warning(value):
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUnitaryError, match="not unitary") as err:
+            require_unitary(m)
+    assert not err.value.defect <= err.value.tol
