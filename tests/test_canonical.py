@@ -177,6 +177,43 @@ def test_edge_point_rejects_out_of_range():
         edge_point(EdgeId.QP, 1.01)
 
 
+def test_edge_point_rejects_edge_names_given_as_strings():
+    with pytest.raises(ValueError):
+        edge_point("QP", 0.5)
+
+
+def _six_branch_edge_point(edge: EdgeId, t: float) -> tuple[float, float, float]:
+    """The hand-written per-edge formulas, kept as the bit-exact reference for edge_point."""
+    quarter, half = PI / 4, PI / 2
+    th = t * quarter
+    return {
+        EdgeId.QP: (quarter, quarter, th),
+        EdgeId.MN: (3 * quarter, quarter, th),
+        EdgeId.PN: (quarter + t * half, quarter, quarter),
+        EdgeId.LQ: (half - th, th, 0.0),
+        EdgeId.LN: (half + th, th, th),
+        EdgeId.A2P: (half - th, half - th, th),
+    }[edge]
+
+
+# seeded random parameters, the ends of [0, 1], its midpoint, the last float below 1,
+# the smallest subnormal and the linspace grids scan --edge uses
+EDGE_PARAMS = np.concatenate(
+    [
+        np.random.default_rng(20031).random(20_000),
+        [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), 5e-324],
+        *(np.linspace(0.0, 1.0, n) for n in (2, 11, 101, 257, 1001, 4096)),
+    ]
+)
+
+
+@pytest.mark.parametrize("edge", list(EdgeId))
+def test_edge_point_is_bit_identical_to_six_branch_reference(edge):
+    got = np.array([edge_point(edge, t).as_tuple() for t in EDGE_PARAMS.tolist()])
+    ref = np.array([_six_branch_edge_point(edge, t) for t in EDGE_PARAMS.tolist()])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_edge_tags():
     assert edge_tags(edge_point(EdgeId.QP, 0.5)) == {"EDGE_QP"}
     assert edge_tags(edge_point(EdgeId.MN, 0.25)) == {"EDGE_MN"}

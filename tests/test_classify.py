@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from gatepower import linalg
-from gatepower.canonical import WeylPoint, canonical_gate
+from gatepower.canonical import WeylPoint, canonical_gate, chamber_lattice, random_chamber_coords
 from gatepower.classify import (
     PE_TOL,
     GateRecord,
     PeVerdict,
     classify_gate,
+    geometric_margins,
     is_pe_geometric,
     is_pe_invariant,
     verify_theorems,
@@ -53,6 +54,37 @@ def test_geometric_folds_upper_half():
     assert v.is_pe
     assert v.margins["c1_plus_c2"] == pytest.approx(0.0, abs=1e-12)
     assert v.margins["c2_plus_c3"] == pytest.approx(PI / 8, abs=1e-12)
+
+
+def _where_fold_margins(c1, c2, c3) -> dict:
+    """Geometric margins with the mirror applied through a fold mask, kept as the bit-exact reference."""
+    lo, hi = np.minimum(PI - c1, c2), np.maximum(PI - c1, c2)
+    mid, top = np.minimum(hi, c3), np.maximum(hi, c3)
+    fold = c1 > PI / 2
+    q1 = np.where(fold, top, c1)
+    q2 = np.where(fold, np.maximum(lo, mid), c2)
+    q3 = np.where(fold, np.minimum(lo, mid), c3)
+    return {"c1_plus_c2": q1 + q2 - PI / 2, "c2_plus_c3": PI / 2 - (q2 + q3)}
+
+
+def _assert_same_margin_bits(c1, c2, c3):
+    got, ref = geometric_margins(c1, c2, c3), _where_fold_margins(c1, c2, c3)
+    assert list(got) == list(ref)
+    for key in ref:
+        assert np.array_equal(np.asarray(got[key], dtype=float).view(np.int64), ref[key].view(np.int64))
+
+
+def test_geometric_margins_are_bit_identical_to_where_fold_reference():
+    for grid_n in range(2, 61):
+        _assert_same_margin_bits(*chamber_lattice(grid_n).T)
+    _assert_same_margin_bits(*random_chamber_coords(2003, 50_000).T)
+    # the fold threshold c1 = pi/2 and its two float neighbours, on and off the c2 + c3 face
+    c1 = np.repeat([np.nextafter(PI / 2, 0.0), PI / 2, np.nextafter(PI / 2, 4.0)], 4)
+    c2 = np.tile([0.0, PI / 4, 1.2, PI / 2], 3)
+    c3 = np.tile([0.0, PI / 4, 0.3, PI / 2], 3)
+    _assert_same_margin_bits(c1, c2, c3)
+    for c in zip(c1.tolist(), c2.tolist(), c3.tolist()):
+        _assert_same_margin_bits(*c)
 
 
 def test_geometric_rejects_outside_chamber():

@@ -346,19 +346,31 @@ GOLDEN_OUTPUTS = [
     (("scan", "--chamber", "40"), 0, "4c6ac9856ea634cd0504c4f0ed53a9262c598423c6f32263d049297f5a97fdbd"),
     (("scan", "--chamber", "47"), 0, "50ebb1f12dbc901da4b54630ea18beacadaf167aa1725fb9daa1c1db3be315f5"),
     (("scan", "--chamber", "48"), 0, "5e66c6aa8a9023f1a8fcd3ba5a41662b196a9a33097467bca95e283890dbd749"),
+    (("scan", "--edge", "QP", "--steps", "2"), 0, "be76d8a8eac7ece004f35415c7a13ffe6636e5df302d9a371bbac0fa81dac705"),
     (("scan", "--edge", "QP", "--steps", "11"), 0, "3469adf9f746ff7d162a974edf9e087668d34da64431cedf271f87e2d4d798ca"),
     (("scan", "--edge", "QP", "--steps", "101"), 0, "848214584b65c7749cb0a61748ed5f1dafda95aa05a5ad16d87c178239e8e23d"),
+    (("scan", "--edge", "QP", "--steps", "4096"), 0, "ecdc4d490d1216d32fa181fc31c7f3913d32a8e3e4156c938936ad3daf8a4b91"),
+    (("scan", "--edge", "MN", "--steps", "2"), 0, "033333da3dc301896e75e1b92a2282a3e5055b5b1628a1a73db8eb0a718ad219"),
     (("scan", "--edge", "MN", "--steps", "11"), 0, "305ff9a81b688d3c95b946be7a0f619150a4fbfc42cf9258f4e95bc3f217a000"),
     (("scan", "--edge", "MN", "--steps", "101"), 0, "53d94801dc4f0e0c519878fe83327929acae00995b287ec67f955f5c02aa17f0"),
+    (("scan", "--edge", "MN", "--steps", "4096"), 0, "2d224e356a5650059cd437b295ea3622a395e63f47b73ce97accadb95d34f10b"),
+    (("scan", "--edge", "PN", "--steps", "2"), 0, "7e4cafb80e19332995097ff0ef3aeb427526f00ddcb7e95e659eb2e51c4a23d9"),
     (("scan", "--edge", "PN", "--steps", "11"), 0, "d2c78cb361a453accee909ba4c49d5216bde64ae8d59e2892766a31f89df50c9"),
     (("scan", "--edge", "PN", "--steps", "101"), 0, "6dd6aa2873eb476d6244a1b63694ff9fd46d36b7e460b6a59bbe166701eff3c3"),
+    (("scan", "--edge", "PN", "--steps", "4096"), 0, "a55f6dfb9880ea9bdbc74348572961801739e90083f662b3c3556284df4defef"),
+    (("scan", "--edge", "LQ", "--steps", "2"), 0, "04a8baf72e7d4de650b744a8146859dcadd0005fa32703b8d74f9fcff6952f65"),
     (("scan", "--edge", "LQ", "--steps", "11"), 0, "103df8a0065e462fd1896e5f395a01d624d885b47d132bb79efd35ebe8017545"),
     (("scan", "--edge", "LQ", "--steps", "101"), 0, "81de4489eea12b1b5edde4155799845069483286be080e297e7fb6aa4af84251"),
+    (("scan", "--edge", "LQ", "--steps", "4096"), 0, "7160087850ee87ca89cec198c6af248a2d274f02992f331bb21f249a5ba748fd"),
+    (("scan", "--edge", "LN", "--steps", "2"), 0, "3510f0442b16193151ddcffdb858ea96c33d5a9c258267b8cb73ea7bbdb234fc"),
     (("scan", "--edge", "LN", "--steps", "11"), 0, "da2cc3bfa65ea394fa65ea23b49f8c03a1e184537374dd03c00fe8e29ed9fd84"),
     (("scan", "--edge", "LN", "--steps", "101"), 0, "b2b15fcfdfc7127b661e7baa59c49aa8db55de3025062d71868d275fb7480bbd"),
     (("scan", "--edge", "LN", "--steps", "1001"), 0, "3eb4452e82a6d10587cccc9a7a9953ceff8b076c46d31262f5d6ca64bb3d310f"),
+    (("scan", "--edge", "LN", "--steps", "4096"), 0, "1526283e63a26c1e39e324b7114f38643f09639ec9347a36b2b22829d533863d"),
+    (("scan", "--edge", "A2P", "--steps", "2"), 0, "634788fc904bb244a6f73709f36ff5d15bc16706d48cc69fbfd608505a97f9ce"),
     (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
     (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
+    (("scan", "--edge", "A2P", "--steps", "4096"), 0, "906c176e39bf308eedae2d0741169ff4c35bc69ede7ea810966900d5ddb915aa"),
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
     (("verify", "routes", "--n", "600", "--seed", "3"), 0, "902fd024599bf155d2bc903db4d1123731f82a46490513e5d74ce6bc8ba2df89"),
     (("verify", "routes"), 0, "7e5ee9104669e9f7e1cc05517f4ce8ff264a0c56855393085a0c5acd46452254"),
