@@ -10,7 +10,9 @@ vertices are O = (0,0,0) (identity class), A1 = (pi,0,0) (also the identity
 class), A2 = (pi/2,pi/2,0) and A3 = (pi/2,pi/2,pi/2) (SWAP class), and the
 midpoint L = (pi/2,0,0) of O-A1 is the CNOT class. The polyhedron of
 perfect entanglers sits between the planes c1 + c2 = pi/2, c1 - c2 = pi/2
-and c2 + c3 = pi/2.
+and c2 + c3 = pi/2; its vertices Q = (pi/4,pi/4,0), P = (pi/4,pi/4,pi/4),
+M = (3pi/4,pi/4,0) and N = (3pi/4,pi/4,pi/4), with L and A2, end the six
+named edges of EdgeId.
 
 canonical_gate_array builds the canonical gates of whole coordinate arrays
 as one (..., 4, 4) stack; canonical_gate is the same formula on one point.
@@ -44,8 +46,11 @@ __all__ = [
 
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
+# slack on each constraint that puts a point on a named edge
+_EDGE_TAG_TOL = 1e-9
 
 _HALF_PI = math.pi / 2
+_QUARTER_PI = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -66,18 +71,15 @@ class WeylPoint:
         yield self.c2
         yield self.c3
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.c1, self.c2, self.c3)
+
+def chamber_mask(c1, c2, c3) -> np.ndarray:
+    """Elementwise c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to CHAMBER_TOL."""
+    return (c1 >= c2 - CHAMBER_TOL) & (c2 >= c3 - CHAMBER_TOL) & (c3 >= -CHAMBER_TOL) & (c1 + c2 <= math.pi + CHAMBER_TOL)
 
 
-def chamber_mask(c1, c2, c3, tol: float = CHAMBER_TOL) -> np.ndarray:
-    """Elementwise c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to tol."""
-    return (c1 >= c2 - tol) & (c2 >= c3 - tol) & (c3 >= -tol) & (c1 + c2 <= math.pi + tol)
-
-
-def in_weyl_chamber(p: WeylPoint, tol: float = CHAMBER_TOL) -> bool:
-    """True when c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to tol."""
-    return bool(chamber_mask(p.c1, p.c2, p.c3, tol))
+def in_weyl_chamber(p: WeylPoint) -> bool:
+    """True when c1 >= c2 >= c3 >= 0 and c1 + c2 <= pi, each up to CHAMBER_TOL."""
+    return bool(chamber_mask(p.c1, p.c2, p.c3))
 
 
 def chamber_lattice(grid_n: int) -> np.ndarray:
@@ -88,11 +90,16 @@ def chamber_lattice(grid_n: int) -> np.ndarray:
     return np.column_stack((c1s[i], c2s[j], c2s[k]))
 
 
-def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending by a sorting network."""
-    lo, hi = np.minimum(math.pi - c1, c2), np.maximum(math.pi - c1, c2)
-    mid, top = np.minimum(hi, c3), np.maximum(hi, c3)
+def _sort_desc(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise (a, b, c) sorted descending by a min/max network; each output is one input, bit for bit."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid, top = np.minimum(hi, c), np.maximum(hi, c)
     return top, np.maximum(lo, mid), np.minimum(lo, mid)
+
+
+def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending."""
+    return _sort_desc(math.pi - c1, c2, c3)
 
 
 def canonical_gate_array(c1, c2, c3) -> np.ndarray:
@@ -141,7 +148,19 @@ class EdgeId(Enum):
     A2P = "A2P"
 
 
-_QUARTER_PI = math.pi / 4
+# the vertices that end the named edges, in units of pi/4
+_Q, _P, _M, _N, _L, _A2 = _QUARTER_PI * np.array([[1, 1, 0], [1, 1, 1], [3, 1, 0], [3, 1, 1], [2, 0, 0], [2, 2, 0]])
+# (start, end) vertices of each named edge
+_EDGE_ENDPOINTS = {
+    EdgeId.QP: (_Q, _P), EdgeId.MN: (_M, _N), EdgeId.PN: (_P, _N),
+    EdgeId.LQ: (_L, _Q), EdgeId.LN: (_L, _N), EdgeId.A2P: (_A2, _P),
+}
+
+
+def _edge_coords(edge: EdgeId, t) -> np.ndarray:
+    """(..., 3) chamber coordinates at parameters t along a named edge; t is not range-checked."""
+    start, end = _EDGE_ENDPOINTS[edge]
+    return start + np.asarray(t, dtype=float)[..., None] * (end - start)
 
 
 def edge_point(edge: EdgeId, t: float) -> WeylPoint:
@@ -153,25 +172,15 @@ def edge_point(edge: EdgeId, t: float) -> WeylPoint:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"edge parameter must lie in [0, 1], got {t}")
-    th = t * _QUARTER_PI
-    if edge is EdgeId.QP:
-        return WeylPoint(_QUARTER_PI, _QUARTER_PI, th)
-    if edge is EdgeId.MN:
-        return WeylPoint(3 * _QUARTER_PI, _QUARTER_PI, th)
-    if edge is EdgeId.PN:
-        return WeylPoint(_QUARTER_PI + t * _HALF_PI, _QUARTER_PI, _QUARTER_PI)
-    if edge is EdgeId.LQ:
-        return WeylPoint(_HALF_PI - th, th, 0.0)
-    if edge is EdgeId.LN:
-        return WeylPoint(_HALF_PI + th, th, th)
-    if edge is EdgeId.A2P:
-        return WeylPoint(_HALF_PI - th, _HALF_PI - th, th)
-    raise ValueError(f"unknown edge {edge!r}")
+    if not isinstance(edge, EdgeId):
+        raise ValueError(f"unknown edge {edge!r}")
+    return WeylPoint(*_edge_coords(edge, t).tolist())
 
 
-def edge_tags(p: WeylPoint, tol: float = 1e-9) -> set[str]:
-    """EDGE_* labels for every named segment passing through p."""
+def edge_tags(p: WeylPoint) -> set[str]:
+    """EDGE_* labels for every named segment passing through p, each constraint up to 1e-9."""
     c1, c2, c3 = p
+    tol = _EDGE_TAG_TOL
     tags = set()
     if abs(c1 - _QUARTER_PI) <= tol and abs(c2 - _QUARTER_PI) <= tol and -tol <= c3 <= _QUARTER_PI + tol:
         tags.add("EDGE_QP")

@@ -22,11 +22,11 @@ import numpy as np
 
 from .canonical import (
     WeylPoint,
+    _sort_desc,
     canonical_gate,
     chamber_lattice,
     edge_tags,
     in_weyl_chamber,
-    mirror_coords,
 )
 from .epower import EP_MAX, _ep_operator, ep_closed_array, ep_closed_form
 from .errors import TheoremViolationError
@@ -66,11 +66,10 @@ _HALF_PI = math.pi / 2
 def geometric_margins(c1, c2, c3) -> dict[str, np.ndarray]:
     """Elementwise signed slacks of the geometric test (>= 0 inside).
 
-    Points with c1 > pi/2 are first folded into the half-chamber by mirror.
+    Points are first folded into the half-chamber c1 <= pi/2: (min(c1, pi - c1), c2, c3)
+    re-sorted is the point itself there and its mirror image where c1 > pi/2.
     """
-    fold = c1 > _HALF_PI
-    m1, m2, m3 = mirror_coords(c1, c2, c3)
-    q1, q2, q3 = np.where(fold, m1, c1), np.where(fold, m2, c2), np.where(fold, m3, c3)
+    q1, q2, q3 = _sort_desc(np.minimum(c1, math.pi - c1), c2, c3)
     return {
         "c1_plus_c2": q1 + q2 - _HALF_PI,
         "c2_plus_c3": _HALF_PI - (q2 + q3),

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .canonical import EdgeId, WeylPoint, chamber_lattice, edge_point
+from .canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice
 from .catalog import catalog_records, named_gate, verify_monte_carlo
 from .classify import (
     GateRecord,
@@ -73,8 +73,10 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(r, list) and len(r) == 4 for r in raw)):
         raise ValueError(f"{path}: matrix must be a 4x4 array of [re, im] pairs")
     for i, cell in enumerate(cell for row in raw for cell in row):
-        # type(), not isinstance(): JSON true and false load as bool, a subclass of int
-        if not (isinstance(cell, list) and len(cell) == 2 and all(type(x) in (int, float) for x in cell)):
+        # type(), not isinstance(): JSON true and false load as bool, a subclass of int;
+        # complex() raises OverflowError on an int beyond the largest float
+        if not (isinstance(cell, list) and len(cell) == 2
+                and all(type(x) is float or type(x) is int and abs(x) <= sys.float_info.max for x in cell)):
             raise ValueError(f"{path}: matrix[{i // 4}][{i % 4}] must be an [re, im] pair of numbers, got {json.dumps(cell)}")
     m = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=complex)
     name = data.get("name")
@@ -178,13 +180,11 @@ def cmd_scan(args) -> int:
         try:
             edge = EdgeId[args.edge.upper()]
         except KeyError:
-            raise ValueError(
-                f"unknown edge {args.edge!r}; known edges: "
-                + ", ".join(e.name for e in EdgeId)
-            ) from None
+            known = ", ".join(e.name for e in EdgeId)
+            raise ValueError(f"unknown edge {args.edge!r}; known edges: {known}") from None
         if args.steps < 2:
             raise ValueError(f"--steps must be at least 2, got {args.steps}")
-        pts = np.array([edge_point(edge, t).as_tuple() for t in np.linspace(0.0, 1.0, args.steps).tolist()])
+        pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
     else:
         if args.chamber < 2:
             raise ValueError(f"--chamber must be at least 2, got {args.chamber}")

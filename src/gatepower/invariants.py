@@ -24,7 +24,7 @@ import numpy as np
 
 from .canonical import WeylPoint
 from .errors import ConsistencyError
-from .linalg import INGEST_UNITARY_TOL, require_unitary
+from .linalg import require_unitary
 
 __all__ = [
     "G2_IMAG_TOL",
@@ -151,4 +151,4 @@ def invariants_from_matrix(u) -> LocalInvariants:
     Normalizing by the determinant makes the result insensitive to global
     phase, so inputs need not have unit determinant.
     """
-    return _invariants(require_unitary(u, INGEST_UNITARY_TOL))
+    return _invariants(require_unitary(u))

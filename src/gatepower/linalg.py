@@ -42,12 +42,12 @@ def unitarity_defect(u) -> float:
         return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
 
 
-def require_unitary(u, tol: float = INGEST_UNITARY_TOL) -> np.ndarray:
-    """Return the 4x4 matrix u as complex128, raising NonUnitaryError unless its defect is within tol."""
+def require_unitary(u) -> np.ndarray:
+    """Return the 4x4 matrix u as complex128, raising NonUnitaryError unless its defect is within INGEST_UNITARY_TOL."""
     m = _as_complex(u)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = unitarity_defect(m)
-    if not defect <= tol:  # a nan defect fails too
-        raise NonUnitaryError(defect, tol)
+    if not defect <= INGEST_UNITARY_TOL:  # a nan defect fails too
+        raise NonUnitaryError(defect, INGEST_UNITARY_TOL)
     return m

@@ -35,7 +35,6 @@ import numpy as np
 __all__ = [
     "GAMMA",
     "MASK64",
-    "mix64",
     "raw_stream",
     "uniform_stream",
     "block_key",
@@ -46,14 +45,6 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def mix64(z: int) -> int:
-    """splitmix64 finalizer on a python int, reduced mod 2**64."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
 
 
 def raw_stream(key: int, start: int, count: int) -> np.ndarray:
@@ -72,8 +63,8 @@ def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
 
 
 def block_key(seed: int, block: int) -> int:
-    """Key of the independent substream assigned to one block."""
-    return mix64((seed + (block + 1) * GAMMA) & MASK64)
+    """Key of the independent substream assigned to one block: value(seed, block)."""
+    return int(raw_stream(seed, block, 1)[0])
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from gatepower.canonical import (
     EdgeId,
     WeylPoint,
+    _edge_coords,
     canonical_gate,
     canonical_gate_array,
     chamber_mask,
@@ -27,7 +28,7 @@ def test_weyl_point_unpacks():
     p = WeylPoint(0.3, 0.2, 0.1)
     c1, c2, c3 = p
     assert (c1, c2, c3) == (0.3, 0.2, 0.1)
-    assert p.as_tuple() == (0.3, 0.2, 0.1)
+    assert tuple(p) == (0.3, 0.2, 0.1)
 
 
 def test_weyl_point_requires_finite():
@@ -160,8 +161,8 @@ EDGE_ENDPOINTS = {
 @pytest.mark.parametrize("edge", list(EdgeId))
 def test_edge_endpoints(edge):
     start, end = EDGE_ENDPOINTS[edge]
-    assert_allclose(edge_point(edge, 0.0).as_tuple(), start, atol=1e-15)
-    assert_allclose(edge_point(edge, 1.0).as_tuple(), end, atol=1e-15)
+    assert_allclose(tuple(edge_point(edge, 0.0)), start, atol=1e-15)
+    assert_allclose(tuple(edge_point(edge, 1.0)), end, atol=1e-15)
 
 
 @pytest.mark.parametrize("edge", list(EdgeId))
@@ -209,9 +210,11 @@ EDGE_PARAMS = np.concatenate(
 
 @pytest.mark.parametrize("edge", list(EdgeId))
 def test_edge_point_is_bit_identical_to_six_branch_reference(edge):
-    got = np.array([edge_point(edge, t).as_tuple() for t in EDGE_PARAMS.tolist()])
+    got = np.array([tuple(edge_point(edge, t)) for t in EDGE_PARAMS.tolist()])
     ref = np.array([_six_branch_edge_point(edge, t) for t in EDGE_PARAMS.tolist()])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # the array form scan --edge evaluates in one call
+    assert np.array_equal(_edge_coords(edge, EDGE_PARAMS).view(np.int64), ref.view(np.int64))
 
 
 def test_edge_tags():

@@ -175,6 +175,7 @@ def _with_cell(value) -> list:
         json.dumps({"matrix": _with_cell(["1", "0"])}),
         json.dumps({"matrix": _with_cell(None)}),
         json.dumps({"matrix": _with_cell(1.0)}),
+        json.dumps({"matrix": _with_cell([10**400, 0])}),  # complex() raises OverflowError
         json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [matrix_to_json(SWAP)[3][:3]]}),  # ragged rows
         json.dumps({"matrix": matrix_to_json(SWAP)[:3]}),
         json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [5]}),
@@ -185,7 +186,7 @@ def _with_cell(value) -> list:
     ],
     ids=[
         "bool-cell", "three-number-cell", "one-number-cell", "string-cell", "null-cell",
-        "bare-number-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
+        "bare-number-cell", "oversized-integer-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
         "name-not-a-string", "no-object", "not-json",
     ],
 )

@@ -42,7 +42,6 @@ def test_vectorized_stream_matches_reference():
         assert list(rng.raw_stream(seed, 0, 64)) == expected
         # arbitrary slices reproduce the same stream
         assert list(rng.raw_stream(seed, 10, 20)) == expected[10:30]
-        assert [rng.mix64((seed + (i + 1) * rng.GAMMA) & MASK) for i in range(8)] == expected[:8]
 
 
 def test_uniforms_strictly_inside_unit_interval():
