@@ -46,8 +46,7 @@ __all__ = [
 
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
-# slack on each constraint that puts a point on a named edge
-_EDGE_TAG_TOL = 1e-9
+_EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
 
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4

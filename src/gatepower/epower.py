@@ -127,14 +127,13 @@ class EpEstimate:
     seed: int
 
 
-def _block_states(seed: int, block: int, count: int) -> np.ndarray:
+def _block_states(key: int, count: int) -> np.ndarray:
     """The (count, 4) Haar-random product states of one sample block.
 
     Sample s of block b consumes uniforms 8*(s mod BLOCK) .. +7 of the
-    substream keyed by block_key(seed, b): four Box-Muller pairs giving
-    the two complex amplitudes of each qubit's Haar-random state.
+    substream keyed by key = block_key(seed, b): four Box-Muller pairs
+    giving the two complex amplitudes of each qubit's Haar-random state.
     """
-    key = rng.block_key(seed, block)
     us = rng.uniform_stream(key, 0, 8 * count).reshape(count, 8)
     za0, za1 = rng.box_muller(us[:, 0], us[:, 1])
     za2, za3 = rng.box_muller(us[:, 2], us[:, 3])
@@ -181,8 +180,10 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
     if not u_ts:
         return []
     block_sums: list[list[tuple[float, float]]] = [[] for _ in u_ts]
-    for block, start in enumerate(range(0, n_samples, _BLOCK)):
-        psi = _block_states(seed, block, min(_BLOCK, n_samples - start))
+    starts = range(0, n_samples, _BLOCK)
+    # block_key(seed, b) of every block b, from one call
+    for key, start in zip(rng.raw_stream(seed, 0, len(starts)).tolist(), starts):
+        psi = _block_states(key, min(_BLOCK, n_samples - start))
         for sums, u_t in zip(block_sums, u_ts):
             sums.append(_entropy_sums(psi, u_t))
     estimates = []

@@ -19,6 +19,7 @@ from gatepower.epower import (
 from gatepower.errors import NonUnitaryError
 from gatepower.invariants import g1_abs_array
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
+from gatepower.rng import block_key
 
 from helpers import dress
 
@@ -245,7 +246,7 @@ def test_mc_block_order_independence():
     u_t = CNOT.T.copy()
     n = 2500
     pieces = {
-        b: epower._entropy_sums(epower._block_states(17, b, c), u_t)
+        b: epower._entropy_sums(epower._block_states(block_key(17, b), c), u_t)
         for b, c in [(0, 1024), (1, 1024), (2, 452)]
     }
     for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
@@ -257,7 +258,7 @@ def test_mc_entropy_sums_match_reduced_density_matrix_form():
     """Elementwise purity agrees with tr(rho_A^2) from the batched 2x2 product."""
     for u in [CNOT, _dressed(*DRESSED_MC_GOLDEN[1][:2])]:
         for block, count in [(0, 1024), (5, 300)]:
-            psi = epower._block_states(3, block, count)
+            psi = epower._block_states(block_key(3, block), count)
             m = (psi @ u.T).reshape(count, 2, 2)
             rho = m @ m.conj().swapaxes(1, 2)
             e = 1.0 - np.sum(np.abs(rho) ** 2, axis=(1, 2))
