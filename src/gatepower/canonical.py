@@ -47,6 +47,9 @@ __all__ = [
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
+# chamber_lattice builds a grid_n^3 mask and its evaluation keeps about 350 bytes per
+# chamber point, so 256 caps a sweep near 1 GB
+_GRID_MAX = 256
 
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
@@ -82,7 +85,12 @@ def in_weyl_chamber(p: WeylPoint) -> bool:
 
 
 def chamber_lattice(grid_n: int) -> np.ndarray:
-    """Chamber points of the grid_n^3 lattice on [0, pi] x [0, pi/2]^2, c3 varying fastest."""
+    """Chamber points of the grid_n^3 lattice on [0, pi] x [0, pi/2]^2, c3 varying fastest.
+
+    grid_n must lie in [2, 256]; anything else raises ValueError before any allocation.
+    """
+    if not 2 <= grid_n <= _GRID_MAX:
+        raise ValueError(f"grid size must lie in [2, {_GRID_MAX}], got {grid_n}")
     c1s = np.linspace(0.0, math.pi, grid_n)
     c2s = np.linspace(0.0, _HALF_PI, grid_n)
     i, j, k = np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s))

@@ -31,6 +31,8 @@ FIXED_GATES: dict[str, WeylPoint] = {
     "B_GATE": WeylPoint(_PI / 2, _PI / 4, 0.0),
 }
 
+# a parameter up to this far outside its range is accepted and clamped onto the range,
+# so the point it builds passes the much tighter chamber check
 _PARAM_TOL = 1e-9
 
 
@@ -38,14 +40,14 @@ def _spe_point(phi: float) -> WeylPoint:
     # special perfect entanglers [pi/2, phi, 0]; ep = 2/9 across the family
     if not -_PARAM_TOL <= phi <= _PI / 2 + _PARAM_TOL:
         raise CatalogError(f"SPE parameter must lie in [0, pi/2], got {phi!r}")
-    return WeylPoint(_PI / 2, float(phi), 0.0)
+    return WeylPoint(_PI / 2, min(max(float(phi), 0.0), _PI / 2), 0.0)
 
 
 def _swap_alpha_point(alpha: float) -> WeylPoint:
     # fractional SWAP powers; alpha=1 is the SWAP class, alpha=1/2 SQRT_SWAP
     if not -_PARAM_TOL <= alpha <= 1.0 + _PARAM_TOL:
         raise CatalogError(f"SWAP_ALPHA parameter must lie in [0, 1], got {alpha!r}")
-    c = float(alpha) * _PI / 2
+    c = min(max(float(alpha), 0.0), 1.0) * _PI / 2
     return WeylPoint(c, c, c)
 
 

@@ -28,7 +28,7 @@ from .canonical import (
     edge_tags,
     in_weyl_chamber,
 )
-from .epower import EP_MAX, _ep_operator, ep_closed_array, ep_closed_form
+from .epower import EP_MAX, ep_closed_array, ep_from_g1_abs
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
@@ -89,6 +89,23 @@ def pe_mask(margins: dict) -> np.ndarray:
 def _boundary_mask(margins: dict) -> np.ndarray:
     """True where some margin lies within PE_TOL of zero."""
     return np.logical_or.reduce([np.abs(m) <= PE_TOL for m in margins.values()])
+
+
+def _evaluate(c1, c2, c3) -> dict:
+    """Every chamber-point column that scan, verify_theorems and classify_gate read.
+
+    Over broadcastable coordinate arrays: g1_abs, g2 and ep; the signed margins of both
+    tests and their verdicts; and boundary, where some margin lies within PE_TOL of zero.
+    """
+    # ep before the margins: its temporaries then share memory with three columns, not eight
+    g1a, g2, ep = g1_abs_array(c1, c2, c3), g2_array(c1, c2, c3), ep_closed_array(c1, c2, c3)
+    geo, inv = geometric_margins(c1, c2, c3), invariant_margins(g1a, g2)
+    return {
+        "g1_abs": g1a, "g2": g2, "ep": ep,
+        "geo_margins": geo, "inv_margins": inv,
+        "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
+        "boundary": _boundary_mask(geo) | _boundary_mask(inv),
+    }
 
 
 @dataclass(frozen=True)
@@ -155,25 +172,27 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     For a WeylPoint the invariants and entangling power come from the
     closed forms and the perfect-entangler verdict is computed by both
     routes; a disagreement away from the boundary raises
-    TheoremViolationError. For a matrix only the invariant route applies;
-    the matrix is checked for unitarity once, here.
+    TheoremViolationError. For a matrix only the invariant route applies,
+    and ep is the |g1| route; the matrix is checked for unitarity once, here.
     """
     if isinstance(target, WeylPoint):
         p = target
-        geo = is_pe_geometric(p)  # rejects points outside the chamber
-        inv = invariants_at_point(p)
-        ivd = is_pe_invariant(inv)
-        if geo.is_pe != ivd.is_pe and not (geo.on_boundary or ivd.on_boundary):
+        if not in_weyl_chamber(p):
+            raise ValueError(f"point outside the Weyl chamber: {p}")
+        cols = _evaluate(p.c1, p.c2, p.c3)
+        geo = _verdict("geometric", cols["geo_margins"])
+        ivd = _verdict("invariant", cols["inv_margins"])
+        if geo.is_pe != ivd.is_pe and not cols["boundary"]:
             raise TheoremViolationError(p, geo.margins, ivd.margins)
-        tags = _value_tags(inv) | edge_tags(p)
+        inv = invariants_at_point(p)
         return GateRecord(
             name=name,
             matrix=canonical_gate(p),
             point=p,
             invariants=inv,
-            ep=ep_closed_form(p),
+            ep=float(cols["ep"]),
             pe_verdict=geo.is_pe,
-            tags=frozenset(tags),
+            tags=frozenset(_value_tags(inv) | edge_tags(p)),
             geometric=geo,
             invariant=ivd,
         )
@@ -185,7 +204,7 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         matrix=u,
         point=None,
         invariants=inv,
-        ep=float(_ep_operator(u)),
+        ep=ep_from_g1_abs(abs(inv.g1)),
         pe_verdict=ivd.is_pe,
         tags=frozenset(_value_tags(inv)),
         geometric=None,
@@ -236,19 +255,12 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     with |g1| <= 1/4 have g2 strictly outside (-1, 1); the geometric and
     invariant verdicts coincide; and perfect entanglers have entangling
     power inside [1/6, 2/9]. All comparisons carry the PE_TOL slack.
+    grid_n must lie in [2, 256], as for chamber_lattice.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     pts = chamber_lattice(grid_n)
-    c = pts.T
-    g1a = g1_abs_array(*c)
-    g2 = g2_array(*c)
-    ep = ep_closed_array(*c)
-    geo_margins = geometric_margins(*c)
-    inv_margins = invariant_margins(g1a, g2)
-    geo = pe_mask(geo_margins)
-    inv = pe_mask(inv_margins)
-    boundary = _boundary_mask(geo_margins) | _boundary_mask(inv_margins)
+    cols = _evaluate(*pts.T)
+    g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
+    geo, inv = cols["pe_geometric"], cols["pe_invariant"]
     g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
 
     def at(i) -> WeylPoint:

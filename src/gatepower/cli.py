@@ -21,23 +21,9 @@ import numpy as np
 
 from .canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import (
-    GateRecord,
-    classify_gate,
-    geometric_margins,
-    invariant_margins,
-    pe_mask,
-    verify_theorems,
-)
-from .epower import (
-    _ep_operator,
-    ep_closed_array,
-    ep_from_g1_abs,
-    ep_monte_carlo,
-    verify_route_agreement,
-)
+from .classify import GateRecord, _evaluate, classify_gate, verify_theorems
+from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo, verify_route_agreement
 from .errors import ConsistencyError, TheoremViolationError
-from .invariants import g1_abs_array, g2_array
 
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
@@ -161,11 +147,11 @@ def cmd_analyze(args) -> int:
     else:
         name, m = load_matrix_file(args.matrix)
         rec = classify_gate(m, name=name)
-    # a point record's ep is the closed form; a matrix record's is the operator route.
+    # a point record's ep is the closed form; a matrix record's is the |g1| route.
     # Every record's matrix is unitary: checked on ingest or built by canonical_gate.
     ep_routes = {"closed_form": rec.ep} if rec.point is not None else {}
     ep_routes["from_g1_abs"] = ep_from_g1_abs(abs(rec.invariants.g1))
-    ep_routes["operator"] = float(_ep_operator(rec.matrix)) if rec.point is not None else rec.ep
+    ep_routes["operator"] = float(_ep_operator(rec.matrix))
     if args.mc is not None:
         mc = ep_monte_carlo(rec.matrix, args.mc, args.seed)
     if args.json:
@@ -186,15 +172,11 @@ def cmd_scan(args) -> int:
             raise ValueError(f"--steps must be at least 2, got {args.steps}")
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
     else:
-        if args.chamber < 2:
-            raise ValueError(f"--chamber must be at least 2, got {args.chamber}")
         pts = chamber_lattice(args.chamber)
-    c = pts.T
-    g1a = g1_abs_array(*c)
-    g2 = g2_array(*c)
-    geo = _CSV_BOOL[pe_mask(geometric_margins(*c)).astype(np.intp)]
-    inv = _CSV_BOOL[pe_mask(invariant_margins(g1a, g2)).astype(np.intp)]
-    columns = [*c, g1a, g2, ep_closed_array(*c), geo, inv]
+    cols = _evaluate(*pts.T)
+    geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
+    columns = [*pts.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
+    del cols  # the margin and boundary columns are not printed; free them before rendering
     # rendered in blocks: whole columns of Python floats, or one string per row, raise peak memory
     blocks = [_CSV_HEADER + "\n"]
     for lo in range(0, len(pts), 1024):

@@ -56,6 +56,10 @@ _BLOCK = 1024
 # noise, so non-entangling gates report exactly 0
 _SNAP_DECIMALS = 12
 
+# verify_route_agreement keeps about 1.4 KB per point (a 4x4 complex stack and its
+# products), so this caps a run near 1.4 GB
+_ROUTE_POINTS_MAX = 1_000_000
+
 
 def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
     """Entangling power from the invariant modulus: (2/9)(1 - |g1|), elementwise on arrays."""
@@ -229,9 +233,11 @@ class RouteAgreementReport:
 
 
 def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
-    """Compare all e_p routes and both g2 forms on random chamber points."""
+    """Compare all e_p routes and both g2 forms on n_points random chamber points, 1 to 1_000_000."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if n_points > _ROUTE_POINTS_MAX:
+        raise ValueError(f"n_points must be at most {_ROUTE_POINTS_MAX}, got {n_points}")
     pts = random_chamber_coords(seed, n_points)
     c = pts.T
     closed = ep_closed_array(*c)

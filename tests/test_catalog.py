@@ -92,6 +92,15 @@ def test_parameter_range_checks():
         named_gate("SWAP_ALPHA:1.5")
     with pytest.raises(CatalogError):
         named_gate("SWAP_ALPHA:-0.2")
+    # within 1e-9 of the range: clamped onto it, so the chamber check accepts the point
+    assert named_gate("SPE:-5e-10").point == WeylPoint(PI / 2, 0.0, 0.0)
+    assert named_gate("SPE:1.5707963272").point == WeylPoint(PI / 2, PI / 2, 0.0)
+    assert named_gate("SWAP_ALPHA:-5e-10").point == FIXED_GATES["IDENTITY"]
+    assert named_gate("SWAP_ALPHA:1.0000000005").point == FIXED_GATES["SWAP"]
+    # 2e-9 past either end is still refused
+    for name in ("SPE:-2e-9", f"SPE:{PI / 2 + 2e-9!r}", "SWAP_ALPHA:-2e-9", "SWAP_ALPHA:1.000000002"):
+        with pytest.raises(CatalogError):
+            named_gate(name)
 
 
 # ------------------------------------------------------------------ parametrics

@@ -1,23 +1,35 @@
 """Tests for perfect-entangler classification and the lattice sweeps."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from gatepower import linalg
-from gatepower.canonical import WeylPoint, canonical_gate, chamber_lattice, random_chamber_coords
+from gatepower.canonical import (
+    EdgeId,
+    WeylPoint,
+    _edge_coords,
+    canonical_gate,
+    chamber_lattice,
+    edge_tags,
+    random_chamber_coords,
+)
+from gatepower.catalog import catalog_records
 from gatepower.classify import (
     PE_TOL,
     GateRecord,
     PeVerdict,
+    _value_tags,
     classify_gate,
     geometric_margins,
     is_pe_geometric,
     is_pe_invariant,
     verify_theorems,
 )
+from gatepower.epower import ep_closed_form, ep_from_g1_abs
 from gatepower.errors import NonUnitaryError, TheoremViolationError
-from gatepower.invariants import LocalInvariants, g1_abs_array, g2_array
+from gatepower.invariants import LocalInvariants, g1_abs_array, g2_array, invariants_at_point
 from gatepower.linalg import SWAP
 
 PI = math.pi
@@ -185,6 +197,7 @@ def test_classify_point_and_matrix_paths_agree(point, expect_pe):
     assert by_matrix.invariants.g1 == pytest.approx(by_point.invariants.g1, abs=1e-10)
     assert by_matrix.invariants.g2 == pytest.approx(by_point.invariants.g2, abs=1e-10)
     assert by_matrix.ep == pytest.approx(by_point.ep, abs=1e-10)
+    assert by_matrix.ep == ep_from_g1_abs(abs(by_matrix.invariants.g1))  # a matrix record's ep is the |g1| route
 
 
 def test_classify_matrix_checks_unitarity_once(monkeypatch):
@@ -218,6 +231,72 @@ def test_classify_sliver_point_raises_route_disagreement():
     assert err.value.point == p
     assert "c1_plus_c2" in err.value.geometric_margins
     assert "g1_abs" in err.value.invariant_margins
+
+
+def _reference_point_record(p: WeylPoint) -> GateRecord:
+    """classify_gate(point) composed from the scalar helpers, kept as the reference for the point path."""
+    geo = is_pe_geometric(p)
+    inv = invariants_at_point(p)
+    ivd = is_pe_invariant(inv)
+    if geo.is_pe != ivd.is_pe and not (geo.on_boundary or ivd.on_boundary):
+        raise TheoremViolationError(p, geo.margins, ivd.margins)
+    return GateRecord(
+        name=None,
+        matrix=canonical_gate(p),
+        point=p,
+        invariants=inv,
+        ep=ep_closed_form(p),
+        pe_verdict=geo.is_pe,
+        tags=frozenset(_value_tags(inv) | edge_tags(p)),
+        geometric=geo,
+        invariant=ivd,
+    )
+
+
+def _outcome(fn, p):
+    try:
+        return fn(p)
+    except TheoremViolationError as exc:
+        return exc
+
+
+# the invariant g1_abs margin reads |g1| from g1_abs_array, the reference from abs(g1):
+# the two agree to a few ulps of 1/4
+G1_ABS_MARGIN_TOL = 4.5e-16
+
+
+def _assert_same_invariant_margins(got: dict, ref: dict):
+    assert list(got) == list(ref)
+    assert abs(got["g1_abs"] - ref["g1_abs"]) <= G1_ABS_MARGIN_TOL
+    assert (got["g2_low"], got["g2_high"]) == (ref["g2_low"], ref["g2_high"])
+
+
+def test_point_records_match_scalar_reference():
+    coords = [
+        np.array([tuple(rec.point) for rec in catalog_records()]),
+        random_chamber_coords(9, 5000),
+        chamber_lattice(25),
+        chamber_lattice(16),  # holds split verdicts where only the invariant test is on its boundary
+        *(_edge_coords(edge, np.linspace(0.0, 1.0, 101)) for edge in EdgeId),
+    ]
+    n_raised = 0
+    for p in (WeylPoint(*row) for row in np.concatenate(coords).tolist()):
+        got, ref = _outcome(classify_gate, p), _outcome(_reference_point_record, p)
+        assert type(got) is type(ref)
+        if isinstance(ref, TheoremViolationError):
+            n_raised += 1
+            assert got.point == ref.point
+            assert got.geometric_margins == ref.geometric_margins
+            _assert_same_invariant_margins(got.invariant_margins, ref.invariant_margins)
+            continue
+        for f in dataclasses.fields(GateRecord):
+            if f.name not in ("matrix", "invariant"):
+                assert getattr(got, f.name) == getattr(ref, f.name), f.name
+        assert np.array_equal(got.matrix, ref.matrix)
+        assert (got.invariant.is_pe, got.invariant.route) == (ref.invariant.is_pe, ref.invariant.route)
+        assert got.invariant.on_boundary == ref.invariant.on_boundary
+        _assert_same_invariant_margins(got.invariant.margins, ref.invariant.margins)
+    assert n_raised > 0
 
 
 def test_theorem_violation_error_payload():

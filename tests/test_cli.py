@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from gatepower import linalg
+from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice
+from gatepower.classify import classify_gate
 from gatepower.cli import _CSV_BOOL, _CSV_ROW, build_parser, load_matrix_file, main, matrix_to_json
+from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
 
 PI = math.pi
@@ -256,6 +259,22 @@ def test_scan_tiny_steps_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("scan", "--chamber", "1"), "grid size must lie in [2, 256], got 1"),
+        (("scan", "--chamber", "257"), "grid size must lie in [2, 256], got 257"),
+        (("verify", "theorems", "--grid", "257"), "grid size must lie in [2, 256], got 257"),
+        (("verify", "routes", "--n", "1000001"), "n_points must be at most 1000000, got 1000001"),
+    ],
+)
+def test_sweep_size_limits_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_scan_out_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "edge.csv"
     code, _, _ = run(capsys, "scan", "--edge", "PN", "--steps", "7", "--out", str(path))
@@ -270,6 +289,34 @@ def test_scan_unwritable_path_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "scan", "--edge", "QP", "--out", str(tmp_path / "no" / "dir.csv"))
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--chamber", "25")] + [("scan", "--edge", e.name, "--steps", "101") for e in EdgeId],
+    ids=lambda argv: " ".join(argv),
+)
+def test_scan_verdicts_match_classify_gate(capsys, argv):
+    if argv[1] == "--chamber":
+        pts = chamber_lattice(25)
+    else:
+        pts = _edge_coords(EdgeId[argv[2]], np.linspace(0.0, 1.0, 101))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == len(pts)
+    for row, c in zip(rows, pts.tolist()):
+        fields = row.split(",")
+        assert fields[:3] == [format(x, ".12g") for x in c]
+        geo, inv = (f == "true" for f in fields[6:])
+        try:
+            rec = classify_gate(WeylPoint(*c))
+        except TheoremViolationError:
+            assert geo != inv
+            continue
+        assert (geo, inv) == (rec.geometric.is_pe, rec.invariant.is_pe)
+        # columns that disagree without an error must sit on a classification boundary
+        assert geo == inv or rec.geometric.on_boundary or rec.invariant.on_boundary
 
 
 def test_scan_byte_deterministic(capsys):
