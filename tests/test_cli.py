@@ -425,6 +425,11 @@ GOLDEN_OUTPUTS = [
     (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
     (("verify", "montecarlo", "--mc", "20000", "--seed", "42"), 0, "ab568b798557e7c2a8b3588f64691213f0b6bce0a321800d05ebdab05b2b99da"),
     (("analyze", "--name", "SQRT_SWAP", "--mc", "50000", "--json"), 0, "56b89d416f6262dd50a85cf1ac6dd63e110e4f505f7dc083a10020a4a2222396"),
+    (("analyze", "--name", "SWAP"), 0, "d4eebfcf985a65fc4029ab68ced8462365b5ad561190ade57d15bcd243c4dc22"),
+    (("analyze", "--point", "1.0,0.5,0.2"), 0, "b18d9449b37b65f750f2fc9e91fe32b8eff18e5676017eb8401f941b1bca12ce"),
+    (("analyze", "--point", "45,45,0", "--deg"), 0, "5c4bc9b289f933f2330309f29b392e4a032b93287441e196ddc2b4c5cf6dcbe9"),
+    (("analyze", "--name", "CNOT_CLASS", "--mc", "2000", "--seed", "3"), 0, "f79646bbe18b4a21763bb94d6d5867681adb16bab2d4f4312e90682148d6ce7f"),
+    (("analyze", "--name", "SPE:0.3", "--json"), 0, "113ecd13bf1945b05a013c63a7b8ccddb55affcd862b6d97fca27d1648eac604"),
 ]
 
 
@@ -435,6 +440,50 @@ def test_output_matches_golden_digest(capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, *argv)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# two dressed gates: the first rounded to 8 decimals and named, the second at full precision
+_GOLDEN_MATRIX_FILES = [
+    (
+        {
+            "name": "dressed_rounded",
+            "matrix": [
+                [[0.10944841, 0.15467945], [-0.42449476, -0.23039718], [0.73064936, -0.0320279], [-0.19268716, -0.39851478]],
+                [[-0.76216201, -0.10602733], [-0.11032455, -0.43988981], [-0.01433865, -0.42349749], [0.13660459, 0.06305703]],
+                [[-0.47283262, -0.27220739], [-0.00562959, 0.49061667], [-0.09100632, 0.23861769], [-0.28461555, -0.56157767]],
+                [[-0.03984616, 0.26964295], [0.42951957, 0.36854214], [0.30206601, -0.35931265], [0.56090636, -0.26538499]],
+            ],
+        },
+        "7b24659f1354fdae4395a319ed6074a6abb67c1a67423d3ff22d028d99abe50c",
+        "76dd35add3f57db9aa6d35233e1b8a40cef1f73a3ed31e67d49a76e8c20bfab8",
+    ),
+    (
+        {
+            "matrix": [
+                [[-0.2737128197766064, -0.4616466897378184], [0.4078970685633229, -0.3641724606655028],
+                 [0.11774084391147445, -0.3568711350278654], [0.08029711936340161, 0.5150674574997051]],
+                [[0.19396286667209267, -0.27173307237048894], [-0.10256655471044174, -0.5998828312979576],
+                 [0.3586538940893569, 0.5844841437338797], [0.12473291722745665, -0.17985439566314926]],
+                [[0.4006957103417981, 0.14651760112608037], [-0.419926328496753, 0.09332770519006257],
+                 [0.07670102260353608, 0.08716227091135445], [0.24780655884854372, 0.747020052880728]],
+                [[-0.6379125388444653, -0.1074537246233986], [0.006279308935837242, 0.3814858834577479],
+                 [0.03301020420940107, 0.6115192349520593], [-0.006980265708229516, 0.24669051145850993]],
+            ],
+        },
+        "aab3fe98114af0c9b3d614ee9dd8088c3ffa0bee335ea6a4178c6e1b76e6fdb9",
+        "3470c1ca1fe97657df339f35d17cf90cb9875ec28d520b4fdb2967b0fde9ac3c",
+    ),
+]
+
+
+@pytest.mark.parametrize(("data", "text_digest", "json_digest"), _GOLDEN_MATRIX_FILES, ids=["rounded_named", "full"])
+def test_analyze_matrix_output_matches_golden_digest(capsys, tmp_path, data, text_digest, json_digest):
+    path = tmp_path / "gate.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for extra, digest in (((), text_digest), (("--json",), json_digest)):
+        code, out, _ = run(capsys, "analyze", "--matrix", str(path), *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # reference rendering of a scan CSV row: one format(x, ".12g") per number
