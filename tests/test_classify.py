@@ -28,9 +28,10 @@ from gatepower.classify import (
     verify_theorems,
 )
 from gatepower.epower import ep_closed_form, ep_from_g1_abs
-from gatepower.errors import NonUnitaryError, TheoremViolationError
-from gatepower.invariants import LocalInvariants, g1_abs_array, g2_array, invariants_at_point
-from gatepower.linalg import SWAP
+from gatepower.errors import ConsistencyError, NonUnitaryError, TheoremViolationError
+from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
+from gatepower.linalg import SWAP, require_unitary
+from helpers import dress
 
 PI = math.pi
 
@@ -296,6 +297,56 @@ def test_point_records_match_scalar_reference():
         assert (got.invariant.is_pe, got.invariant.route) == (ref.invariant.is_pe, ref.invariant.route)
         assert got.invariant.on_boundary == ref.invariant.on_boundary
         _assert_same_invariant_margins(got.invariant.margins, ref.invariant.margins)
+    assert n_raised > 0
+
+
+def _reference_matrix_record(u: np.ndarray, name: str | None = None) -> GateRecord:
+    """classify_gate(matrix) as its own branch, kept as the reference for the matrix path."""
+    u = require_unitary(u)
+    inv = _invariants(u)
+    ivd = is_pe_invariant(inv)
+    return GateRecord(
+        name=name,
+        matrix=u,
+        point=None,
+        invariants=inv,
+        ep=ep_from_g1_abs(abs(inv.g1)),
+        pe_verdict=ivd.is_pe,
+        tags=frozenset(_value_tags(inv)),
+        geometric=None,
+        invariant=ivd,
+    )
+
+
+def _matrix_outcome(fn, u, name):
+    try:
+        return fn(u, name=name)
+    except (ValueError, ConsistencyError) as exc:
+        return exc
+
+
+def test_matrix_records_match_branch_reference():
+    rng = np.random.default_rng(12)
+    coords = np.concatenate([
+        np.array([tuple(rec.point) for rec in catalog_records()]),
+        random_chamber_coords(13, 2000 - len(catalog_records())),
+    ])
+    n_raised = 0
+    for i, row in enumerate(coords.tolist()):
+        u = dress(canonical_gate(WeylPoint(*row)), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * PI))
+        if rng.random() < 0.3:
+            u = np.round(u, 8)
+        name = f"g{i}" if i % 2 else None
+        got, ref = _matrix_outcome(classify_gate, u, name), _matrix_outcome(_reference_matrix_record, u, name)
+        assert type(got) is type(ref)
+        if isinstance(ref, Exception):
+            n_raised += 1
+            assert str(got) == str(ref)
+            continue
+        for f in dataclasses.fields(GateRecord):
+            if f.name != "matrix":
+                assert getattr(got, f.name) == getattr(ref, f.name), f.name
+        assert np.array_equal(got.matrix, ref.matrix)
     assert n_raised > 0
 
 
