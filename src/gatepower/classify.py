@@ -176,38 +176,29 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     and ep is the |g1| route; the matrix is checked for unitarity once, here.
     """
     if isinstance(target, WeylPoint):
-        p = target
-        if not in_weyl_chamber(p):
-            raise ValueError(f"point outside the Weyl chamber: {p}")
-        cols = _evaluate(p.c1, p.c2, p.c3)
+        point = target
+        if not in_weyl_chamber(point):
+            raise ValueError(f"point outside the Weyl chamber: {point}")
+        cols = _evaluate(*point)
         geo = _verdict("geometric", cols["geo_margins"])
         ivd = _verdict("invariant", cols["inv_margins"])
         if geo.is_pe != ivd.is_pe and not cols["boundary"]:
-            raise TheoremViolationError(p, geo.margins, ivd.margins)
-        inv = invariants_at_point(p)
-        return GateRecord(
-            name=name,
-            matrix=canonical_gate(p),
-            point=p,
-            invariants=inv,
-            ep=float(cols["ep"]),
-            pe_verdict=geo.is_pe,
-            tags=frozenset(_value_tags(inv) | edge_tags(p)),
-            geometric=geo,
-            invariant=ivd,
-        )
-    u = require_unitary(target)
-    inv = _invariants(u)
-    ivd = is_pe_invariant(inv)
+            raise TheoremViolationError(point, geo.margins, ivd.margins)
+        matrix, inv, ep = canonical_gate(point), invariants_at_point(point), float(cols["ep"])
+        tags = _value_tags(inv) | edge_tags(point)
+    else:
+        matrix, point, geo = require_unitary(target), None, None
+        inv = _invariants(matrix)
+        ivd, ep, tags = is_pe_invariant(inv), ep_from_g1_abs(abs(inv.g1)), _value_tags(inv)
     return GateRecord(
         name=name,
-        matrix=u,
-        point=None,
+        matrix=matrix,
+        point=point,
         invariants=inv,
-        ep=ep_from_g1_abs(abs(inv.g1)),
-        pe_verdict=ivd.is_pe,
-        tags=frozenset(_value_tags(inv)),
-        geometric=None,
+        ep=ep,
+        pe_verdict=(ivd if geo is None else geo).is_pe,
+        tags=frozenset(tags),
+        geometric=geo,
         invariant=ivd,
     )
 

@@ -84,80 +84,69 @@ def _parse_point(text: str, degrees: bool) -> WeylPoint:
     return WeylPoint(*vals)
 
 
-def _record_json(rec: GateRecord, ep_routes: dict, mc) -> dict:
+def _record(rec: GateRecord, mc) -> dict:
+    """The analyze record of one gate: what --json prints and what the text view shows.
+
+    A point record's ep is the closed form; a matrix record's is the |g1| route.
+    Every record's matrix is unitary: checked on ingest or built by canonical_gate.
+    """
     out: dict = {}
     if rec.name is not None:
         out["name"] = rec.name
     if rec.point is not None:
-        out["point"] = [rec.point.c1, rec.point.c2, rec.point.c3]
+        out["point"] = list(rec.point)
     out["matrix"] = matrix_to_json(rec.matrix)
-    out["invariants"] = {
-        "g1": [rec.invariants.g1.real, rec.invariants.g1.imag],
-        "g1_abs": abs(rec.invariants.g1),
-        "g2": rec.invariants.g2,
-    }
-    out["ep"] = dict(ep_routes)
+    g1 = rec.invariants.g1
+    out["invariants"] = {"g1": [g1.real, g1.imag], "g1_abs": abs(g1), "g2": rec.invariants.g2}
+    ep = out["ep"] = {"closed_form": rec.ep} if rec.point is not None else {}
+    ep["from_g1_abs"] = ep_from_g1_abs(abs(g1))
+    ep["operator"] = float(_ep_operator(rec.matrix))
     if mc is not None:
-        out["ep"]["monte_carlo"] = {
-            "mean": mc.mean,
-            "std_err": mc.std_err,
-            "n_samples": mc.n_samples,
-            "seed": mc.seed,
-        }
-    pe: dict = {"verdict": rec.pe_verdict}
-    if rec.geometric is not None:
-        pe["geometric"] = {"is_pe": rec.geometric.is_pe, "margins": rec.geometric.margins}
-    pe["invariant"] = {"is_pe": rec.invariant.is_pe, "margins": rec.invariant.margins}
-    out["pe"] = pe
+        ep["monte_carlo"] = {"mean": mc.mean, "std_err": mc.std_err, "n_samples": mc.n_samples, "seed": mc.seed}
+    out["pe"] = {"verdict": rec.pe_verdict}
+    for v in (rec.geometric, rec.invariant):
+        if v is not None:
+            out["pe"][v.route] = {"is_pe": v.is_pe, "margins": v.margins}
     out["tags"] = sorted(rec.tags)
     return out
 
 
-def _print_record(rec: GateRecord, ep_routes: dict, mc) -> None:
-    if rec.name is not None:
-        print(f"gate: {rec.name}")
-    if rec.point is not None:
-        c1, c2, c3 = rec.point
-        print(f"point: [{_fmt(c1)}, {_fmt(c2)}, {_fmt(c3)}]")
-    g1 = rec.invariants.g1
-    print(f"g1: {_fmt(g1.real)}{g1.imag:+.12g}j  |g1|: {_fmt(abs(g1))}  g2: {_fmt(rec.invariants.g2)}")
-    for label, value in ep_routes.items():
-        print(f"ep ({label.replace('_', ' ')}): {_fmt(value)}")
-    if mc is not None:
-        print(
-            f"ep (monte carlo): {_fmt(mc.mean)} +/- {_fmt(mc.std_err)}"
-            f"  (n={mc.n_samples}, seed={mc.seed})"
-        )
-    print(f"perfect entangler: {'yes' if rec.pe_verdict else 'no'}")
-    if rec.geometric is not None:
-        m = rec.geometric.margins
-        print("  geometric margins: " + ", ".join(f"{k}={_fmt(v)}" for k, v in m.items()))
-    m = rec.invariant.margins
-    print("  invariant margins: " + ", ".join(f"{k}={_fmt(v)}" for k, v in m.items()))
-    print(f"tags: {', '.join(sorted(rec.tags)) if rec.tags else '-'}")
+def _print_record(out: dict) -> None:
+    """The text view of an analyze record."""
+    if "name" in out:
+        print(f"gate: {out['name']}")
+    if "point" in out:
+        print(f"point: [{', '.join(map(_fmt, out['point']))}]")
+    inv = out["invariants"]
+    g1_re, g1_im = inv["g1"]
+    print(f"g1: {_fmt(g1_re)}{g1_im:+.12g}j  |g1|: {_fmt(inv['g1_abs'])}  g2: {_fmt(inv['g2'])}")
+    for route, v in out["ep"].items():
+        if route == "monte_carlo":
+            shown = f"{_fmt(v['mean'])} +/- {_fmt(v['std_err'])}  (n={v['n_samples']}, seed={v['seed']})"
+        else:
+            shown = _fmt(v)
+        print(f"ep ({route.replace('_', ' ')}): {shown}")
+    print(f"perfect entangler: {'yes' if out['pe']['verdict'] else 'no'}")
+    for route, v in out["pe"].items():
+        if route != "verdict":
+            print(f"  {route} margins: " + ", ".join(f"{k}={_fmt(m)}" for k, m in v["margins"].items()))
+    print(f"tags: {', '.join(out['tags']) or '-'}")
 
 
 def cmd_analyze(args) -> int:
-    mc = None
     if args.name is not None:
         rec = named_gate(args.name)
     elif args.point is not None:
-        p = _parse_point(args.point, args.deg)
-        rec = classify_gate(p)
+        rec = classify_gate(_parse_point(args.point, args.deg))
     else:
         name, m = load_matrix_file(args.matrix)
         rec = classify_gate(m, name=name)
-    # a point record's ep is the closed form; a matrix record's is the |g1| route.
-    # Every record's matrix is unitary: checked on ingest or built by canonical_gate.
-    ep_routes = {"closed_form": rec.ep} if rec.point is not None else {}
-    ep_routes["from_g1_abs"] = ep_from_g1_abs(abs(rec.invariants.g1))
-    ep_routes["operator"] = float(_ep_operator(rec.matrix))
-    if args.mc is not None:
-        mc = ep_monte_carlo(rec.matrix, args.mc, args.seed)
+    mc = None if args.mc is None else ep_monte_carlo(rec.matrix, args.mc, args.seed)
+    out = _record(rec, mc)
     if args.json:
-        print(json.dumps(_record_json(rec, ep_routes, mc), indent=2))
+        print(json.dumps(out, indent=2))
     else:
-        _print_record(rec, ep_routes, mc)
+        _print_record(out)
     return 0
 
 
