@@ -266,6 +266,7 @@ def test_scan_tiny_steps_exits_2(capsys):
         (("scan", "--chamber", "257"), "grid size must lie in [2, 256], got 257"),
         (("verify", "theorems", "--grid", "257"), "grid size must lie in [2, 256], got 257"),
         (("verify", "routes", "--n", "1000001"), "n_points must be at most 1000000, got 1000001"),
+        (("scan", "--edge", "LN", "--steps", "1000001"), "--steps must lie in [2, 1000000], got 1000001"),
     ],
 )
 def test_sweep_size_limits_exit_2(capsys, argv, message):
