@@ -138,16 +138,12 @@ def _block_states(key: int, count: int) -> np.ndarray:
     substream keyed by key = block_key(seed, b): four Box-Muller pairs
     giving the two complex amplitudes of each qubit's Haar-random state.
     """
-    us = rng.uniform_stream(key, 0, 8 * count).reshape(count, 8)
-    za0, za1 = rng.box_muller(us[:, 0], us[:, 1])
-    za2, za3 = rng.box_muller(us[:, 2], us[:, 3])
-    zb0, zb1 = rng.box_muller(us[:, 4], us[:, 5])
-    zb2, zb3 = rng.box_muller(us[:, 6], us[:, 7])
-    a = np.stack([za0 + 1j * za1, za2 + 1j * za3], axis=1)
-    b = np.stack([zb0 + 1j * zb1, zb2 + 1j * zb3], axis=1)
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return np.einsum("ni,nj->nij", a, b).reshape(count, 4)
+    # axes: sample, qubit, amplitude, (u1, u2) of the amplitude's Box-Muller pair
+    us = rng.uniform_stream(key, 0, 8 * count).reshape(count, 2, 2, 2)
+    z_re, z_im = rng.box_muller(us[..., 0], us[..., 1])
+    q = z_re + 1j * z_im
+    q /= np.linalg.norm(q, axis=2, keepdims=True)
+    return np.einsum("ni,nj->nij", q[:, 0], q[:, 1]).reshape(count, 4)
 
 
 def _entropy_sums(psi: np.ndarray, u_t: np.ndarray) -> tuple[float, float]:
