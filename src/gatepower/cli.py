@@ -185,42 +185,37 @@ def cmd_scan(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite == "theorems":
         rep = verify_theorems(args.grid)
-        print(
+        lines = [
             f"theorem sweep: grid {rep.grid_n}"
             f" ({rep.n_lattice} lattice points, {rep.n_chamber} in chamber,"
-            f" {rep.n_pe} perfect entanglers)"
-        )
-        print(f"boundary-exempt points: {rep.n_boundary_exempt}")
+            f" {rep.n_pe} perfect entanglers)",
+            f"boundary-exempt points: {rep.n_boundary_exempt}",
+        ]
         for label, bucket in [
             ("g2 bound", rep.g2_bound_violations),
             ("g2 converse", rep.g2_converse_violations),
             ("equivalence", rep.equivalence_violations),
             ("ep range", rep.ep_range_violations),
         ]:
-            print(f"{label} violations: {len(bucket)}")
-            for line in bucket:
-                print(f"  {line}")
-        print(f"result: {'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 1
-    if args.suite == "routes":
+            lines += [f"{label} violations: {len(bucket)}", *(f"  {line}" for line in bucket)]
+    elif args.suite == "routes":
         rep = verify_route_agreement(args.n, args.seed)
-        print(f"route agreement: {rep.n_points} points, seed {rep.seed}")
-        print(f"max |closed - from_g1| : {rep.max_closed_vs_g1:.3e}")
-        print(f"max |closed - operator|: {rep.max_closed_vs_operator:.3e}")
-        print(f"max |g2 form difference|: {rep.max_g2_forms:.3e}")
-        for line in rep.violations:
-            print(f"  {line}")
-        print(f"result: {'PASS' if rep.passed else 'FAIL'}")
-        return 0 if rep.passed else 1
-    rep = verify_monte_carlo(args.mc, args.seed)
-    print(f"monte carlo: {rep.n_samples} samples per gate, seed {rep.seed}")
-    for name, mean, std_err, analytic in rep.rows:
-        print(
-            f"{name}: mean={_fmt(mean)} std_err={_fmt(std_err)}"
-            f" analytic={_fmt(analytic)}"
-        )
-    for line in rep.violations:
-        print(f"  {line}")
+        lines = [
+            f"route agreement: {rep.n_points} points, seed {rep.seed}",
+            f"max |closed - from_g1| : {rep.max_closed_vs_g1:.3e}",
+            f"max |closed - operator|: {rep.max_closed_vs_operator:.3e}",
+            f"max |g2 form difference|: {rep.max_g2_forms:.3e}",
+            *(f"  {line}" for line in rep.violations),
+        ]
+    else:
+        rep = verify_monte_carlo(args.mc, args.seed)
+        lines = [
+            f"monte carlo: {rep.n_samples} samples per gate, seed {rep.seed}",
+            *(f"{name}: mean={_fmt(mean)} std_err={_fmt(std_err)} analytic={_fmt(analytic)}"
+              for name, mean, std_err, analytic in rep.rows),
+            *(f"  {line}" for line in rep.violations),
+        ]
+    print("\n".join(lines))
     print(f"result: {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 
