@@ -47,8 +47,8 @@ __all__ = [
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
-# chamber_lattice builds a grid_n^3 mask and its evaluation keeps about 350 bytes per
-# chamber point, so 256 caps a sweep near 1 GB
+# chamber_lattice builds a grid_n^3 mask; verify theorems evaluates the whole lattice at
+# about 350 bytes per chamber point, so 256 caps it near 1 GB (scan --chamber 256 peaks near 240 MB)
 _GRID_MAX = 256
 
 _HALF_PI = math.pi / 2

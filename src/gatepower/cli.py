@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification violations, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -31,7 +32,7 @@ _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
 # "%.12g" renders a float with the same bytes as _fmt; a bool mask indexes _CSV_BOOL
 _CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
 _CSV_BOOL = np.array(["false", "true"], dtype=object)
-# an edge sweep and its CSV text take about 350 bytes per step: scan --edge peaks near 380 MB here
+# an edge sweep keeps its points and one 1024-row block: scan --edge LN --steps 1000000 --out peaked at 83 MB
 _STEPS_MAX = 1_000_000
 
 
@@ -53,7 +54,7 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
             raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
@@ -164,21 +165,14 @@ def cmd_scan(args) -> int:
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
     else:
         pts = chamber_lattice(args.chamber)
-    cols = _evaluate(*pts.T)
-    geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
-    columns = [*pts.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
-    del cols  # the margin and boundary columns are not printed; free them before rendering
-    # rendered in blocks: whole columns of Python floats, or one string per row, raise peak memory
-    blocks = [_CSV_HEADER + "\n"]
-    for lo in range(0, len(pts), 1024):
-        rows = zip(*(col[lo : lo + 1024].tolist() for col in columns))
-        blocks.append("".join(map(_CSV_ROW.__mod__, rows)))
-    text = "".join(blocks)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # one 1024-row block at a time: peak memory holds one block's columns and text, not the CSV
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_CSV_HEADER + "\n")
+        for block in np.split(pts, range(1024, len(pts), 1024)):
+            cols = _evaluate(*block.T)
+            geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
+            columns = [*block.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
+            fh.write("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in columns)))))
     return 0
 
 

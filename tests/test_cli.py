@@ -2,13 +2,15 @@
 import hashlib
 import json
 import math
+import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from gatepower import linalg
-from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice
+from gatepower import epower, linalg
+from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice, random_chamber_coords
 from gatepower.classify import classify_gate
 from gatepower.cli import _CSV_BOOL, _CSV_ROW, build_parser, load_matrix_file, main, matrix_to_json
 from gatepower.errors import TheoremViolationError
@@ -186,11 +188,12 @@ def _with_cell(value) -> list:
         json.dumps({"matrix": matrix_to_json(SWAP), "name": 7}),
         json.dumps([matrix_to_json(SWAP)]),
         "{not json",
+        '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",  # json.load raises RecursionError
     ],
     ids=[
         "bool-cell", "three-number-cell", "one-number-cell", "string-cell", "null-cell",
         "bare-number-cell", "oversized-integer-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
-        "name-not-a-string", "no-object", "not-json",
+        "name-not-a-string", "no-object", "not-json", "deeply-nested",
     ],
 )
 def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, text):
@@ -267,6 +270,9 @@ def test_scan_tiny_steps_exits_2(capsys):
         (("verify", "theorems", "--grid", "257"), "grid size must lie in [2, 256], got 257"),
         (("verify", "routes", "--n", "1000001"), "n_points must be at most 1000000, got 1000001"),
         (("scan", "--edge", "LN", "--steps", "1000001"), "--steps must lie in [2, 1000000], got 1000001"),
+        (("verify", "montecarlo", "--mc", "100000001"), "n_samples must be at most 100000000, got 100000001"),
+        (("analyze", "--name", "CNOT_CLASS", "--mc", "100000001"), "n_samples must be at most 100000000, got 100000001"),
+        (("verify", "montecarlo", "--mc", "99"), "n_samples must be at least 100, got 99"),
     ],
 )
 def test_sweep_size_limits_exit_2(capsys, argv, message):
@@ -276,14 +282,33 @@ def test_sweep_size_limits_exit_2(capsys, argv, message):
     assert out == ""
 
 
-def test_scan_out_file_matches_stdout(capsys, tmp_path):
-    path = tmp_path / "edge.csv"
-    code, _, _ = run(capsys, "scan", "--edge", "PN", "--steps", "7", "--out", str(path))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--edge", "PN", "--steps", "7"),
+        ("scan", "--chamber", "25"),  # 2769 rows: three blocks of at most 1024
+        ("scan", "--edge", "LN", "--steps", "4096"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_scan_out_file_matches_stdout(capsys, tmp_path, argv):
+    path = tmp_path / "scan.csv"
+    code, _, _ = run(capsys, *argv, "--out", str(path))
     assert code == 0
-    code2, out2, _ = run(capsys, "scan", "--edge", "PN", "--steps", "7")
+    code2, out2, _ = run(capsys, *argv)
+    assert code2 == 0
     data = path.read_bytes()
     assert data == out2.encode()
     assert b"\r" not in data
+
+
+def test_scan_writes_one_block_at_a_time(monkeypatch):
+    writes: list[str] = []  # the argument of every sys.stdout.write
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    assert main(["scan", "--chamber", "25"]) == 0
+    digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "25"))
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
+    assert max(text.count("\n") for text in writes) <= 1024
 
 
 def test_scan_unwritable_path_exits_3(capsys, tmp_path):
@@ -349,6 +374,39 @@ def test_verify_montecarlo_passes(capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "IDENTITY: mean=0" in out
+
+
+def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypatch):
+    # bumps of 1e-6 at chosen points: above every tolerance, rendered as 1.000e-06
+    n, seed, bump = 8, 4, 1e-6
+    g1_at, op_at, g2_at = [1, 5], [3, 5], [3, 5]
+
+    def bumped(fn, at):
+        def wrapped(*args):
+            out = np.array(fn(*args), dtype=float)
+            out[at] += bump
+            return out
+        return wrapped
+
+    monkeypatch.setattr(epower, "ep_from_g1_abs", bumped(epower.ep_from_g1_abs, g1_at))
+    monkeypatch.setattr(epower, "_ep_operator", bumped(epower._ep_operator, op_at))
+    monkeypatch.setattr(epower, "g2_product_array", bumped(epower.g2_product_array, g2_at))
+    at = [WeylPoint(*p) for p in random_chamber_coords(seed, n).tolist()]
+    expected = (
+        f"closed vs |g1| route: 1.000e-06 at {at[1]}",
+        f"closed vs operator route: 1.000e-06 at {at[3]}",
+        f"g2 forms: 1.000e-06 at {at[3]}",
+        f"closed vs |g1| route: 1.000e-06 at {at[5]}",
+        f"closed vs operator route: 1.000e-06 at {at[5]}",
+        f"g2 forms: 1.000e-06 at {at[5]}",
+    )
+    rep = epower.verify_route_agreement(n, seed)
+    assert rep.violations == expected
+    assert rep.passed is False
+    code, out, _ = run(capsys, "verify", "routes", "--n", str(n), "--seed", str(seed))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[4:] == [f"  {line}" for line in expected] + ["result: FAIL"]
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])

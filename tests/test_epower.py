@@ -298,6 +298,8 @@ def test_mc_many_rejects_bad_input():
         ep_monte_carlo_many([np.eye(2)], 500, seed=1)
     with pytest.raises(ValueError):
         ep_monte_carlo_many([CNOT, SWAP], 99, seed=1)
+    with pytest.raises(ValueError, match="at most 100000000, got 100000001"):
+        ep_monte_carlo_many([], 100_000_001, seed=1)
     with pytest.raises(ValueError):
         ep_monte_carlo(np.eye(2), 500, seed=1)
     assert ep_monte_carlo_many([], 100, seed=1) == []
