@@ -50,6 +50,8 @@ _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named ed
 # chamber_lattice builds a grid_n^3 mask; verify theorems evaluates the whole lattice at
 # about 350 bytes per chamber point, so 256 caps it near 1 GB (scan --chamber 256 peaks near 240 MB)
 _GRID_MAX = 256
+# attempts per random_chamber_coords pass: 1.5 MB of coordinates
+_PASS_MAX = 1 << 16
 
 _HALF_PI = math.pi / 2
 _QUARTER_PI = math.pi / 4
@@ -213,11 +215,15 @@ def random_chamber_coords(seed: int, count: int) -> np.ndarray:
     """
     scale = np.array([math.pi, _HALF_PI, _HALF_PI])
     kept = [np.empty((0, 3))]
-    start = 0
-    while sum(map(len, kept)) < count:
-        c = scale * rng.uniform_stream(seed, start, 3 * 128).reshape(128, 3)
-        start += 3 * 128
+    have = start = 0
+    while have < count:
+        # the chamber fills 1/6 of the box; the points are a prefix of one stream, so the
+        # pass size changes only how many passes there are
+        attempts = min(6 * (count - have), _PASS_MAX)
+        c = scale * rng.uniform_stream(seed, start, 3 * attempts).reshape(attempts, 3)
+        start += 3 * attempts
         kept.append(c[chamber_mask(*c.T)])
+        have += len(kept[-1])
     return np.concatenate(kept)[:count]
 
 

@@ -35,25 +35,13 @@ FIXED_GATES: dict[str, WeylPoint] = {
 # so the point it builds passes the much tighter chamber check
 _PARAM_TOL = 1e-9
 
-
-def _spe_point(phi: float) -> WeylPoint:
-    # special perfect entanglers [pi/2, phi, 0]; ep = 2/9 across the family
-    if not -_PARAM_TOL <= phi <= _PI / 2 + _PARAM_TOL:
-        raise CatalogError(f"SPE parameter must lie in [0, pi/2], got {phi!r}")
-    return WeylPoint(_PI / 2, min(max(float(phi), 0.0), _PI / 2), 0.0)
-
-
-def _swap_alpha_point(alpha: float) -> WeylPoint:
-    # fractional SWAP powers; alpha=1 is the SWAP class, alpha=1/2 SQRT_SWAP
-    if not -_PARAM_TOL <= alpha <= 1.0 + _PARAM_TOL:
-        raise CatalogError(f"SWAP_ALPHA parameter must lie in [0, 1], got {alpha!r}")
-    c = min(max(float(alpha), 0.0), 1.0) * _PI / 2
-    return WeylPoint(c, c, c)
-
-
+# parametric families: name -> (range end hi of [0, hi], hi as messages write it,
+# point at a parameter in [0, hi], the representative catalog_records lists)
 _PARAMETRIC = {
-    "SPE": _spe_point,
-    "SWAP_ALPHA": _swap_alpha_point,
+    # special perfect entanglers [pi/2, phi, 0]; ep = 2/9 across the family
+    "SPE": (_PI / 2, "pi/2", lambda phi: WeylPoint(_PI / 2, phi, 0.0), _PI / 4),
+    # fractional SWAP powers; alpha=1 is the SWAP class, alpha=1/2 SQRT_SWAP
+    "SWAP_ALPHA": (1.0, "1", lambda alpha: WeylPoint(*[alpha * _PI / 2] * 3), 0.5),
 }
 
 
@@ -86,7 +74,10 @@ def named_gate(name: str) -> GateRecord:
         point = FIXED_GATES[key]
         display = key
     else:
-        point = _PARAMETRIC[key](param)
+        hi, hi_text, point_at, _ = _PARAMETRIC[key]
+        if not -_PARAM_TOL <= param <= hi + _PARAM_TOL:
+            raise CatalogError(f"{key} parameter must lie in [0, {hi_text}], got {param!r}")
+        point = point_at(min(max(param, 0.0), hi))
         display = f"{key}:{param:.10g}"
     return classify_gate(point, name=display)
 
@@ -94,8 +85,7 @@ def named_gate(name: str) -> GateRecord:
 def catalog_records() -> list[GateRecord]:
     """Every fixed class plus one representative of each parametric family."""
     records = [named_gate(name) for name in FIXED_GATES]
-    records.append(named_gate(f"SPE:{_PI / 4!r}"))
-    records.append(named_gate("SWAP_ALPHA:0.5"))
+    records += [named_gate(f"{key}:{rep!r}") for key, (*_, rep) in _PARAMETRIC.items()]
     return records
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .canonical import WeylPoint, canonical_gate_array, random_chamber_coords
-from .invariants import g1_abs_array, g2_array, g2_product_array
+from .invariants import _RANGE_TOL, g1_abs_array, g2_array, g2_product_array
 from .linalg import SWAP, require_unitary
 
 __all__ = [
@@ -46,8 +46,6 @@ __all__ = [
 
 EP_MAX = 2.0 / 9.0
 
-_RANGE_TOL = 1e-9
-
 # samples per block; each block draws from its own substream so results do
 # not depend on how blocks are assigned to workers
 _BLOCK = 1024
@@ -61,8 +59,8 @@ _SNAP_DECIMALS = 12
 _ROUTE_POINTS_MAX = 1_000_000
 
 # ep_monte_carlo_many keeps a block key and per-gate block sums for every 1024 samples; at n = 10**7
-# tracemalloc read 150 bytes per block for one gate and 1.1 KB for the nine catalog gates (26 s on a
-# 2-core host), so this caps that bookkeeping near 100 MB and verify montecarlo near 5 minutes
+# tracemalloc read 100 bytes per block for one gate and 230 for the nine catalog gates (15 s on a
+# 2-core host), so this caps that bookkeeping near 25 MB and verify montecarlo near 3 minutes
 _MC_SAMPLES_MAX = 100_000_000
 
 
@@ -186,16 +184,17 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
         raise ValueError(f"n_samples must be at most {_MC_SAMPLES_MAX}, got {n_samples}")
     if not u_ts:
         return []
-    block_sums: list[list[tuple[float, float]]] = [[] for _ in u_ts]
     starts = range(0, n_samples, _BLOCK)
+    # sum and sum of squares of each gate's output entropies, per block
+    block_sums = np.empty((len(u_ts), 2, len(starts)))
     # block_key(seed, b) of every block b, from one call
-    for key, start in zip(rng.raw_stream(seed, 0, len(starts)).tolist(), starts):
+    for b, (key, start) in enumerate(zip(rng.raw_stream(seed, 0, len(starts)).tolist(), starts)):
         psi = _block_states(key, min(_BLOCK, n_samples - start))
         for sums, u_t in zip(block_sums, u_ts):
-            sums.append(_entropy_sums(psi, u_t))
+            sums[:, b] = _entropy_sums(psi, u_t)
     estimates = []
     for sums in block_sums:
-        total, total2 = (math.fsum(col) for col in zip(*sums))
+        total, total2 = map(math.fsum, sums.tolist())
         mean = total / n_samples
         var = max(0.0, total2 - n_samples * mean * mean) / (n_samples - 1)
         std_err = math.sqrt(var / n_samples)

@@ -126,14 +126,6 @@ def invariants_at_point(p: WeylPoint) -> LocalInvariants:
     return LocalInvariants(complex(g1_complex_array(*p)), float(g2_array(*p)))
 
 
-def _real_checked(z: complex, tol: float, what: str) -> float:
-    if abs(z.imag) >= tol:
-        raise ConsistencyError(
-            f"{what} should be real, got imaginary residue {z.imag:.3e} (>= {tol:.1e})"
-        )
-    return z.real
-
-
 def _invariants(m4: np.ndarray) -> LocalInvariants:
     """Invariants of a 4x4 unitary the caller has already checked."""
     um = MAGIC_BASIS.conj().T @ m4 @ MAGIC_BASIS
@@ -141,8 +133,12 @@ def _invariants(m4: np.ndarray) -> LocalInvariants:
     det = complex(np.linalg.det(um))
     tr = complex(np.trace(m))
     g1 = tr * tr / (16.0 * det)
-    g2 = _real_checked((tr * tr - complex(np.trace(m @ m))) / (4.0 * det), G2_IMAG_TOL, "g2")
-    return LocalInvariants(g1, g2)
+    g2 = (tr * tr - complex(np.trace(m @ m))) / (4.0 * det)
+    if abs(g2.imag) >= G2_IMAG_TOL:
+        raise ConsistencyError(
+            f"g2 should be real, got imaginary residue {g2.imag:.3e} (>= {G2_IMAG_TOL:.1e})"
+        )
+    return LocalInvariants(g1, g2.real)
 
 
 def invariants_from_matrix(u) -> LocalInvariants:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from gatepower import rng
 from gatepower.canonical import (
     EdgeId,
     WeylPoint,
@@ -240,3 +241,33 @@ def test_random_chamber_points_deterministic():
     # covers both halves of the chamber
     assert any(p.c1 > PI / 2 for p in a)
     assert any(p.c1 < PI / 2 for p in a)
+
+
+def _fixed_pass_chamber_coords(seed: int, count: int) -> np.ndarray:
+    """random_chamber_coords as it was with a fixed 128 attempts per pass, kept as the reference."""
+    scale = np.array([math.pi, math.pi / 2, math.pi / 2])
+    kept = [np.empty((0, 3))]
+    start = 0
+    while sum(map(len, kept)) < count:
+        c = scale * rng.uniform_stream(seed, start, 3 * 128).reshape(128, 3)
+        start += 3 * 128
+        kept.append(c[chamber_mask(*c.T)])
+    return np.concatenate(kept)[:count]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024, -1, 2**64 + 1])
+def test_random_chamber_coords_is_bit_identical_to_fixed_pass_reference(seed):
+    # the points are a prefix of one fixed stream, so the pass size must not change them
+    counts = [0, 1, 2, 21, 127, 128, 129, 1000, 4097] + ([100_000] if seed in (0, -1) else [])
+    for count in counts:
+        got = random_chamber_coords(seed, count)
+        assert got.shape == (count, 3)
+        assert got.tobytes() == _fixed_pass_chamber_coords(seed, count).tobytes()
+
+
+def test_random_chamber_coords_draws_in_few_passes(monkeypatch):
+    calls = []
+    uniform_stream = rng.uniform_stream
+    monkeypatch.setattr(rng, "uniform_stream", lambda *args: calls.append(args) or uniform_stream(*args))
+    assert len(random_chamber_coords(3, 100_000)) == 100_000
+    assert len(calls) <= 20

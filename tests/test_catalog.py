@@ -1,5 +1,6 @@
 """Tests for the named gate catalog."""
 import math
+import re
 
 import pytest
 
@@ -85,21 +86,33 @@ def test_parse_bad_parameter():
         parse_gate_name("SPE:nan")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("SPE:2.0", "SPE parameter must lie in [0, pi/2], got 2.0"),
+        ("SWAP_ALPHA:1.5", "SWAP_ALPHA parameter must lie in [0, 1], got 1.5"),
+        ("SWAP_ALPHA:-0.2", "SWAP_ALPHA parameter must lie in [0, 1], got -0.2"),
+        ("SPE:-2e-9", "SPE parameter must lie in [0, pi/2], got -2e-09"),
+        ("SWAP_ALPHA:1.000000002", "SWAP_ALPHA parameter must lie in [0, 1], got 1.000000002"),
+    ],
+)
+def test_parameter_range_refusal_text(name, message):
+    with pytest.raises(CatalogError, match=f"^{re.escape(message)}$"):
+        named_gate(name)
+
+
 def test_parameter_range_checks():
-    with pytest.raises(CatalogError):
-        named_gate("SPE:2.0")
-    with pytest.raises(CatalogError):
-        named_gate("SWAP_ALPHA:1.5")
-    with pytest.raises(CatalogError):
-        named_gate("SWAP_ALPHA:-0.2")
-    # within 1e-9 of the range: clamped onto it, so the chamber check accepts the point
-    assert named_gate("SPE:-5e-10").point == WeylPoint(PI / 2, 0.0, 0.0)
+    # within 1e-9 of the range: clamped onto it, so the chamber check accepts the point;
+    # the name still shows the parameter as given
+    spe = named_gate("SPE:-5e-10")
+    assert (spe.name, spe.point) == ("SPE:-5e-10", WeylPoint(1.5707963267948966, 0.0, 0.0))
+    swap = named_gate("SWAP_ALPHA:1.0000000005")
+    assert (swap.name, swap.point) == ("SWAP_ALPHA:1.000000001", WeylPoint(*[1.5707963267948966] * 3))
     assert named_gate("SPE:1.5707963272").point == WeylPoint(PI / 2, PI / 2, 0.0)
     assert named_gate("SWAP_ALPHA:-5e-10").point == FIXED_GATES["IDENTITY"]
-    assert named_gate("SWAP_ALPHA:1.0000000005").point == FIXED_GATES["SWAP"]
-    # 2e-9 past either end is still refused
-    for name in ("SPE:-2e-9", f"SPE:{PI / 2 + 2e-9!r}", "SWAP_ALPHA:-2e-9", "SWAP_ALPHA:1.000000002"):
-        with pytest.raises(CatalogError):
+    # 2e-9 past either end is still refused (the other two ends are in the refusal-text test)
+    for name in (f"SPE:{PI / 2 + 2e-9!r}", "SWAP_ALPHA:-2e-9"):
+        with pytest.raises(CatalogError, match="parameter must lie in"):
             named_gate(name)
 
 

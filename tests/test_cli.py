@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gatepower import epower, linalg
+from gatepower import catalog, epower, linalg
 from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice, random_chamber_coords
 from gatepower.classify import classify_gate
 from gatepower.cli import _CSV_BOOL, _CSV_ROW, build_parser, load_matrix_file, main, matrix_to_json
@@ -374,6 +375,29 @@ def test_verify_montecarlo_passes(capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "IDENTITY: mean=0" in out
+
+
+def test_verify_montecarlo_reports_each_violation_in_catalog_order(capsys, monkeypatch):
+    # CNOT_CLASS and B_GATE get a mean of 0.5, far beyond their bounds of max(3 std_err, 5e-3)
+    n, seed, wrong_at = 2000, 5, (2, 6)
+    sampled = catalog.ep_monte_carlo_many
+
+    def wrong_means(us, n_samples, seed):
+        return [dataclasses.replace(est, mean=0.5) if i in wrong_at else est
+                for i, est in enumerate(sampled(us, n_samples, seed))]
+
+    monkeypatch.setattr(catalog, "ep_monte_carlo_many", wrong_means)
+    expected = (
+        "CNOT_CLASS: |0.5 - 0.2222222222222222| > 0.009742984877999999",
+        "B_GATE: |0.5 - 0.2222222222222222| > 0.008779100811",
+    )
+    rep = catalog.verify_monte_carlo(n, seed)
+    assert rep.violations == expected
+    assert rep.passed is False
+    code, out, _ = run(capsys, "verify", "montecarlo", "--mc", str(n), "--seed", str(seed))
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[10:] == [f"  {line}" for line in expected] + ["result: FAIL"]
 
 
 def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -28,6 +29,12 @@ def test_unitarity_defect_and_require():
         require_unitary(bad)
     assert err.value.defect == pytest.approx(2e-4, rel=1e-3)
     assert err.value.tol == 1e-8
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2)])
+def test_unitarity_defect_rejects_non_square(shape):
+    with pytest.raises(ValueError, match=rf"^expected a square matrix, got shape {re.escape(str(shape))}$"):
+        unitarity_defect(np.ones(shape))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 3), (16, 16), (4,)])
