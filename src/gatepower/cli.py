@@ -35,6 +35,19 @@ _CSV_BOOL = np.array(["false", "true"], dtype=object)
 # an edge sweep keeps its points and one 1024-row block: scan --edge LN --steps 1000000 --out peaked at 83 MB
 _STEPS_MAX = 1_000_000
 
+# json.dumps(m, indent=2) of a 4x4 [re, im] block as the value of a top-level key: one %r
+# (float.__repr__, as json writes a finite float) per number, re and im cell by cell
+_JSON_CELL = "[\n        %r,\n        %r\n      ]"
+_JSON_ROW = "[\n      " + ",\n      ".join([_JSON_CELL] * 4) + "\n    ]"
+_JSON_MATRIX = "[\n    " + ",\n    ".join([_JSON_ROW] * 4) + "\n  ]"
+# how json writes each leaf type of a record; every float a record holds is finite
+_JSON_LEAF = {
+    str: json.encoder.encode_basestring_ascii,
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+}
+
 
 def _fmt(x: float) -> str:
     """Decimal rendering with 12 significant digits."""
@@ -49,7 +62,7 @@ def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
 def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     """Read a gate matrix from a JSON file.
 
-    Schema: {"matrix": 4x4 array of [re, im] pairs of JSON numbers, "name": optional}.
+    Schema: {"matrix": 4x4 array of [re, im] pairs of JSON numbers, "name": optional printable string}.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -69,9 +82,38 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
             raise ValueError(f"{path}: matrix[{i // 4}][{i % 4}] must be an [re, im] pair of numbers, got {json.dumps(cell)}")
     m = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=complex)
     name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f"{path}: 'name' must be a string")
+    # the text view prints the name on its one-line gate: field, encoded as UTF-8
+    if name is not None and not (isinstance(name, str) and name.isprintable()):
+        raise ValueError(f"{path}: 'name' must be a printable string")
     return name, m
+
+
+def _json_value(v, indent: str) -> str:
+    """json.dumps(v, indent=2) of a dict, list or leaf nested at indent."""
+    kind = type(v)
+    if kind is not dict and kind is not list:
+        return _JSON_LEAF[kind](v)
+    if not v:
+        return "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    if kind is dict:
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_value(x, inner)}" for k, x in v.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return "[\n" + inner + (",\n" + inner).join([_json_value(x, inner) for x in v]) + "\n" + indent + "]"
+
+
+def _record_json(out: dict) -> str:
+    """An analyze record as json.dumps renders it with indent=2, byte for byte.
+
+    CPython falls back to its pure-Python encoder whenever indent is set; this
+    fills the fixed-shape matrix block from one template and walks the rest.
+    """
+    items = [
+        f"  {json.encoder.encode_basestring_ascii(k)}: "
+        + (_JSON_MATRIX % tuple(x for row in v for cell in row for x in cell) if k == "matrix" else _json_value(v, "  "))
+        for k, v in out.items()
+    ]
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def _parse_point(text: str, degrees: bool) -> WeylPoint:
@@ -147,7 +189,7 @@ def cmd_analyze(args) -> int:
     mc = None if args.mc is None else ep_monte_carlo(rec.matrix, args.mc, args.seed)
     out = _record(rec, mc)
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_record_json(out))
     else:
         _print_record(out)
     return 0

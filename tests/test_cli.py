@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -13,7 +14,9 @@ import pytest
 from gatepower import catalog, epower, linalg
 from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice, random_chamber_coords
 from gatepower.classify import classify_gate
-from gatepower.cli import _CSV_BOOL, _CSV_ROW, build_parser, load_matrix_file, main, matrix_to_json
+from gatepower.cli import (
+    _CSV_BOOL, _CSV_ROW, _record, _record_json, build_parser, load_matrix_file, main, matrix_to_json,
+)
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
 
@@ -187,6 +190,8 @@ def _with_cell(value) -> list:
         json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [5]}),
         json.dumps({"matrix": 5}),
         json.dumps({"matrix": matrix_to_json(SWAP), "name": 7}),
+        json.dumps({"matrix": matrix_to_json(SWAP), "name": "\ud800"}),  # UTF-8 cannot encode it
+        json.dumps({"matrix": matrix_to_json(SWAP), "name": "a\nb"}),  # would split the gate: line
         json.dumps([matrix_to_json(SWAP)]),
         "{not json",
         '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",  # json.load raises RecursionError
@@ -194,7 +199,7 @@ def _with_cell(value) -> list:
     ids=[
         "bool-cell", "three-number-cell", "one-number-cell", "string-cell", "null-cell",
         "bare-number-cell", "oversized-integer-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
-        "name-not-a-string", "no-object", "not-json", "deeply-nested",
+        "name-not-a-string", "name-lone-surrogate", "name-newline", "no-object", "not-json", "deeply-nested",
     ],
 )
 def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, text):
@@ -203,6 +208,14 @@ def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, text):
     code, out, err = run(capsys, "analyze", "--matrix", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("name", [7, "\ud800", "a\nb", "tab\there", "\x7f"])
+def test_matrix_file_name_must_be_printable(tmp_path, name):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": matrix_to_json(SWAP), "name": name}))
+    with pytest.raises(ValueError, match=f"^{path}: 'name' must be a printable string$"):
+        load_matrix_file(str(path))
 
 
 def test_matrix_file_accepts_integer_cells(tmp_path):
@@ -400,21 +413,27 @@ def test_verify_montecarlo_reports_each_violation_in_catalog_order(capsys, monke
     assert lines[10:] == [f"  {line}" for line in expected] + ["result: FAIL"]
 
 
+def _bumped(fn, at):
+    """fn with 1e-6 added to its values at the points numbered in at, counting across chunked calls."""
+    seen = 0
+
+    def wrapped(*args):
+        nonlocal seen
+        out = np.array(fn(*args), dtype=float)
+        out[[i - seen for i in at if seen <= i < seen + len(out)]] += 1e-6
+        seen += len(out)
+        return out
+    return wrapped
+
+
+def _bump_routes(monkeypatch, g1_at, op_at, g2_at):
+    # bumps of 1e-6: above every tolerance, rendered as 1.000e-06
+    for name, at in (("ep_from_g1_abs", g1_at), ("_ep_operator", op_at), ("g2_product_array", g2_at)):
+        monkeypatch.setattr(epower, name, _bumped(getattr(epower, name), at))
+
+
 def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypatch):
-    # bumps of 1e-6 at chosen points: above every tolerance, rendered as 1.000e-06
-    n, seed, bump = 8, 4, 1e-6
-    g1_at, op_at, g2_at = [1, 5], [3, 5], [3, 5]
-
-    def bumped(fn, at):
-        def wrapped(*args):
-            out = np.array(fn(*args), dtype=float)
-            out[at] += bump
-            return out
-        return wrapped
-
-    monkeypatch.setattr(epower, "ep_from_g1_abs", bumped(epower.ep_from_g1_abs, g1_at))
-    monkeypatch.setattr(epower, "_ep_operator", bumped(epower._ep_operator, op_at))
-    monkeypatch.setattr(epower, "g2_product_array", bumped(epower.g2_product_array, g2_at))
+    n, seed = 8, 4
     at = [WeylPoint(*p) for p in random_chamber_coords(seed, n).tolist()]
     expected = (
         f"closed vs |g1| route: 1.000e-06 at {at[1]}",
@@ -424,13 +443,31 @@ def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypa
         f"closed vs operator route: 1.000e-06 at {at[5]}",
         f"g2 forms: 1.000e-06 at {at[5]}",
     )
-    rep = epower.verify_route_agreement(n, seed)
+    with monkeypatch.context() as patch:
+        _bump_routes(patch, g1_at=[1, 5], op_at=[3, 5], g2_at=[3, 5])
+        rep = epower.verify_route_agreement(n, seed)
     assert rep.violations == expected
     assert rep.passed is False
-    code, out, _ = run(capsys, "verify", "routes", "--n", str(n), "--seed", str(seed))
+    with monkeypatch.context() as patch:
+        _bump_routes(patch, g1_at=[1, 5], op_at=[3, 5], g2_at=[3, 5])
+        code, out, _ = run(capsys, "verify", "routes", "--n", str(n), "--seed", str(seed))
     assert code == 1
     lines = out.splitlines()
     assert lines[4:] == [f"  {line}" for line in expected] + ["result: FAIL"]
+
+
+def test_verify_routes_in_chunks_matches_one_shot_report(monkeypatch):
+    # 18 points in chunks of 4 (the last one short), with disagreements in the first and third chunk
+    n, seed = 18, 4
+    reports = []
+    for chunk in (4, n):
+        with monkeypatch.context() as patch:
+            patch.setattr(epower, "_ROUTE_CHUNK", chunk)
+            _bump_routes(patch, g1_at=[2, 9], op_at=[3, 8], g2_at=[9, 11])
+            reports.append(epower.verify_route_agreement(n, seed))
+    chunked, one_shot = reports
+    assert len(chunked.violations) == 6
+    assert chunked == one_shot
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])
@@ -513,6 +550,8 @@ GOLDEN_OUTPUTS = [
     (("analyze", "--point", "45,45,0", "--deg"), 0, "5c4bc9b289f933f2330309f29b392e4a032b93287441e196ddc2b4c5cf6dcbe9"),
     (("analyze", "--name", "CNOT_CLASS", "--mc", "2000", "--seed", "3"), 0, "f79646bbe18b4a21763bb94d6d5867681adb16bab2d4f4312e90682148d6ce7f"),
     (("analyze", "--name", "SPE:0.3", "--json"), 0, "113ecd13bf1945b05a013c63a7b8ccddb55affcd862b6d97fca27d1648eac604"),
+    (("analyze", "--point", "1.0,0.5,0.2", "--json"), 0, "e8e016610af6e78d65e736cf5f1b96ec5284491b98a94b2cf6818b1de2192a06"),
+    (("analyze", "--name", "CNOT_CLASS", "--mc", "2000", "--seed", "3", "--json"), 0, "c8c13e54d6cd7a6427aa5b5445d5257c06701188a5bf93914149bbb4010123d9"),
 ]
 
 
@@ -525,7 +564,8 @@ def test_output_matches_golden_digest(capsys, argv, exit_code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# two dressed gates: the first rounded to 8 decimals and named, the second at full precision
+# two dressed gates, the first rounded to 8 decimals and named, the second at full precision;
+# then SWAP under a name that --json must escape
 _GOLDEN_MATRIX_FILES = [
     (
         {
@@ -556,10 +596,17 @@ _GOLDEN_MATRIX_FILES = [
         "aab3fe98114af0c9b3d614ee9dd8088c3ffa0bee335ea6a4178c6e1b76e6fdb9",
         "3470c1ca1fe97657df339f35d17cf90cb9875ec28d520b4fdb2967b0fde9ac3c",
     ),
+    (
+        {"name": 'a"b\\c \u00e9 \u2713', "matrix": matrix_to_json(SWAP)},
+        "444bdb9703808938a56c29ba933ea643d3a76246cfdfd66341979670020113f7",
+        "4eea6c0fca37990868e44a08ec955b53264ed9d65c82eb40998ce48c79ecfe90",
+    ),
 ]
 
 
-@pytest.mark.parametrize(("data", "text_digest", "json_digest"), _GOLDEN_MATRIX_FILES, ids=["rounded_named", "full"])
+@pytest.mark.parametrize(
+    ("data", "text_digest", "json_digest"), _GOLDEN_MATRIX_FILES, ids=["rounded_named", "full", "escaped_name"]
+)
 def test_analyze_matrix_output_matches_golden_digest(capsys, tmp_path, data, text_digest, json_digest):
     path = tmp_path / "gate.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -587,6 +634,61 @@ def _per_value_row(values, flags) -> str:
 def test_csv_row_template_matches_per_value_rendering(values, flags):
     labels = _CSV_BOOL[np.array(flags).astype(np.intp)].tolist()
     assert _CSV_ROW % (*values, *labels) == _per_value_row(values, flags)
+
+
+def _json_test_record(values, name, tags) -> dict:
+    """An analyze-shaped record whose numbers cycle through values, plus empty and mixed containers."""
+    nums = itertools.cycle(values)
+    record = {} if name is None else {"name": name}
+    record["point"] = list(values[:3])
+    record["matrix"] = [[[next(nums), next(nums)] for _ in range(4)] for _ in range(4)]
+    record["invariants"] = {"g1": [next(nums), next(nums)], "g1_abs": next(nums), "g2": next(nums)}
+    record["ep"] = {"operator": next(nums), "monte_carlo": {"mean": next(nums), "n_samples": 10**20, "seed": -3}}
+    record["pe"] = {"verdict": True, "geometric": {"is_pe": False, "margins": {}}, "invariant": {"margins": {"g2_low": next(nums)}}}
+    record["tags"] = tags
+    record["extra"] = [[], {}, [0, -1, True, False, "x"], [[[]]]]
+    return record
+
+
+_JSON_EDGE_VALUES = [-0.0, 5e-324, 1e17, 0.1 + 0.2, -5e-324, 1e16, 1e-5, 2.0**60, -math.pi, 1.7976931348623157e308, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("shift", range(0, len(_JSON_EDGE_VALUES), 3))
+@pytest.mark.parametrize(
+    ("name", "tags"), [(None, []), ('a"b\\c \u00e9 \u2713\t\x7f', ["SPE", "EDGE_LN"]), ("", [""])], ids=["bare", "escaped", "empty"]
+)
+def test_record_json_matches_json_dumps_indent_2(shift, name, tags):
+    record = _json_test_record(_JSON_EDGE_VALUES[shift:] + _JSON_EDGE_VALUES[:shift], name, tags)
+    assert _record_json(record) == json.dumps(record, indent=2)
+
+
+def _analyze_records() -> dict:
+    sqrt_swap = catalog.named_gate("SQRT_SWAP")
+    dressed = np.array([[complex(*cell) for cell in row] for row in _GOLDEN_MATRIX_FILES[1][0]["matrix"]])
+    return {
+        "point": _record(classify_gate(WeylPoint(1.0, 0.5, 0.2)), None),
+        "name": _record(catalog.named_gate("CNOT_CLASS"), None),
+        "matrix": _record(classify_gate(dressed, name="dressed"), None),
+        "mc": _record(sqrt_swap, epower.ep_monte_carlo(sqrt_swap.matrix, 2000, 3)),
+    }
+
+
+def _leaves(obj):
+    if type(obj) is dict or type(obj) is list:
+        for v in obj.values() if type(obj) is dict else obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("kind", ["point", "name", "matrix", "mc"])
+def test_analyze_record_holds_only_plain_json_leaves(kind):
+    # _record_json dispatches on the exact leaf type, so a numpy scalar must never reach it
+    record = _analyze_records()[kind]
+    leaves = list(_leaves(record))
+    assert {type(x) for x in leaves} <= {str, float, int, bool}
+    assert all(math.isfinite(x) for x in leaves if type(x) is float)
+    assert _record_json(record) == json.dumps(record, indent=2)
 
 
 # -------------------------------------------------------------------- catalog
