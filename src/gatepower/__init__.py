@@ -10,7 +10,6 @@ from .canonical import (
     canonical_gate_array,
     edge_point,
     in_weyl_chamber,
-    random_chamber_points,
 )
 from .catalog import catalog_records, named_gate, verify_monte_carlo
 from .classify import (
@@ -70,7 +69,6 @@ __all__ = [
     "is_pe_geometric",
     "is_pe_invariant",
     "named_gate",
-    "random_chamber_points",
     "verify_monte_carlo",
     "verify_route_agreement",
     "verify_theorems",

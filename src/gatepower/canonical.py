@@ -41,7 +41,6 @@ __all__ = [
     "in_weyl_chamber",
     "mirror_coords",
     "random_chamber_coords",
-    "random_chamber_points",
 ]
 
 # slack applied to every chamber inequality
@@ -50,7 +49,7 @@ _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named ed
 # chamber_lattice builds a grid_n^3 mask; verify theorems evaluates the whole lattice at
 # about 350 bytes per chamber point, so 256 caps it near 1 GB (scan --chamber 256 peaks near 240 MB)
 _GRID_MAX = 256
-# attempts per random_chamber_coords pass: 1.5 MB of coordinates
+# attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
 _PASS_MAX = 1 << 16
 
 _HALF_PI = math.pi / 2
@@ -206,6 +205,23 @@ def edge_tags(p: WeylPoint) -> set[str]:
     return tags
 
 
+def _chamber_coord_passes(seed: int, count: int):
+    """The first count points of random_chamber_coords, yielded pass by pass as (k, 3) arrays, k >= 1."""
+    scale = np.array([math.pi, _HALF_PI, _HALF_PI])
+    start = 0
+    while count > 0:
+        # the chamber fills 1/6 of the box, so 7 attempts per point still needed keep nearly every
+        # sample to one pass; the points are a prefix of one stream, so the pass size changes only
+        # how many passes there are
+        attempts = min(7 * count, _PASS_MAX)
+        c = scale * rng.uniform_stream(seed, start, 3 * attempts).reshape(attempts, 3)
+        start += 3 * attempts
+        kept = c[chamber_mask(*c.T)][:count]
+        count -= len(kept)
+        if len(kept):
+            yield kept
+
+
 def random_chamber_coords(seed: int, count: int) -> np.ndarray:
     """Deterministic uniform sample of chamber points as a (count, 3) array.
 
@@ -213,20 +229,4 @@ def random_chamber_coords(seed: int, count: int) -> np.ndarray:
     using the documented stream for ``seed`` (three uniforms per attempt,
     consumed in index order) and keeps points inside the chamber.
     """
-    scale = np.array([math.pi, _HALF_PI, _HALF_PI])
-    kept = [np.empty((0, 3))]
-    have = start = 0
-    while have < count:
-        # the chamber fills 1/6 of the box; the points are a prefix of one stream, so the
-        # pass size changes only how many passes there are
-        attempts = min(6 * (count - have), _PASS_MAX)
-        c = scale * rng.uniform_stream(seed, start, 3 * attempts).reshape(attempts, 3)
-        start += 3 * attempts
-        kept.append(c[chamber_mask(*c.T)])
-        have += len(kept[-1])
-    return np.concatenate(kept)[:count]
-
-
-def random_chamber_points(seed: int, count: int) -> list[WeylPoint]:
-    """``random_chamber_coords`` as a list of points."""
-    return [WeylPoint(*row) for row in random_chamber_coords(seed, count).tolist()]
+    return np.concatenate([np.empty((0, 3)), *_chamber_coord_passes(seed, count)])

@@ -8,8 +8,10 @@ entangled state from some product state. Two tests are implemented:
   * invariant-only: require |g1| <= 1/4 and -1 <= g2 <= 1.
 
 The geometric test is exact. The invariant box is necessary but not
-sufficient: it also admits a thin sliver of non-perfect entanglers just
-inside its |g1| = 1/4 face. ``verify_theorems`` sweeps a chamber lattice,
+sufficient: it also admits non-perfect entanglers just inside its
+|g1| = 1/4 face, 58 of the 2769 chamber points at grid 25 (2.1%) and 290
+of 11060 at grid 40 (2.6%), a share that rises with the lattice
+resolution. ``verify_theorems`` sweeps a chamber lattice,
 checks the entangling-power window [1/6, 2/9] of perfect entanglers and
 reports every off-boundary point where the two tests disagree.
 """

@@ -56,7 +56,7 @@ def _fmt(x: float) -> str:
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
     """4x4 complex matrix as nested [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(4, 4, 2).tolist()
 
 
 def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:

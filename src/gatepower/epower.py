@@ -16,8 +16,8 @@ reports exactly.
 
 The operator route is written once over (..., 4, 4) stacks of matrices.
 ep_operator_exact checks one 4x4 input and evaluates it there;
-verify_route_agreement evaluates its sample of canonical gates as stacks
-of at most _ROUTE_CHUNK gates.
+verify_route_agreement evaluates each sampler pass of its canonical gates
+as one stack.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .canonical import WeylPoint, canonical_gate_array, random_chamber_coords
+from .canonical import WeylPoint, _chamber_coord_passes, canonical_gate_array
 from .invariants import _RANGE_TOL, g1_abs_array, g2_array, g2_product_array
 from .linalg import SWAP, require_unitary
 
@@ -54,11 +54,9 @@ _BLOCK = 1024
 # noise, so non-entangling gates report exactly 0
 _SNAP_DECIMALS = 12
 
-# verify_route_agreement keeps every drawn point (24 bytes) and evaluates _ROUTE_CHUNK of them at
-# once, about 1.4 KB each (a 4x4 complex stack and its products): verify routes --n 1000000 peaked at
-# 154 MB ru_maxrss, against 1.3 GB as one stack
+# verify_route_agreement holds one sampler pass at a time, so its memory does not grow with n_points;
+# the cap bounds run time: verify routes --n 1000000 took 4.4-5.6 s in a fresh process on a 2-core host
 _ROUTE_POINTS_MAX = 1_000_000
-_ROUTE_CHUNK = 65536
 
 # ep_monte_carlo_many keeps a block key and per-gate block sums for every 1024 samples; at n = 10**7
 # tracemalloc read 100 bytes per block for one gate and 230 for the nine catalog gates (15 s on a
@@ -242,12 +240,11 @@ def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     if n_points > _ROUTE_POINTS_MAX:
         raise ValueError(f"n_points must be at most {_ROUTE_POINTS_MAX}, got {n_points}")
-    pts = random_chamber_coords(seed, n_points)
     maxima = [0.0, 0.0, 0.0]
     violations = []
-    # one chunk at a time, so peak memory holds one chunk's gate stack; maxima and point order are unchanged
-    for chunk in np.split(pts, range(_ROUTE_CHUNK, n_points, _ROUTE_CHUNK)):
-        c = chunk.T
+    # one sampler pass at a time, so peak memory holds one pass's gate stack; maxima and point order are unchanged
+    for pts in _chamber_coord_passes(seed, n_points):
+        c = pts.T
         closed = ep_closed_array(*c)
         d_g1 = np.abs(closed - ep_from_g1_abs(g1_abs_array(*c)))
         d_op = np.abs(closed - _ep_operator(canonical_gate_array(*c)))
@@ -256,7 +253,7 @@ def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
         maxima = [max(m, float(diffs.max())) for m, (_, diffs, _) in zip(maxima, checks)]
         bad = np.logical_or.reduce([diffs > tol for _, diffs, tol in checks])
         violations += [
-            f"{label}: {diffs[i]:.3e} at {WeylPoint(*chunk[i].tolist())}"
+            f"{label}: {diffs[i]:.3e} at {WeylPoint(*pts[i].tolist())}"
             for i in np.flatnonzero(bad) for label, diffs, tol in checks if diffs[i] > tol
         ]
     return RouteAgreementReport(

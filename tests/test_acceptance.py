@@ -15,7 +15,7 @@ from gatepower.canonical import (
     WeylPoint,
     canonical_gate,
     edge_point,
-    random_chamber_points,
+    random_chamber_coords,
 )
 from gatepower.catalog import named_gate
 from gatepower.classify import verify_theorems
@@ -102,7 +102,7 @@ def test_criterion_04_route_identity():
 
 def test_criterion_05_matrix_route_consistency():
     worst = 0.0
-    for p in random_chamber_points(777, 500):
+    for p in random_chamber_coords(777, 500).tolist():
         inv = invariants_from_matrix(canonical_gate(p))
         worst = max(
             worst,
@@ -116,7 +116,7 @@ def test_criterion_05_matrix_route_consistency():
 def test_criterion_06_local_and_inverse_invariance():
     rng = np.random.default_rng(123)
     worst_dress = worst_inv = 0.0
-    for p in random_chamber_points(88, 100):
+    for p in random_chamber_coords(88, 100).tolist():
         u = canonical_gate(p)
         base = invariants_from_matrix(u)
         base_ep = ep_operator_exact(u)
@@ -172,7 +172,7 @@ def test_criterion_08_monte_carlo_agreement():
         for name in ("IDENTITY", "SWAP", "DCNOT", "SQRT_SWAP")
     }
     gates["SPE:pi/4"] = named_gate(f"SPE:{PI / 4!r}")
-    p = random_chamber_points(5150, 1)[0]
+    p = random_chamber_coords(5150, 1).tolist()[0]
     random_rec = None
     for label, rec in gates.items():
         est = ep_monte_carlo(rec.matrix, 200_000, seed=42)

@@ -18,7 +18,6 @@ from gatepower.canonical import (
     in_weyl_chamber,
     mirror_coords,
     random_chamber_coords,
-    random_chamber_points,
 )
 from gatepower.linalg import SWAP, unitarity_defect
 
@@ -71,7 +70,7 @@ def test_apply_cnot_class_to_00():
 
 
 def test_canonical_gate_is_unitary_everywhere():
-    for p in random_chamber_points(2024, 1000):
+    for p in random_chamber_coords(2024, 1000).tolist():
         assert unitarity_defect(canonical_gate(p)) < 1e-12
 
 
@@ -80,7 +79,7 @@ def test_canonical_gate_matches_exponential_form():
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
     xx, yy, zz = np.kron(x, x), np.kron(y, y), np.kron(z, z)
-    for p in random_chamber_points(5, 50):
+    for p in random_chamber_coords(5, 50).tolist():
         c1, c2, c3 = p
         ref = expm(-0.5j * (c1 * xx + c2 * yy + c3 * zz))
         assert np.max(np.abs(canonical_gate(p) - ref)) < 1e-12
@@ -230,17 +229,17 @@ def test_edge_tags():
     assert edge_tags(WeylPoint(1.1, 0.6, 0.2)) == set()
 
 
-def test_random_chamber_points_deterministic():
-    a = random_chamber_points(123, 40)
-    b = random_chamber_points(123, 40)
-    c = random_chamber_points(124, 40)
-    assert a == b
-    assert a != c
-    assert len(a) == 40
-    assert all(in_weyl_chamber(p) for p in a)
+def test_random_chamber_coords_deterministic():
+    a = random_chamber_coords(123, 40)
+    b = random_chamber_coords(123, 40)
+    c = random_chamber_coords(124, 40)
+    assert a.tobytes() == b.tobytes()
+    assert not np.array_equal(a, c)
+    assert a.shape == (40, 3)
+    assert all(in_weyl_chamber(WeylPoint(*p)) for p in a.tolist())
     # covers both halves of the chamber
-    assert any(p.c1 > PI / 2 for p in a)
-    assert any(p.c1 < PI / 2 for p in a)
+    assert np.any(a[:, 0] > PI / 2)
+    assert np.any(a[:, 0] < PI / 2)
 
 
 def _fixed_pass_chamber_coords(seed: int, count: int) -> np.ndarray:
@@ -265,9 +264,23 @@ def test_random_chamber_coords_is_bit_identical_to_fixed_pass_reference(seed):
         assert got.tobytes() == _fixed_pass_chamber_coords(seed, count).tobytes()
 
 
-def test_random_chamber_coords_draws_in_few_passes(monkeypatch):
+@pytest.fixture
+def uniform_stream_calls(monkeypatch) -> list:
+    """The argument tuples of every rng.uniform_stream call made while the test runs."""
     calls = []
     uniform_stream = rng.uniform_stream
     monkeypatch.setattr(rng, "uniform_stream", lambda *args: calls.append(args) or uniform_stream(*args))
+    return calls
+
+
+def test_random_chamber_coords_draws_in_few_passes(uniform_stream_calls):
     assert len(random_chamber_coords(3, 100_000)) == 100_000
-    assert len(calls) <= 20
+    assert len(uniform_stream_calls) <= 20
+
+
+@pytest.mark.parametrize("count", [200, 400, 600])
+def test_random_chamber_coords_draws_small_samples_in_one_pass(uniform_stream_calls, count):
+    # sweep-sized samples: 7 attempts per point keep each of seeds 0-99 to one uniform_stream call
+    for seed in range(100):
+        assert len(random_chamber_coords(seed, count)) == count
+    assert len(uniform_stream_calls) == 100

@@ -11,14 +11,17 @@ import warnings
 import numpy as np
 import pytest
 
-from gatepower import catalog, epower, linalg
-from gatepower.canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice, random_chamber_coords
+from gatepower import canonical, catalog, classify, epower, linalg
+from gatepower.canonical import (
+    EdgeId, WeylPoint, _edge_coords, canonical_gate, chamber_lattice, random_chamber_coords,
+)
 from gatepower.classify import classify_gate
 from gatepower.cli import (
     _CSV_BOOL, _CSV_ROW, _record, _record_json, build_parser, load_matrix_file, main, matrix_to_json,
 )
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
+from helpers import dress
 
 PI = math.pi
 
@@ -167,6 +170,28 @@ def test_matrix_file_schema_errors(tmp_path):
     path.write_text(json.dumps({"matrix": [[[1, 0]] * 3] * 3}))
     with pytest.raises(ValueError, match="4x4"):
         load_matrix_file(str(path))
+
+
+def _matrix_to_json_reference(m) -> list:
+    """matrix_to_json as a comprehension over the entries, kept as the bit-identity reference."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+_GATE = dress(canonical_gate(WeylPoint(1.0, 0.5, 0.2)), np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("m", [
+    _GATE,
+    _GATE.T,  # not C-contiguous
+    np.array([[complex(-0.0, x) for x in (-0.0, 0.0, 1.0, -1.0)]] * 4),
+    np.full((4, 4), complex(5e-324, -5e-324)),
+], ids=["dressed", "transpose", "negative_zero", "subnormal"])
+def test_matrix_to_json_is_bit_identical_to_comprehension(m):
+    got = matrix_to_json(m)
+    ref = _matrix_to_json_reference(m)
+    # json.dumps writes repr of each float, so -0.0 and 5e-324 must survive as they are
+    assert json.dumps(got) == json.dumps(ref)
+    assert all(type(x) is float for row in got for cell in row for x in cell)
 
 
 def _with_cell(value) -> list:
@@ -376,6 +401,45 @@ def test_verify_theorems_passes(capsys):
     assert "equivalence violations: 0" in out
 
 
+def _set_at(fn, i, value):
+    """fn with its value at point i replaced by value."""
+    def wrapped(*args):
+        out = np.array(fn(*args), dtype=float)
+        out[i] = value
+        return out
+    return wrapped
+
+
+# point 32 of the grid-10 chamber lattice, its first perfect entangler off the boundary
+_GRID10_PE = "WeylPoint(c1=1.0471975511965976, c2=0.6981317007977318, c3=0.0)"
+
+
+@pytest.mark.parametrize(("name", "value", "buckets"), [
+    # g2 above 1 also fails the invariant box, so the point is an equivalence violation too
+    ("g2_array", 1.5, {
+        "g2 bound": [f"perfect entangler with g2 = 1.5 at {_GRID10_PE}"],
+        "equivalence": [f"geometric True vs invariant False at {_GRID10_PE}"],
+    }),
+    ("ep_closed_array", 0.5, {"ep range": [f"perfect entangler with e_p = 0.5 at {_GRID10_PE}"]}),
+])
+def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, monkeypatch, name, value, buckets):
+    monkeypatch.setattr(classify, name, _set_at(getattr(classify, name), 32, value))
+    rep = classify.verify_theorems(10)
+    assert rep.g2_bound_violations == buckets.get("g2 bound", [])
+    assert rep.ep_range_violations == buckets.get("ep range", [])
+    assert rep.n_violations == sum(map(len, buckets.values()))
+    code, out, _ = run(capsys, "verify", "theorems", "--grid", "10")
+    assert code == 1
+    expected = [
+        "theorem sweep: grid 10 (1000 lattice points, 190 in chamber, 92 perfect entanglers)",
+        "boundary-exempt points: 26",
+    ]
+    for label in ("g2 bound", "g2 converse", "equivalence", "ep range"):
+        lines = buckets.get(label, [])
+        expected += [f"{label} violations: {len(lines)}", *(f"  {line}" for line in lines)]
+    assert out.splitlines() == expected + ["result: FAIL"]
+
+
 def test_verify_routes_passes(capsys):
     code, out, _ = run(capsys, "verify", "routes", "--n", "100", "--seed", "7")
     assert code == 0
@@ -457,14 +521,18 @@ def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypa
 
 
 def test_verify_routes_in_chunks_matches_one_shot_report(monkeypatch):
-    # 18 points in chunks of 4 (the last one short), with disagreements in the first and third chunk
+    # 18 points drawn 4 candidates per sampler pass, so each pass keeps at most 4 points and many keep
+    # none, with disagreements in several passes; the default pass size draws them in one pass
     n, seed = 18, 4
     reports = []
-    for chunk in (4, n):
+    for pass_max in (4, canonical._PASS_MAX):
         with monkeypatch.context() as patch:
-            patch.setattr(epower, "_ROUTE_CHUNK", chunk)
+            patch.setattr(canonical, "_PASS_MAX", pass_max)
+            passes = [len(pts) for pts in canonical._chamber_coord_passes(seed, n)]
             _bump_routes(patch, g1_at=[2, 9], op_at=[3, 8], g2_at=[9, 11])
             reports.append(epower.verify_route_agreement(n, seed))
+        assert sum(passes) == n
+        assert (len(passes) > 4) == (pass_max == 4)
     chunked, one_shot = reports
     assert len(chunked.violations) == 6
     assert chunked == one_shot

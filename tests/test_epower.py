@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatepower import epower
-from gatepower.canonical import WeylPoint, canonical_gate, random_chamber_points
+from gatepower.canonical import WeylPoint, canonical_gate, random_chamber_coords
 from gatepower.epower import (
     EP_MAX,
     EpEstimate,
@@ -95,7 +95,7 @@ def test_operator_route_canonical_examples():
 
 
 def test_three_routes_agree():
-    for p in random_chamber_points(11, 50):
+    for p in random_chamber_coords(11, 50).tolist():
         closed = ep_closed_form(p)
         assert closed == pytest.approx(ep_from_g1_abs(g1_abs_array(*p)), abs=1e-12)
         assert closed == pytest.approx(ep_operator_exact(canonical_gate(p)), abs=1e-10)
@@ -104,7 +104,7 @@ def test_three_routes_agree():
 
 def test_operator_route_local_dressing_invariance():
     rng = np.random.default_rng(77)
-    for p in random_chamber_points(21, 20):
+    for p in random_chamber_coords(21, 20).tolist():
         u = canonical_gate(p)
         assert ep_operator_exact(dress(u, rng)) == pytest.approx(
             ep_operator_exact(u), abs=1e-9
@@ -117,7 +117,7 @@ def test_operator_route_rounded_dressed_gates():
     # stay on the closed form
     rng = np.random.default_rng(5)
     checked = 0
-    for p in random_chamber_points(29, 200):
+    for p in random_chamber_coords(29, 200).tolist():
         phase = np.exp(1j * rng.uniform(0, 2 * PI))
         u = np.round(phase * dress(canonical_gate(p), rng), 8)
         if unitarity_defect(u) > INGEST_UNITARY_TOL:
@@ -128,7 +128,7 @@ def test_operator_route_rounded_dressed_gates():
 
 
 def test_operator_route_inverse_invariance():
-    for p in random_chamber_points(37, 25):
+    for p in random_chamber_coords(37, 25).tolist():
         u = canonical_gate(p)
         assert ep_operator_exact(u.conj().T) == pytest.approx(
             ep_operator_exact(u), abs=1e-10
@@ -158,7 +158,7 @@ def test_operator_route_rejects_stack():
 
 def test_stacked_operator_route_equals_scalar_calls():
     rng = np.random.default_rng(13)
-    us = np.stack([dress(canonical_gate(p), rng) for p in random_chamber_points(17, 300)])
+    us = np.stack([dress(canonical_gate(p), rng) for p in random_chamber_coords(17, 300).tolist()])
     stacked = epower._ep_operator(us)
     assert stacked.shape == (300,)
     assert stacked.tolist() == [ep_operator_exact(u) for u in us]
@@ -271,7 +271,7 @@ def test_mc_entropy_sums_match_reduced_density_matrix_form():
 def _mc_gates():
     rng = np.random.default_rng(31)
     gates = [CNOT, np.eye(4), SWAP, canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4))]
-    gates += [dress(canonical_gate(p), rng) for p in random_chamber_points(3, 3)]
+    gates += [dress(canonical_gate(p), rng) for p in random_chamber_coords(3, 3).tolist()]
     return gates
 
 

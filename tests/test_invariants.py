@@ -9,7 +9,6 @@ from gatepower.canonical import (
     canonical_gate,
     mirror_coords,
     random_chamber_coords,
-    random_chamber_points,
 )
 from gatepower.errors import ConsistencyError, NonUnitaryError
 from gatepower.invariants import (
@@ -148,7 +147,7 @@ def test_matrix_route_half_cnot_class_point():
 
 def test_routes_agree_on_random_points():
     """Matrix and closed-form routes match on 1000 sampled chamber points."""
-    for p in random_chamber_points(2024, 1000):
+    for p in random_chamber_coords(2024, 1000).tolist():
         inv = invariants_from_matrix(canonical_gate(p))
         closed = invariants_at_point(p)
         assert abs(inv.g1) == pytest.approx(float(g1_abs_array(*p)), abs=1e-10)
@@ -166,7 +165,7 @@ def test_global_phase_invariance():
 
 def test_local_dressing_invariance():
     rng = np.random.default_rng(99)
-    for p in random_chamber_points(15, 25):
+    for p in random_chamber_coords(15, 25).tolist():
         u = canonical_gate(p)
         base = invariants_from_matrix(u)
         dressed = invariants_from_matrix(dress(u, rng))
@@ -194,7 +193,7 @@ def test_conjugate_check_half_swap_class():
 
 def test_conjugate_check_fuzz():
     rng = np.random.default_rng(4242)
-    for p in random_chamber_points(31, 100):
+    for p in random_chamber_coords(31, 100).tolist():
         _assert_inverse_conjugates_g1(dress(canonical_gate(p), rng))
 
 
