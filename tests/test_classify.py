@@ -17,9 +17,12 @@ from gatepower.canonical import (
 )
 from gatepower.catalog import catalog_records
 from gatepower.classify import (
+    PE_EP_MIN,
     PE_TOL,
     GateRecord,
     PeVerdict,
+    TheoremReport,
+    _evaluate,
     _value_tags,
     classify_gate,
     geometric_margins,
@@ -27,7 +30,7 @@ from gatepower.classify import (
     is_pe_invariant,
     verify_theorems,
 )
-from gatepower.epower import ep_closed_form, ep_from_g1_abs
+from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError, TheoremViolationError
 from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
 from gatepower.linalg import SWAP, require_unitary
@@ -435,3 +438,47 @@ def test_verify_theorems_boundary_points_are_boundary():
         geo = is_pe_geometric(p)
         inv = is_pe_invariant(classify_gate(p).invariants)
         assert geo.on_boundary or inv.on_boundary
+
+
+def _reference_verify_theorems(grid_n: int) -> TheoremReport:
+    """verify_theorems with one WeylPoint and its repr per reported index, kept as the reference."""
+    pts = chamber_lattice(grid_n)
+    cols = _evaluate(*pts.T)
+    g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
+    geo, inv = cols["pe_geometric"], cols["pe_invariant"]
+    g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
+
+    def at(i) -> WeylPoint:
+        return WeylPoint(*pts[i].tolist())
+
+    return TheoremReport(
+        grid_n=grid_n,
+        n_lattice=grid_n**3,
+        n_chamber=len(pts),
+        n_pe=int(np.count_nonzero(geo)),
+        n_boundary_exempt=int(np.count_nonzero(boundary)),
+        boundary_points=[at(i) for i in np.flatnonzero(boundary)],
+        g2_bound_violations=[
+            f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+            for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
+        ],
+        g2_converse_violations=[
+            f"non-perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+            for i in np.flatnonzero(~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside)
+        ],
+        equivalence_violations=[
+            f"geometric {bool(geo[i])} vs invariant {bool(inv[i])} at {at(i)}"
+            for i in np.flatnonzero(~boundary & (geo != inv))
+        ],
+        ep_range_violations=[
+            f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
+            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)))
+        ],
+    )
+
+
+def test_verify_theorems_matches_per_index_reference():
+    for grid_n in [*range(2, 65), 128]:
+        rep = verify_theorems(grid_n)
+        assert rep == _reference_verify_theorems(grid_n), grid_n
+        assert all(type(x) is float for p in rep.boundary_points for x in p), grid_n

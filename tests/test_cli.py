@@ -17,7 +17,7 @@ from gatepower.canonical import (
 )
 from gatepower.classify import classify_gate
 from gatepower.cli import (
-    _CSV_BOOL, _CSV_ROW, _record, _record_json, build_parser, load_matrix_file, main, matrix_to_json,
+    _CSV_BOOL, _CSV_HEADER, _CSV_ROW, _record, _record_json, build_parser, load_matrix_file, main, matrix_to_json,
 )
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
@@ -384,6 +384,25 @@ def test_scan_verdicts_match_classify_gate(capsys, argv):
         assert geo == inv or rec.geometric.on_boundary or rec.invariant.on_boundary
 
 
+def _reference_scan_chamber(grid_n: int) -> str:
+    """scan --chamber with one "%.12g" per coordinate of every row, kept as the reference."""
+    pts = chamber_lattice(grid_n)
+    blocks = [_CSV_HEADER + "\n"]
+    for block in np.split(pts, range(1024, len(pts), 1024)):
+        cols = classify._evaluate(*block.T)
+        geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
+        columns = [*block.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
+        blocks.append("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in columns)))))
+    return "".join(blocks)
+
+
+@pytest.mark.parametrize("grid_n", [*range(2, 13), 31, 64])
+def test_scan_chamber_matches_per_row_reference(capsys, grid_n):
+    code, out, _ = run(capsys, "scan", "--chamber", str(grid_n))
+    assert code == 0
+    assert out == _reference_scan_chamber(grid_n)
+
+
 def test_scan_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "scan", "--chamber", "6")
     _, out2, _ = run(capsys, "scan", "--chamber", "6")
@@ -607,7 +626,11 @@ GOLDEN_OUTPUTS = [
     (("scan", "--edge", "A2P", "--steps", "11"), 0, "3faf4848985c9c359ea01f3943f1e04201891f3678056ab21b531d4eeb1072a2"),
     (("scan", "--edge", "A2P", "--steps", "101"), 0, "40c1f90b4e512dc8f1f0f91f2c514810d9e10a8963d7de942295e367d18aa0cc"),
     (("scan", "--edge", "A2P", "--steps", "4096"), 0, "906c176e39bf308eedae2d0741169ff4c35bc69ede7ea810966900d5ddb915aa"),
+    (("verify", "theorems", "--grid", "2"), 0, "c842a1292e3d860d2e2b3666b01d57f871a2d7bdee657c4fcf5adb647fd1d8c6"),
+    (("verify", "theorems", "--grid", "10"), 0, "f648e4819280fbfec9a1a63cdb108340da7e46ba92bdfae86a1eecc2186eb0e5"),
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
+    (("verify", "theorems", "--grid", "40"), 1, "be43ac940f4369a84eed81e0f3c3dca75bd9d276081f3f47c2ac6159318c8a7c"),
+    (("verify", "theorems", "--grid", "48"), 1, "a342e7a1b97b92095415f6a86b0af989b571da581b5a00a1dd7a5afb1ecf7287"),
     (("verify", "routes", "--n", "600", "--seed", "3"), 0, "902fd024599bf155d2bc903db4d1123731f82a46490513e5d74ce6bc8ba2df89"),
     (("verify", "routes"), 0, "7e5ee9104669e9f7e1cc05517f4ce8ff264a0c56855393085a0c5acd46452254"),
     (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
