@@ -85,16 +85,28 @@ def in_weyl_chamber(p: WeylPoint) -> bool:
     return bool(chamber_mask(p.c1, p.c2, p.c3))
 
 
-def chamber_lattice(grid_n: int) -> np.ndarray:
-    """Chamber points of the grid_n^3 lattice on [0, pi] x [0, pi/2]^2, c3 varying fastest.
+def _lattice_axes(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The axes of chamber_lattice(grid_n) and the axis indices of its points.
 
-    grid_n must lie in [2, 256]; anything else raises ValueError before any allocation.
+    Returns c1s (grid_n values on [0, pi]), c2s (grid_n values on [0, pi/2], the axis of c2 and
+    of c3) and a (3, n) uint8 array whose columns (i, j, k) give each chamber point
+    (c1s[i], c2s[j], c2s[k]), in chamber_lattice's row order. Raises ValueError as chamber_lattice does.
     """
     if not 2 <= grid_n <= _GRID_MAX:
         raise ValueError(f"grid size must lie in [2, {_GRID_MAX}], got {grid_n}")
     c1s = np.linspace(0.0, math.pi, grid_n)
     c2s = np.linspace(0.0, _HALF_PI, grid_n)
-    i, j, k = np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s))
+    # an index is below grid_n <= 256, so uint8 holds it in an eighth of nonzero's int64
+    ijk = np.array(np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s)), dtype=np.uint8)
+    return c1s, c2s, ijk
+
+
+def chamber_lattice(grid_n: int) -> np.ndarray:
+    """Chamber points of the grid_n^3 lattice on [0, pi] x [0, pi/2]^2, c3 varying fastest.
+
+    grid_n must lie in [2, 256]; anything else raises ValueError before any allocation.
+    """
+    c1s, c2s, (i, j, k) = _lattice_axes(grid_n)
     return np.column_stack((c1s[i], c2s[j], c2s[k]))
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .canonical import (
     WeylPoint,
+    _lattice_axes,
     _sort_desc,
     canonical_gate,
-    chamber_lattice,
     edge_tags,
     in_weyl_chamber,
 )
@@ -250,36 +250,38 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     power inside [1/6, 2/9]. All comparisons carry the PE_TOL slack.
     grid_n must lie in [2, 256], as for chamber_lattice.
     """
-    pts = chamber_lattice(grid_n)
-    cols = _evaluate(*pts.T)
+    c1s, c2s, ijk = _lattice_axes(grid_n)
+    axes = (c1s, c2s, c2s)
+    cols = _evaluate(*(axis[i] for axis, i in zip(axes, ijk)))
     g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
     geo, inv = cols["pe_geometric"], cols["pe_invariant"]
+    del cols  # frees the margins and the coordinates: the report reads only the six columns above
     g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
+    # repr runs once per axis value; a reported point's WeylPoint repr is put together from its indices
+    reprs = [np.array([repr(x) for x in axis.tolist()], dtype=object) for axis in axes]
 
-    def at(i) -> WeylPoint:
-        return WeylPoint(*pts[i].tolist())
+    def report(template: str, where: np.ndarray, *values: np.ndarray) -> list[str]:
+        """template % (*values, c1, c2, c3) at each point where is true, the coordinates as their reprs."""
+        rows = np.flatnonzero(where)
+        args = [v[rows].tolist() for v in values] + [r[i[rows]].tolist() for r, i in zip(reprs, ijk)]
+        return list(map(template.__mod__, zip(*args)))
 
+    at = " at WeylPoint(c1=%s, c2=%s, c3=%s)"
     return TheoremReport(
         grid_n=grid_n,
         n_lattice=grid_n**3,
-        n_chamber=len(pts),
+        n_chamber=ijk.shape[1],
         n_pe=int(np.count_nonzero(geo)),
         n_boundary_exempt=int(np.count_nonzero(boundary)),
-        boundary_points=[at(i) for i in np.flatnonzero(boundary)],
-        g2_bound_violations=[
-            f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
-            for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
-        ],
-        g2_converse_violations=[
-            f"non-perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
-            for i in np.flatnonzero(~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside)
-        ],
-        equivalence_violations=[
-            f"geometric {bool(geo[i])} vs invariant {bool(inv[i])} at {at(i)}"
-            for i in np.flatnonzero(~boundary & (geo != inv))
-        ],
-        ep_range_violations=[
-            f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
-            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)))
-        ],
+        boundary_points=list(map(WeylPoint, *(axis[i[boundary]].tolist() for axis, i in zip(axes, ijk)))),
+        g2_bound_violations=report(
+            "perfect entangler with g2 = %r" + at, geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)), g2
+        ),
+        g2_converse_violations=report(
+            "non-perfect entangler with g2 = %r" + at, ~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside, g2
+        ),
+        equivalence_violations=report("geometric %s vs invariant %s" + at, ~boundary & (geo != inv), geo, inv),
+        ep_range_violations=report(
+            "perfect entangler with e_p = %r" + at, geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)), ep
+        ),
     )

@@ -16,11 +16,12 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .canonical import EdgeId, WeylPoint, _edge_coords, chamber_lattice
+from .canonical import EdgeId, WeylPoint, _edge_coords, _lattice_axes
 from .catalog import catalog_records, named_gate, verify_monte_carlo
 from .classify import GateRecord, _evaluate, classify_gate, verify_theorems
 from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo, verify_route_agreement
@@ -205,16 +206,28 @@ def cmd_scan(args) -> int:
         if not 2 <= args.steps <= _STEPS_MAX:
             raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {args.steps}")
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
+        # an edge repeats no coordinate: each row renders its own three floats
+        row = _CSV_ROW
+        blocks = ((b.T, b.T) for b in np.split(pts, range(1024, len(pts), 1024)))
     else:
-        pts = chamber_lattice(args.chamber)
+        c1s, c2s, ijk = _lattice_axes(args.chamber)
+        axes = (c1s, c2s, c2s)
+        # a lattice has grid_n values per axis: "%.12g" runs once per value, and a row takes its
+        # coordinate text from these tables by its axis indices
+        texts = [np.array([_fmt(x) for x in axis.tolist()], dtype=object) for axis in axes]
+        row = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
+        blocks = (
+            ([axis[i] for axis, i in zip(axes, b)], [text[i] for text, i in zip(texts, b)])
+            for b in np.split(ijk, range(1024, ijk.shape[1], 1024), axis=1)
+        )
     # one 1024-row block at a time: peak memory holds one block's columns and text, not the CSV
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for block in np.split(pts, range(1024, len(pts), 1024)):
-            cols = _evaluate(*block.T)
+        for coords, shown in blocks:
+            cols = _evaluate(*coords)
             geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
-            columns = [*block.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
-            fh.write("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in columns)))))
+            columns = [*shown, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
+            fh.write("".join(map(row.__mod__, zip(*(col.tolist() for col in columns)))))
     return 0
 
 
@@ -321,6 +334,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (as head does): nothing to report, and stdout now points at
+        # os.devnull so that the interpreter's final flush of what is left cannot raise again
+        sys.stdout = open(os.devnull, "w")
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

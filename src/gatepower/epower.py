@@ -110,7 +110,9 @@ def _ep_operator(m: np.ndarray) -> np.ndarray:
     The caller guarantees unitarity: ep_operator_exact validates user
     input, and the library's own canonical gates are unitary by construction.
     """
-    return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m @ SWAP) - _E_SWAP)
+    # m @ SWAP is m with columns 1 and 2 swapped, up to the sign of zero entries, which E does not
+    # see; indexing swaps them without the matrix product
+    return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m[..., [0, 2, 1, 3]]) - _E_SWAP)
 
 
 def ep_operator_exact(u) -> float:

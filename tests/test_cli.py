@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import types
 import warnings
@@ -11,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+import gatepower
 from gatepower import canonical, catalog, classify, epower, linalg
 from gatepower.canonical import (
     EdgeId, WeylPoint, _edge_coords, canonical_gate, chamber_lattice, random_chamber_coords,
@@ -348,6 +351,23 @@ def test_scan_writes_one_block_at_a_time(monkeypatch):
     digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "25"))
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
     assert max(text.count("\n") for text in writes) <= 1024
+
+
+@pytest.mark.parametrize(
+    "argv", [("scan", "--chamber", "48"), ("verify", "theorems", "--grid", "64")], ids=lambda argv: " ".join(argv)
+)
+def test_closed_stdout_pipe_exits_3_without_a_message(argv):
+    # each output is larger than a pipe's buffer, so the command is still writing when the pipe closes
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gatepower.__file__))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from gatepower.cli import entry; entry()", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 3
+    assert err == b""
 
 
 def test_scan_unwritable_path_exits_3(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatepower import epower
-from gatepower.canonical import WeylPoint, canonical_gate, random_chamber_coords
+from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
 from gatepower.epower import (
     EP_MAX,
     EpEstimate,
@@ -21,7 +21,7 @@ from gatepower.invariants import g1_abs_array
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 from gatepower.rng import block_key
 
-from helpers import dress
+from helpers import dress, haar_unitary
 
 PI = math.pi
 
@@ -163,6 +163,22 @@ def test_stacked_operator_route_equals_scalar_calls():
     assert stacked.shape == (300,)
     assert stacked.tolist() == [ep_operator_exact(u) for u in us]
     assert epower._ep_operator(us.reshape(30, 10, 4, 4)).tolist() == stacked.reshape(30, 10).tolist()
+
+
+def _reference_ep_operator(m: np.ndarray) -> np.ndarray:
+    """_ep_operator with u·SWAP formed as a matrix product, kept as the reference."""
+    E = epower._operator_entanglement
+    return (4.0 / 9.0) * (E(m) + E(m @ SWAP) - E(SWAP))
+
+
+def test_operator_route_column_swap_is_bit_identical_to_swap_product():
+    rng = np.random.default_rng(21)
+    stacks = [
+        canonical_gate_array(*random_chamber_coords(23, 11000).T),
+        np.stack([haar_unitary(4, rng) for _ in range(2000)]),
+    ]
+    for us in stacks:
+        assert epower._ep_operator(us).tolist() == _reference_ep_operator(us).tolist()
 
 
 # ------------------------------------------------------------------ monte carlo
