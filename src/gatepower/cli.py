@@ -327,7 +327,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed the pipe early shows here, not at interpreter exit
+        return code
     except (ConsistencyError, TheoremViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

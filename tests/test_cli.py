@@ -354,16 +354,25 @@ def test_scan_writes_one_block_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv", [("scan", "--chamber", "48"), ("verify", "theorems", "--grid", "64")], ids=lambda argv: " ".join(argv)
+    ("argv", "lines_read"),
+    [
+        # larger than a pipe's buffer: the command is still writing when the pipe closes
+        (("scan", "--chamber", "48"), 1),
+        (("verify", "theorems", "--grid", "64"), 1),
+        # a few hundred bytes, left in stdout's buffer until main flushes it into the closed pipe
+        (("analyze", "--name", "SWAP"), 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else f"read {v}",
 )
-def test_closed_stdout_pipe_exits_3_without_a_message(argv):
-    # each output is larger than a pipe's buffer, so the command is still writing when the pipe closes
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gatepower.__file__))}
+def test_closed_stdout_pipe_exits_3_without_a_message(argv, lines_read):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # stdout block-buffered, as by default
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gatepower.__file__))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from gatepower.cli import entry; entry()", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline()
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 3
