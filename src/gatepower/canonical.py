@@ -46,8 +46,9 @@ __all__ = [
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
-# chamber_lattice builds a grid_n^3 mask; verify theorems evaluates the whole lattice at
-# about 350 bytes per chamber point, so 256 caps it near 1 GB (scan --chamber 256 peaks near 240 MB)
+# _lattice_axes builds a grid_n^3 mask and keeps each axis index in a uint8, which holds grid_n <= 256;
+# at 256 verify theorems, evaluating the whole lattice at about 110 bytes per chamber point, peaked at
+# 335 MB ru_maxrss, and scan --chamber, 1024 rows at a time, at 110 MB
 _GRID_MAX = 256
 # attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
 _PASS_MAX = 1 << 16
@@ -85,11 +86,11 @@ def in_weyl_chamber(p: WeylPoint) -> bool:
     return bool(chamber_mask(p.c1, p.c2, p.c3))
 
 
-def _lattice_axes(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lattice_axes(grid_n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """The axes of chamber_lattice(grid_n) and the axis indices of its points.
 
-    Returns c1s (grid_n values on [0, pi]), c2s (grid_n values on [0, pi/2], the axis of c2 and
-    of c3) and a (3, n) uint8 array whose columns (i, j, k) give each chamber point
+    Returns the axis of each coordinate, (c1s, c2s, c2s) with grid_n values on [0, pi] and on
+    [0, pi/2], and a (3, n) uint8 array whose columns (i, j, k) give each chamber point
     (c1s[i], c2s[j], c2s[k]), in chamber_lattice's row order. Raises ValueError as chamber_lattice does.
     """
     if not 2 <= grid_n <= _GRID_MAX:
@@ -98,7 +99,7 @@ def _lattice_axes(grid_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     c2s = np.linspace(0.0, _HALF_PI, grid_n)
     # an index is below grid_n <= 256, so uint8 holds it in an eighth of nonzero's int64
     ijk = np.array(np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s)), dtype=np.uint8)
-    return c1s, c2s, ijk
+    return (c1s, c2s, c2s), ijk
 
 
 def chamber_lattice(grid_n: int) -> np.ndarray:
@@ -106,8 +107,8 @@ def chamber_lattice(grid_n: int) -> np.ndarray:
 
     grid_n must lie in [2, 256]; anything else raises ValueError before any allocation.
     """
-    c1s, c2s, (i, j, k) = _lattice_axes(grid_n)
-    return np.column_stack((c1s[i], c2s[j], c2s[k]))
+    axes, ijk = _lattice_axes(grid_n)
+    return np.column_stack([axis[i] for axis, i in zip(axes, ijk)])
 
 
 def _sort_desc(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -250,8 +250,7 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     power inside [1/6, 2/9]. All comparisons carry the PE_TOL slack.
     grid_n must lie in [2, 256], as for chamber_lattice.
     """
-    c1s, c2s, ijk = _lattice_axes(grid_n)
-    axes = (c1s, c2s, c2s)
+    axes, ijk = _lattice_axes(grid_n)
     cols = _evaluate(*(axis[i] for axis, i in zip(axes, ijk)))
     g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
     geo, inv = cols["pe_geometric"], cols["pe_invariant"]

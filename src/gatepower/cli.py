@@ -210,8 +210,7 @@ def cmd_scan(args) -> int:
         row = _CSV_ROW
         blocks = ((b.T, b.T) for b in np.split(pts, range(1024, len(pts), 1024)))
     else:
-        c1s, c2s, ijk = _lattice_axes(args.chamber)
-        axes = (c1s, c2s, c2s)
+        axes, ijk = _lattice_axes(args.chamber)
         # a lattice has grid_n values per axis: "%.12g" runs once per value, and a row takes its
         # coordinate text from these tables by its axis indices
         texts = [np.array([_fmt(x) for x in axis.tolist()], dtype=object) for axis in axes]

@@ -346,7 +346,7 @@ def test_scan_out_file_matches_stdout(capsys, tmp_path, argv):
 
 def test_scan_writes_one_block_at_a_time(monkeypatch):
     writes: list[str] = []  # the argument of every sys.stdout.write
-    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
     assert main(["scan", "--chamber", "25"]) == 0
     digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "25"))
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
