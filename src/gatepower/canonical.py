@@ -48,7 +48,7 @@ CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
 # _lattice_axes builds a grid_n^3 mask and keeps each axis index in a uint8, which holds grid_n <= 256;
 # at 256 verify theorems, evaluating the whole lattice at about 110 bytes per chamber point, peaked at
-# 335 MB ru_maxrss, and scan --chamber, 1024 rows at a time, at 110 MB
+# 320 MB ru_maxrss, and scan --chamber, 1024 rows at a time, at 110 MB
 _GRID_MAX = 256
 # attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
 _PASS_MAX = 1 << 16
