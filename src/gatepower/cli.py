@@ -30,11 +30,19 @@ from .errors import ConsistencyError, TheoremViolationError
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
 _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
-# "%.12g" renders a float with the same bytes as _fmt; a bool mask indexes _CSV_BOOL
-_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
-_CSV_BOOL = np.array(["false", "true"], dtype=object)
+# the text of a verdict column, NUL-padded to one width; a bool mask cast to intp indexes it
+_CSV_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)
 # an edge sweep keeps its points and one 1024-row block: scan --edge LN --steps 1000000 --out peaked at 83 MB
 _STEPS_MAX = 1_000_000
+# the four ASCII digits of each d < 10000 as one uint32: the digit pair of d // 100, then that of
+# d % 100. Built by arithmetic it adds about 0.2 ms to importing this module, a 10000-string list 5 ms
+_PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
+_DIGITS4 = np.hstack([np.repeat(_PAIRS, 100, axis=0), np.tile(_PAIRS, (100, 1))]).view("<u4").ravel()
+_POW10 = 10.0 ** np.arange(16)  # 10^k is a float with no rounding for k <= 22
+_DECADES = np.array([1e-3, 1e-2, 0.1, 1.0])  # 1e-4 <= |v| < 10 has e = (how many are <= |v|) - 4
+# row j masks the first j + 1 bytes of sixteen, as two little-endian uint64 words
+_KEEP = np.where(np.arange(16) <= np.arange(16)[:, None], 0xFF, 0).astype(np.uint8).view("<u8")
+_ASCII_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 
 # json.dumps(m, indent=2) of a 4x4 [re, im] block as the value of a top-level key: one %r
 # (float.__repr__, as json writes a finite float) per number, re and im cell by cell
@@ -53,6 +61,60 @@ _JSON_LEAF = {
 def _fmt(x: float) -> str:
     """Decimal rendering with 12 significant digits."""
     return format(float(x), ".12g")
+
+
+def _g12_text(x) -> np.ndarray:
+    """The _fmt text of each float in the 1-D x as the rows of an (n, w) uint8 array, NUL-padded.
+
+    Values with 1e-4 <= |v| < 10, and +-0.0, take the fast path. With e = floor(log10 |v|),
+    y = |v| 10^(11-e) is one rounding (at most 2^-14) off the exact product, as 10^(11-e) is
+    exact, so m = rint(y) is the correctly rounded 12-digit mantissa unless y lies within 1e-3
+    of a tie or m reaches 1e12. m 10^(4+e) < 1e16 then holds the units digit and the fifteen
+    fraction digits %.12g can show; the zeros after the last nonzero digit, and a bare ".",
+    are dropped. Every other value, nan and +-inf among them, is rendered by _fmt.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    a = np.abs(x)
+    span = (a >= 1e-4) & (a < 10.0)
+    k = np.searchsorted(_DECADES, a, side="right")  # e + 4 on span
+    y = np.where(span, a, 0.0) * _POW10[15 - k]  # 0 off span, so that inf and nan give 0
+    m = np.rint(y)
+    fast = span & (m < 1e12) & (np.abs(y - m) < 0.499) | (a == 0.0)
+    # the sixteen digits of m 10^k in four groups below 1e4, most significant first
+    scaled = np.where(fast, m, 0.0).astype(np.int64) * 10**k
+    halves = np.stack(np.divmod(scaled, 10**8), axis=1)
+    groups = np.stack(np.divmod(halves, 10**4), axis=2).reshape(n, 4)
+    words = _DIGITS4.take(groups).view("<u8")  # digit i is byte i of the row
+    # the last nonzero digit is the top nonzero byte of words ^ "00000000", read off the float
+    # exponent; each such byte is at most 9, so the conversion cannot round into the next byte
+    nz = words ^ _ASCII_ZEROS
+    top = (np.frexp(nz.astype(np.float64))[1] - 1) >> 3
+    last = np.maximum(np.where(nz[:, 1] != 0, top[:, 1] + 8, top[:, 0]), 0)
+    words &= _KEEP.take(last, axis=0)
+    digits = words.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    shown = [_fmt(v) for v in x[slow].tolist()]
+    # a fast row's text ends at column 2 + last; the array is as wide as the longest text
+    width = max([3 + last.max(initial=0), *map(len, shown)])
+    out = np.zeros((n, max(width, 18)), dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
+    out[:, 1] = digits[:, 0]
+    out[:, 2] = np.where(last > 0, ord("."), 0)
+    out[:, 3:18] = digits[:, 1:]
+    out[slow, :width] = np.array(shown, dtype=f"S{width}").view(np.uint8).reshape(len(slow), width)
+    return out[:, :width]
+
+
+def _csv_rows(fields: list[np.ndarray]) -> str:
+    """CSV lines whose fields are the rows of NUL-padded uint8 text arrays, one array per column."""
+    mat = np.full((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), ord(","), dtype=np.uint8)
+    col = 0
+    for f in fields:
+        mat[:, col:col + f.shape[1]] = f
+        col += f.shape[1] + 1
+    mat[:, -1] = ord("\n")
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
@@ -206,17 +268,15 @@ def cmd_scan(args) -> int:
         if not 2 <= args.steps <= _STEPS_MAX:
             raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {args.steps}")
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
-        # an edge repeats no coordinate: each row renders its own three floats
-        row = _CSV_ROW
-        blocks = ((b.T, b.T) for b in np.split(pts, range(1024, len(pts), 1024)))
+        # an edge repeats no coordinate: each block renders its own three columns
+        blocks = ((b.T, np.split(_g12_text(b.T.ravel()), 3)) for b in np.split(pts, range(1024, len(pts), 1024)))
     else:
         axes, ijk = _lattice_axes(args.chamber)
-        # a lattice has grid_n values per axis: "%.12g" runs once per value, and a row takes its
+        # a lattice has grid_n values per axis: each is rendered once, and a row takes its
         # coordinate text from these tables by its axis indices
-        texts = [np.array([_fmt(x) for x in axis.tolist()], dtype=object) for axis in axes]
-        row = "%s,%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
+        texts = [_g12_text(axis) for axis in axes]
         blocks = (
-            ([axis[i] for axis, i in zip(axes, b)], [text[i] for text, i in zip(texts, b)])
+            ([axis[i] for axis, i in zip(axes, b)], [text.take(i, axis=0) for text, i in zip(texts, b)])
             for b in np.split(ijk, range(1024, ijk.shape[1], 1024), axis=1)
         )
     # one 1024-row block at a time: peak memory holds one block's columns and text, not the CSV
@@ -224,9 +284,9 @@ def cmd_scan(args) -> int:
         fh.write(_CSV_HEADER + "\n")
         for coords, shown in blocks:
             cols = _evaluate(*coords)
-            geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
-            columns = [*shown, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
-            fh.write("".join(map(row.__mod__, zip(*(col.tolist() for col in columns)))))
+            values = _g12_text(np.concatenate([cols["g1_abs"], cols["g2"], cols["ep"]]))
+            verdicts = [_CSV_BOOL_TEXT.take(cols[k].astype(np.intp), axis=0) for k in ("pe_geometric", "pe_invariant")]
+            fh.write(_csv_rows([*shown, *np.split(values, 3), *verdicts]))
     return 0
 
 

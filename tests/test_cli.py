@@ -12,21 +12,28 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gatepower
-from gatepower import canonical, catalog, classify, epower, linalg
+from gatepower import canonical, catalog, classify, cli, epower, linalg
 from gatepower.canonical import (
     EdgeId, WeylPoint, _edge_coords, canonical_gate, chamber_lattice, random_chamber_coords,
 )
 from gatepower.classify import classify_gate
 from gatepower.cli import (
-    _CSV_BOOL, _CSV_HEADER, _CSV_ROW, _record, _record_json, build_parser, load_matrix_file, main, matrix_to_json,
+    _CSV_BOOL_TEXT, _CSV_HEADER, _csv_rows, _g12_text, _record, _record_json, build_parser, load_matrix_file, main,
+    matrix_to_json,
 )
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
 from helpers import dress
 
 PI = math.pi
+# the scan row as one printf template, "%.12g" per float, and its verdict labels indexed by a bool
+# mask: the rendering scan used before its block text kernel, kept as the reference for its bytes
+_CSV_ROW = "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n"
+_CSV_BOOL = np.array(["false", "true"], dtype=object)
 
 
 def run(capsys, *argv):
@@ -413,9 +420,8 @@ def test_scan_verdicts_match_classify_gate(capsys, argv):
         assert geo == inv or rec.geometric.on_boundary or rec.invariant.on_boundary
 
 
-def _reference_scan_chamber(grid_n: int) -> str:
-    """scan --chamber with one "%.12g" per coordinate of every row, kept as the reference."""
-    pts = chamber_lattice(grid_n)
+def _reference_scan_rows(pts) -> str:
+    """scan's CSV of the points pts, one _CSV_ROW per row in 1024-row blocks, kept as the reference."""
     blocks = [_CSV_HEADER + "\n"]
     for block in np.split(pts, range(1024, len(pts), 1024)):
         cols = classify._evaluate(*block.T)
@@ -425,11 +431,58 @@ def _reference_scan_chamber(grid_n: int) -> str:
     return "".join(blocks)
 
 
+def _reference_scan_chamber(grid_n: int) -> str:
+    """scan --chamber with one "%.12g" per coordinate of every row."""
+    return _reference_scan_rows(chamber_lattice(grid_n))
+
+
+def _reference_scan_edge(edge: EdgeId, steps: int) -> str:
+    """scan --edge with one "%.12g" per float of every row."""
+    return _reference_scan_rows(_edge_coords(edge, np.linspace(0.0, 1.0, steps)))
+
+
 @pytest.mark.parametrize("grid_n", [*range(2, 13), 31, 64])
 def test_scan_chamber_matches_per_row_reference(capsys, grid_n):
     code, out, _ = run(capsys, "scan", "--chamber", str(grid_n))
     assert code == 0
     assert out == _reference_scan_chamber(grid_n)
+
+
+@pytest.mark.parametrize("steps", [2, 1025, 4096])
+@pytest.mark.parametrize("edge", list(EdgeId), ids=lambda e: e.name)
+def test_scan_edge_matches_per_row_reference(capsys, edge, steps):
+    code, out, _ = run(capsys, "scan", "--edge", edge.name, "--steps", str(steps))
+    assert code == 0
+    assert out == _reference_scan_edge(edge, steps)
+
+
+def _counting_fmt(monkeypatch) -> list[float]:
+    """Wrap cli._fmt, the kernel's fallback, so that it records each value it renders."""
+    seen: list[float] = []
+    fmt = cli._fmt
+
+    def counting(x):
+        seen.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(cli, "_fmt", counting)
+    return seen
+
+
+def test_scan_renders_almost_every_value_on_the_fast_path(capsys, monkeypatch):
+    """At most 1% of the floats scan writes go through the per-value fallback."""
+    seen = _counting_fmt(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--chamber", "48")
+    assert code == 0
+    # every fallback counts against the three value columns, the coordinates' ones too
+    assert len(seen) <= 0.01 * 3 * (out.count("\n") - 1)
+    for edge in EdgeId:
+        pts = _edge_coords(edge, np.linspace(0.0, 1.0, 1001))
+        seen.clear()
+        code, _, _ = run(capsys, "scan", "--edge", edge.name, "--steps", "1001")
+        assert code == 0
+        coords = set(pts.ravel().tolist())
+        assert sum(v in coords for v in seen) <= 0.01 * pts.size, edge.name
 
 
 def test_scan_byte_deterministic(capsys):
@@ -754,6 +807,41 @@ def _per_value_row(values, flags) -> str:
 def test_csv_row_template_matches_per_value_rendering(values, flags):
     labels = _CSV_BOOL[np.array(flags).astype(np.intp)].tolist()
     assert _CSV_ROW % (*values, *labels) == _per_value_row(values, flags)
+    fields = [*(_g12_text([x]) for x in values), *(_CSV_BOOL_TEXT[[int(f)]] for f in flags)]
+    assert _csv_rows(fields) == _per_value_row(values, flags)
+
+
+def _g12_rows(x) -> list[str]:
+    """The text of each row of _g12_text(x), its NUL padding dropped."""
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in _g12_text(np.asarray(x, dtype=float))]
+
+
+def _assert_g12_matches_printf(values) -> None:
+    assert _g12_rows(values) == ["%.12g" % x for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=64))
+def test_g12_text_matches_printf_on_any_float(values):
+    _assert_g12_matches_printf(values)
+
+
+def _ulp_neighbours(x: np.ndarray) -> list[float]:
+    return [*x.tolist(), *np.nextafter(x, math.inf).tolist(), *np.nextafter(x, -math.inf).tolist()]
+
+
+@pytest.mark.parametrize("k", range(11, 28))
+def test_g12_text_matches_printf_next_to_rounding_ties(k):
+    """(m + 1/2) / 10^k with a 12-digit m sits on a tie of the 12th digit, or next to one."""
+    m = np.random.default_rng(k).integers(10**11, 10**12, 500)
+    ties = (m + 0.5) / 10.0**k
+    _assert_g12_matches_printf(_ulp_neighbours(np.concatenate([ties, -ties])))
+
+
+def test_g12_text_matches_printf_at_its_range_edges():
+    powers = 10.0 ** np.arange(-6, 3)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 9.999999999995, 0.000099999999999995, 9.9999999999990e-05]
+    _assert_g12_matches_printf(_ulp_neighbours(np.array([*powers, *-powers, *edges])))
 
 
 def _json_test_record(values, name, tags) -> dict:
