@@ -32,8 +32,9 @@ __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
 # the text of a verdict column, NUL-padded to one width; a bool mask cast to intp indexes it
 _CSV_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)
-# an edge sweep keeps its points and one 1024-row block: scan --edge LN --steps 1000000 --out peaked at 83 MB
+# an edge sweep keeps its points and one block: scan --edge LN --steps 1000000 --out peaked at 83 MB
 _STEPS_MAX = 1_000_000
+_SCAN_BLOCK = 1024  # rows scan evaluates and writes at a time
 # the four ASCII digits of each d < 10000 as one uint32: the digit pair of d // 100, then that of
 # d % 100. Built by arithmetic it adds about 0.2 ms to importing this module, a 10000-string list 5 ms
 _PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
@@ -269,7 +270,10 @@ def cmd_scan(args) -> int:
             raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {args.steps}")
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
         # an edge repeats no coordinate: each block renders its own three columns
-        blocks = ((b.T, np.split(_g12_text(b.T.ravel()), 3)) for b in np.split(pts, range(1024, len(pts), 1024)))
+        blocks = (
+            (b.T, np.split(_g12_text(b.T.ravel()), 3))
+            for b in np.split(pts, range(_SCAN_BLOCK, len(pts), _SCAN_BLOCK))
+        )
     else:
         axes, ijk = _lattice_axes(args.chamber)
         # a lattice has grid_n values per axis: each is rendered once, and a row takes its
@@ -277,9 +281,9 @@ def cmd_scan(args) -> int:
         texts = [_g12_text(axis) for axis in axes]
         blocks = (
             ([axis[i] for axis, i in zip(axes, b)], [text.take(i, axis=0) for text, i in zip(texts, b)])
-            for b in np.split(ijk, range(1024, ijk.shape[1], 1024), axis=1)
+            for b in np.split(ijk, range(_SCAN_BLOCK, ijk.shape[1], _SCAN_BLOCK), axis=1)
         )
-    # one 1024-row block at a time: peak memory holds one block's columns and text, not the CSV
+    # one block at a time: peak memory holds one block's columns and text, not the CSV
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for coords, shown in blocks:
@@ -370,12 +374,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_scan)
 
     v = sub.add_parser("verify", help="run a self-check suite")
-    v.add_argument("suite", choices=["theorems", "routes", "montecarlo"])
-    v.add_argument("--grid", type=int, default=25, help="lattice size for theorems (default 25)")
-    v.add_argument("--n", type=int, default=500, help="random points for routes (default 500)")
-    v.add_argument("--mc", type=int, default=200_000, help="samples per gate for montecarlo (default 200000)")
-    v.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     v.set_defaults(func=cmd_verify)
+    # one parser per suite, each taking only the flags its suite reads
+    suites = v.add_subparsers(dest="suite", required=True)
+    t = suites.add_parser("theorems", help="theorem sweep over a chamber lattice")
+    t.add_argument("--grid", type=int, default=25, help="lattice size for theorems (default 25)")
+    r = suites.add_parser("routes", help="entangling-power route agreement on random points")
+    r.add_argument("--n", type=int, default=500, help="random points for routes (default 500)")
+    m = suites.add_parser("montecarlo", help="Monte-Carlo estimates of the catalog gates")
+    m.add_argument("--mc", type=int, default=200_000, help="samples per gate for montecarlo (default 200000)")
+    for p in (r, m):
+        p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
 
     c = sub.add_parser("catalog", help="list named gate classes")
     c.set_defaults(func=cmd_catalog)

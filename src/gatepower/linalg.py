@@ -29,13 +29,9 @@ SWAP = np.array(
 )
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
-
-
 def unitarity_defect(u) -> float:
     """Max-norm of u†u - I: nan or inf, without a warning, when an entry is not finite or overflows."""
-    m = _as_complex(u)
+    m = np.asarray(u, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(all="ignore"):
@@ -44,7 +40,7 @@ def unitarity_defect(u) -> float:
 
 def require_unitary(u) -> np.ndarray:
     """Return the 4x4 matrix u as complex128, raising NonUnitaryError unless its defect is within INGEST_UNITARY_TOL."""
-    m = _as_complex(u)
+    m = np.asarray(u, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = unitarity_defect(m)

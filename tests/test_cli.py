@@ -653,6 +653,49 @@ def test_verify_byte_deterministic(capsys):
     assert out1 == out2
 
 
+# each suite's flags; any other verify flag given to that suite is a usage error
+_SUITE_FLAGS = {
+    "theorems": {"--grid": "10"},
+    "routes": {"--n": "60", "--seed": "3"},
+    "montecarlo": {"--mc": "2000", "--seed": "3"},
+}
+# the 7 suite/flag pairs the single verify parser used to accept and ignore
+_FOREIGN_PAIRS = [
+    ("theorems", "--n", "60"), ("theorems", "--mc", "2000"), ("theorems", "--seed", "3"),
+    ("routes", "--grid", "10"), ("routes", "--mc", "2000"),
+    ("montecarlo", "--grid", "10"), ("montecarlo", "--n", "60"),
+]
+
+
+@pytest.mark.parametrize(("suite", "flag", "value"), _FOREIGN_PAIRS, ids=[" ".join(p) for p in _FOREIGN_PAIRS])
+def test_verify_rejects_a_flag_its_suite_does_not_read(capsys, suite, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, *itertools.chain(*_SUITE_FLAGS[suite].items()), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("verify", "--grid", "10", "theorems")], ids=" ".join)
+def test_verify_without_a_leading_suite_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("suite", list(_SUITE_FLAGS))
+def test_verify_suite_help_lists_only_its_own_flags(capsys, suite):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: gatepower verify {suite} [-h]")
+    shown = {flag for flag in ("--grid", "--n", "--mc", "--seed") if f"{flag} " in out}
+    assert shown == set(_SUITE_FLAGS[suite])
+
+
 def test_repeated_main_calls_share_no_parse_state(capsys):
     # the parser is built once per process; each call must still parse afresh
     calls = [
@@ -660,6 +703,8 @@ def test_repeated_main_calls_share_no_parse_state(capsys):
         ("analyze", "--point", "0.7853981634,0.7853981634,0"),
         ("verify", "routes", "--n", "0"),
         ("verify", "routes"),
+        ("verify", "theorems", "--grid", "10"),
+        ("verify", "montecarlo", "--mc", "2000", "--seed", "5"),
     ]
     alone = []
     for argv in calls:
@@ -668,7 +713,7 @@ def test_repeated_main_calls_share_no_parse_state(capsys):
     build_parser.cache_clear()
     together = [run(capsys, *argv)[:2] for argv in calls]
     assert together == alone
-    assert [code for code, _ in together] == [0, 0, 2, 0]
+    assert [code for code, _ in together] == [0, 0, 2, 0, 0, 0]
     assert build_parser.cache_info().misses == 1
 
 
