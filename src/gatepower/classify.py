@@ -18,7 +18,7 @@ reports every off-boundary point where the two tests disagree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,25 +205,24 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoremReport:
     """Result of the lattice sweep over the chamber.
 
     Violation lists are expected to stay empty; lattice points with any
     classification margin within PE_TOL of zero are exempted from the
-    equality checks and recorded in boundary_points instead.
+    equality checks and counted in n_boundary_exempt instead.
     """
 
     grid_n: int
-    n_lattice: int = 0
-    n_chamber: int = 0
-    n_pe: int = 0
-    n_boundary_exempt: int = 0
-    boundary_points: list[WeylPoint] = field(default_factory=list)
-    g2_bound_violations: list[str] = field(default_factory=list)
-    g2_converse_violations: list[str] = field(default_factory=list)
-    equivalence_violations: list[str] = field(default_factory=list)
-    ep_range_violations: list[str] = field(default_factory=list)
+    n_lattice: int
+    n_chamber: int
+    n_pe: int
+    n_boundary_exempt: int
+    g2_bound_violations: list[str]
+    g2_converse_violations: list[str]
+    equivalence_violations: list[str]
+    ep_range_violations: list[str]
 
     @property
     def n_violations(self) -> int:
@@ -272,7 +271,6 @@ def verify_theorems(grid_n: int) -> TheoremReport:
         n_chamber=ijk.shape[1],
         n_pe=int(np.count_nonzero(geo)),
         n_boundary_exempt=int(np.count_nonzero(boundary)),
-        boundary_points=list(map(WeylPoint, *(axis[i[boundary]].tolist() for axis, i in zip(axes, ijk)))),
         g2_bound_violations=report(
             "perfect entangler with g2 = %r" + at, geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)), g2
         ),

@@ -243,6 +243,10 @@ def _print_record(out: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.deg and args.point is None:
+        raise ValueError("--deg applies only to --point")
+    if args.seed is not None and args.mc is None:
+        raise ValueError("--seed applies only to --mc")
     if args.name is not None:
         rec = named_gate(args.name)
     elif args.point is not None:
@@ -250,7 +254,7 @@ def cmd_analyze(args) -> int:
     else:
         name, m = load_matrix_file(args.matrix)
         rec = classify_gate(m, name=name)
-    mc = None if args.mc is None else ep_monte_carlo(rec.matrix, args.mc, args.seed)
+    mc = None if args.mc is None else ep_monte_carlo(rec.matrix, args.mc, 42 if args.seed is None else args.seed)
     out = _record(rec, mc)
     if args.json:
         print(_record_json(out))
@@ -260,15 +264,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.steps is not None and args.edge is None:
+        raise ValueError("--steps applies only to --edge")
     if args.edge is not None:
         try:
             edge = EdgeId[args.edge.upper()]
         except KeyError:
             known = ", ".join(e.name for e in EdgeId)
             raise ValueError(f"unknown edge {args.edge!r}; known edges: {known}") from None
-        if not 2 <= args.steps <= _STEPS_MAX:
-            raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {args.steps}")
-        pts = _edge_coords(edge, np.linspace(0.0, 1.0, args.steps))
+        steps = 11 if args.steps is None else args.steps
+        if not 2 <= steps <= _STEPS_MAX:
+            raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {steps}")
+        pts = _edge_coords(edge, np.linspace(0.0, 1.0, steps))
         # an edge repeats no coordinate: each block renders its own three columns
         blocks = (
             (b.T, np.split(_g12_text(b.T.ravel()), 3))
@@ -345,10 +352,24 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that refuses arguments it does not take under its own usage line.
+
+    add_subparsers builds every nested parser with this class, so a flag given to a
+    subcommand or suite that does not read it is reported by that parser, not the top level.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later main() calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gatepower",
         description="Entangling power and local invariants of two-qubit gates.",
     )
@@ -362,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--deg", action="store_true", help="interpret --point in degrees")
     a.add_argument("--json", action="store_true", help="emit JSON instead of text")
     a.add_argument("--mc", type=int, default=None, help="add a Monte-Carlo estimate with this many samples")
-    a.add_argument("--seed", type=int, default=42, help="seed for --mc (default 42)")
+    a.add_argument("--seed", type=int, help="seed for --mc (default 42)")
     a.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("scan", help="CSV sweep over points")
     mode = s.add_mutually_exclusive_group(required=True)
     mode.add_argument("--chamber", type=int, help="lattice sweep with this grid size per axis")
     mode.add_argument("--edge", help="named edge to sweep: " + ", ".join(e.name for e in EdgeId))
-    s.add_argument("--steps", type=int, default=11, help="points along the edge, 2 to 1000000 (default 11)")
+    s.add_argument("--steps", type=int, help="points along the edge, 2 to 1000000 (default 11)")
     s.add_argument("--out", help="write CSV to this path instead of stdout")
     s.set_defaults(func=cmd_scan)
 

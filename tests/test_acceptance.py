@@ -33,7 +33,7 @@ from gatepower.invariants import (
     invariants_from_matrix,
 )
 
-from helpers import dress
+from helpers import boundary_exempt_count, dress
 
 PI = math.pi
 T11 = np.linspace(0.0, 1.0, 11)
@@ -142,7 +142,7 @@ def test_criterion_06_local_and_inverse_invariance():
 @pytest.mark.parametrize("grid_n", [25, 40])
 def test_criterion_07_theorem_sweep(grid_n):
     rep = verify_theorems(grid_n)
-    assert rep.n_boundary_exempt == len(rep.boundary_points)
+    assert rep.n_boundary_exempt == boundary_exempt_count(grid_n)
     assert rep.n_boundary_exempt / rep.n_lattice < 0.05
     counts = (
         f"g2-bound {len(rep.g2_bound_violations)}, "

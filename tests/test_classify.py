@@ -34,7 +34,7 @@ from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError, TheoremViolationError
 from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
 from gatepower.linalg import SWAP, require_unitary
-from helpers import dress
+from helpers import boundary_exempt_count, dress
 
 PI = math.pi
 
@@ -378,7 +378,6 @@ def test_verify_theorems_small_grid():
     assert rep.n_chamber == 190
     assert rep.n_pe > 0
     assert rep.n_boundary_exempt == 26
-    assert len(rep.boundary_points) == 26
     # exempt points stay a small fraction of the lattice
     assert rep.n_boundary_exempt / rep.n_lattice < 0.05
 
@@ -432,12 +431,15 @@ def test_verify_theorems_rejects_tiny_grid():
         verify_theorems(1)
 
 
-def test_verify_theorems_boundary_points_are_boundary():
-    rep = verify_theorems(10)
-    for p in rep.boundary_points[:10]:
-        geo = is_pe_geometric(p)
-        inv = is_pe_invariant(classify_gate(p).invariants)
-        assert geo.on_boundary or inv.on_boundary
+@pytest.mark.parametrize("grid_n, exempt", [(10, 26), (25, 187), (40, 422)])
+def test_verify_theorems_boundary_count_matches_scalar_api(grid_n, exempt):
+    assert verify_theorems(grid_n).n_boundary_exempt == boundary_exempt_count(grid_n) == exempt
+
+
+def test_theorem_report_is_frozen():
+    rep = verify_theorems(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.n_boundary_exempt = 0
 
 
 def _reference_verify_theorems(grid_n: int) -> TheoremReport:
@@ -457,7 +459,6 @@ def _reference_verify_theorems(grid_n: int) -> TheoremReport:
         n_chamber=len(pts),
         n_pe=int(np.count_nonzero(geo)),
         n_boundary_exempt=int(np.count_nonzero(boundary)),
-        boundary_points=[at(i) for i in np.flatnonzero(boundary)],
         g2_bound_violations=[
             f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
             for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
@@ -481,4 +482,3 @@ def test_verify_theorems_matches_per_index_reference():
     for grid_n in [*range(2, 65), 128]:
         rep = verify_theorems(grid_n)
         assert rep == _reference_verify_theorems(grid_n), grid_n
-        assert all(type(x) is float for p in rep.boundary_points for x in p), grid_n

@@ -696,6 +696,53 @@ def test_verify_suite_help_lists_only_its_own_flags(capsys, suite):
     assert shown == set(_SUITE_FLAGS[suite])
 
 
+@pytest.mark.parametrize(
+    ("argv", "usage"),
+    [
+        (("verify", "theorems", "--seed", "3"), "usage: gatepower verify theorems [-h] [--grid GRID]\n"),
+        (("verify", "routes", "--grid", "2"), "usage: gatepower verify routes [-h] [--n N] [--seed SEED]\n"),
+        (("analyze", "--name", "SWAP", "--grid", "3"), "usage: gatepower analyze [-h] (--name NAME"),
+    ],
+    ids=" ".join,
+)
+def test_foreign_flag_is_reported_under_its_parsers_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(usage)
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (("scan", "--chamber", "4", "--steps", "5"), "--steps applies only to --edge"),
+        (("analyze", "--name", "SWAP", "--deg"), "--deg applies only to --point"),
+        (("analyze", "--name", "SWAP", "--seed", "3"), "--seed applies only to --mc"),
+    ],
+    ids=" ".join,
+)
+def test_flag_its_mode_does_not_read_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "default"),
+    [
+        (("scan", "--edge", "QP"), ("--steps", "11")),
+        (("analyze", "--name", "CNOT_CLASS", "--mc", "2000", "--json"), ("--seed", "42")),
+    ],
+    ids=" ".join,
+)
+def test_omitted_steps_and_seed_keep_their_defaults(capsys, argv, default):
+    assert run(capsys, *argv) == run(capsys, *argv, *default)
+
+
 def test_repeated_main_calls_share_no_parse_state(capsys):
     # the parser is built once per process; each call must still parse afresh
     calls = [
