@@ -47,8 +47,9 @@ __all__ = [
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
 # _lattice_axes builds a grid_n^3 mask and keeps each axis index in a uint8, which holds grid_n <= 256;
-# at 256 verify theorems, evaluating the whole lattice at about 110 bytes per chamber point, peaked at
-# 320 MB ru_maxrss, and scan --chamber, 1024 rows at a time, at 110 MB
+# at 256 (2812544 chamber points) verify theorems, evaluating the whole lattice from per-axis trig
+# tables with at most ten float64 columns live, peaked at 296 MB ru_maxrss, and scan --chamber,
+# 1024 rows at a time, at 111 MB, both in a fresh process on a 2-core host
 _GRID_MAX = 256
 # attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
 _PASS_MAX = 1 << 16

@@ -14,6 +14,13 @@ of 11060 at grid 40 (2.6%), a share that rises with the lattice
 resolution. ``verify_theorems`` sweeps a chamber lattice,
 checks the entangling-power window [1/6, 2/9] of perfect entanglers and
 reports every off-boundary point where the two tests disagree.
+
+One evaluator, ``_evaluate``, gives every column a point set needs from
+the closed forms over per-coordinate trig values (see invariants).
+classify_gate and ``scan --edge`` compute that trig from the coordinates;
+``_lattice_columns``, which ``verify_theorems`` and ``scan --chamber``
+use, computes cos c, sin c and cos 2c once per lattice axis value and
+gathers them by each point's axis indices.
 """
 from __future__ import annotations
 
@@ -30,13 +37,14 @@ from .canonical import (
     edge_tags,
     in_weyl_chamber,
 )
-from .epower import EP_MAX, ep_closed_array, ep_from_g1_abs
+from .epower import EP_MAX, _ep_trig, ep_from_g1_abs
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
+    _cos2,
+    _g1_abs_trig,
+    _g2_trig,
     _invariants,
-    g1_abs_array,
-    g2_array,
     invariants_at_point,
 )
 from .linalg import require_unitary
@@ -93,21 +101,51 @@ def _boundary_mask(margins: dict) -> np.ndarray:
     return np.logical_or.reduce([np.abs(m) <= PE_TOL for m in margins.values()])
 
 
-def _evaluate(c1, c2, c3) -> dict:
+def _evaluate(coords, trig=None) -> dict:
     """Every chamber-point column that scan, verify_theorems and classify_gate read.
 
-    Over broadcastable coordinate arrays: g1_abs, g2 and ep; the signed margins of both
-    tests and their verdicts; and boundary, where some margin lies within PE_TOL of zero.
+    coords is an iterable of the broadcastable coordinate arrays c1, c2, c3, which only
+    geometric_margins reads. trig(f) is an iterable of f(c1), f(c2), f(c3) for f = np.cos,
+    np.sin and _cos2, read when the formula that needs it runs; by default it applies f to
+    coords, which must then be a sequence. Columns: g1_abs, g2 and ep; the signed margins of
+    both tests and their verdicts; and boundary, where some margin lies within PE_TOL of zero.
     """
-    # ep before the margins: its temporaries then share memory with three columns, not eight
-    g1a, g2, ep = g1_abs_array(c1, c2, c3), g2_array(c1, c2, c3), ep_closed_array(c1, c2, c3)
-    geo, inv = geometric_margins(c1, c2, c3), invariant_margins(g1a, g2)
+    if trig is None:
+        def trig(f):
+            return map(f, coords)
+    # the geometric margins first, while no column is held: their sort network needs the most
+    # temporaries, so a whole lattice peaks at ten float columns, not thirteen
+    geo = geometric_margins(*coords)
+    g1a = _g1_abs_trig(trig(np.cos), trig(np.sin))
+    x = list(trig(_cos2))  # g2 and ep share one cos 2c per coordinate
+    g2, ep = _g2_trig(x), _ep_trig(x)
+    del x
+    inv = invariant_margins(g1a, g2)
     return {
         "g1_abs": g1a, "g2": g2, "ep": ep,
         "geo_margins": geo, "inv_margins": inv,
         "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
         "boundary": _boundary_mask(geo) | _boundary_mask(inv),
     }
+
+
+def _lattice_columns(axes, blocks):
+    """_evaluate at each block of lattice points, given as (3, k) axis indices (see _lattice_axes).
+
+    cos c, sin c and cos 2c are computed once per axis value, before the first block, and
+    each block gathers them by index; axes that are one array, as the c2 and c3 axes are,
+    share one table. The coordinates are gathered only for geometric_margins.
+    """
+    shared = {}
+    for axis in axes:
+        if id(axis) not in shared:
+            shared[id(axis)] = {f: f(axis) for f in (np.cos, np.sin, _cos2)}
+    tables = [shared[id(axis)] for axis in axes]
+    for b in blocks:
+        yield _evaluate(
+            (axis.take(i) for axis, i in zip(axes, b)),
+            lambda f, b=b: (table[f].take(i) for table, i in zip(tables, b)),
+        )
 
 
 @dataclass(frozen=True)
@@ -181,7 +219,7 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
-        cols = _evaluate(*point)
+        cols = _evaluate(point)
         geo = _verdict("geometric", cols["geo_margins"])
         ivd = _verdict("invariant", cols["inv_margins"])
         if geo.is_pe != ivd.is_pe and not cols["boundary"]:
@@ -250,10 +288,10 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     grid_n must lie in [2, 256], as for chamber_lattice.
     """
     axes, ijk = _lattice_axes(grid_n)
-    cols = _evaluate(*(axis[i] for axis, i in zip(axes, ijk)))
+    cols, = _lattice_columns(axes, [ijk])
     g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
     geo, inv = cols["pe_geometric"], cols["pe_invariant"]
-    del cols  # frees the margins and the coordinates: the report reads only the six columns above
+    del cols  # frees the margins: the report reads only the six columns above
     g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
     # repr runs once per axis value; a reported point's WeylPoint repr is put together from its indices
     reprs = [np.array([repr(x) for x in axis.tolist()], dtype=object) for axis in axes]

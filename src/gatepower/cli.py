@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 
 from .canonical import EdgeId, WeylPoint, _edge_coords, _lattice_axes
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import GateRecord, _evaluate, classify_gate, verify_theorems
+from .classify import GateRecord, _evaluate, _lattice_columns, classify_gate, verify_theorems
 from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo, verify_route_agreement
 from .errors import ConsistencyError, TheoremViolationError
 
@@ -276,25 +277,25 @@ def cmd_scan(args) -> int:
         if not 2 <= steps <= _STEPS_MAX:
             raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {steps}")
         pts = _edge_coords(edge, np.linspace(0.0, 1.0, steps))
-        # an edge repeats no coordinate: each block renders its own three columns
+        # an edge repeats no coordinate: each block evaluates and renders its own three columns
         blocks = (
-            (b.T, np.split(_g12_text(b.T.ravel()), 3))
+            (_evaluate(b.T), np.split(_g12_text(b.T.ravel()), 3))
             for b in np.split(pts, range(_SCAN_BLOCK, len(pts), _SCAN_BLOCK))
         )
     else:
         axes, ijk = _lattice_axes(args.chamber)
+        parts = np.split(ijk, range(_SCAN_BLOCK, ijk.shape[1], _SCAN_BLOCK), axis=1)
         # a lattice has grid_n values per axis: each is rendered once, and a row takes its
-        # coordinate text from these tables by its axis indices
+        # coordinate text from these tables by its axis indices, as _lattice_columns takes its trig
         texts = [_g12_text(axis) for axis in axes]
-        blocks = (
-            ([axis[i] for axis, i in zip(axes, b)], [text.take(i, axis=0) for text, i in zip(texts, b)])
-            for b in np.split(ijk, range(_SCAN_BLOCK, ijk.shape[1], _SCAN_BLOCK), axis=1)
+        blocks = zip(
+            _lattice_columns(axes, parts),
+            ([text.take(i, axis=0) for text, i in zip(texts, b)] for b in parts),
         )
     # one block at a time: peak memory holds one block's columns and text, not the CSV
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
-        for coords, shown in blocks:
-            cols = _evaluate(*coords)
+        for cols, shown in blocks:
             values = _g12_text(np.concatenate([cols["g1_abs"], cols["g2"], cols["ep"]]))
             verdicts = [_CSV_BOOL_TEXT.take(cols[k].astype(np.intp), axis=0) for k in ("pe_geometric", "pe_invariant")]
             fh.write(_csv_rows([*shown, *np.split(values, 3), *verdicts]))
@@ -357,9 +358,25 @@ class _Parser(argparse.ArgumentParser):
 
     add_subparsers builds every nested parser with this class, so a flag given to a
     subcommand or suite that does not read it is reported by that parser, not the top level.
+    A parser with subcommands names a flag of its own usage it does not take when it comes
+    before the subcommand, where argparse would read the flag's value as the subcommand.
     """
 
+    _subcommand = None  # the dest of this parser's subcommand, if it has subcommands
+
+    def add_subparsers(self, **kwargs):
+        self._subcommand = kwargs["dest"]
+        return super().add_subparsers(**kwargs)
+
     def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        if self._subcommand is not None:
+            # the parsers with subcommands take no flag with a value, so every argument
+            # before the subcommand that starts with "-" is a flag of its own
+            for arg in itertools.takewhile(lambda a: a.startswith("-"), args):
+                name = arg.split("=", 1)[0]
+                if not any(known.startswith(name) for known in self._option_string_actions):
+                    self.error(f"unrecognized arguments: {name}; a {self._subcommand}'s flags come after its name")
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -4,7 +4,8 @@ The entangling power of a gate u is the average linear entropy that u
 generates when applied to uniformly random product states. Four
 independent routes are provided:
 
-  * closed form in chamber coordinates,
+  * closed form in chamber coordinates, written once over x_i = cos 2c_i
+    (_ep_trig) as g2 is in invariants,
   * the affine map from |g1|:  e_p = (2/9)(1 - |g1|),
   * the operator entanglement of u and u·SWAP, from the 4x4 matrix alone,
   * a reproducible Monte-Carlo average over Haar-random product states.
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .canonical import WeylPoint, _chamber_coord_passes, canonical_gate_array
-from .invariants import _RANGE_TOL, g1_abs_array, g2_array, g2_product_array
+from .invariants import _RANGE_TOL, _cos2, g1_abs_array, g2_array, g2_product_array
 from .linalg import SWAP, require_unitary
 
 __all__ = [
@@ -71,15 +72,21 @@ def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
     return EP_MAX * (1.0 - g1_abs)
 
 
+def _ep_trig(x) -> np.ndarray:
+    """Closed-form entangling power from the iterable x of cos 2c1, cos 2c2, cos 2c3.
+
+    (1/18)[3 - (x1 x2 + x2 x3 + x3 x1)]
+    """
+    x1, x2, x3 = x
+    return (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
+
+
 def ep_closed_array(c1, c2, c3) -> np.ndarray:
     """Elementwise closed-form entangling power over broadcastable coordinate arrays.
 
     (1/18)[3 - (cos 2c1 cos 2c2 + cos 2c2 cos 2c3 + cos 2c3 cos 2c1)]
     """
-    x1 = np.cos(2 * c1)
-    x2 = np.cos(2 * c2)
-    x3 = np.cos(2 * c3)
-    return (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
+    return _ep_trig(map(_cos2, (c1, c2, c3)))
 
 
 def ep_closed_form(p: WeylPoint) -> float:

@@ -9,6 +9,13 @@ Closed forms at a chamber point (c1, c2, c3):
     |g1| = cos^2 c1 cos^2 c2 cos^2 c3 + sin^2 c1 sin^2 c2 sin^2 c3
     g2   = cos 2c1 + cos 2c2 + cos 2c3
 
+Each closed form is written once over per-coordinate trig values: |g1|
+from cos c_i and sin c_i, g2 (like the closed-form entangling power in
+epower) from x_i = cos 2c_i. The coordinate forms g1_abs_array,
+g1_complex_array, g2_array and g2_product_array compute that trig from
+the coordinates they are given; a chamber lattice, which has grid_n values
+per axis, gathers it from per-axis tables instead (see classify).
+
 The matrix route conjugates the gate into the magic (Bell) basis, where
 local gates become real orthogonal: with u_m = Q† u Q and m = u_mᵀ u_m,
 
@@ -78,16 +85,37 @@ class LocalInvariants:
             raise ValueError(f"g2 = {self.g2!r} lies outside [-3, 3]")
 
 
-def _g1_squares(c1, c2, c3):
-    a = (np.cos(c1) * np.cos(c2) * np.cos(c3)) ** 2
-    b = (np.sin(c1) * np.sin(c2) * np.sin(c3)) ** 2
-    return a, b
+def _cos2(c):
+    """cos 2c elementwise, the per-coordinate value g2 and the closed-form e_p are written in."""
+    return np.cos(2 * c)
+
+
+def _squared_product(t) -> np.ndarray:
+    """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
+    sines of c1, c2, c3, the two terms of |g1|."""
+    t1, t2, t3 = t
+    return (t1 * t2 * t3) ** 2
+
+
+def _g1_abs_trig(cos, sin) -> np.ndarray:
+    """|g1| from iterables of the cosines and of the sines of c1, c2, c3.
+
+    The sines are read only once the cosine term is formed, so lazy iterables hold three
+    arrays at a time.
+    """
+    return _squared_product(cos) + _squared_product(sin)
+
+
+def _g2_trig(x) -> np.ndarray:
+    """g2 from the iterable x of cos 2c1, cos 2c2, cos 2c3."""
+    x1, x2, x3 = x
+    return x1 + x2 + x3
 
 
 def g1_abs_array(c1, c2, c3) -> np.ndarray:
     """Elementwise |g1| over broadcastable coordinate arrays."""
-    a, b = _g1_squares(c1, c2, c3)
-    return a + b
+    c = (c1, c2, c3)
+    return _g1_abs_trig(map(np.cos, c), map(np.sin, c))
 
 
 def g1_complex_array(c1, c2, c3) -> np.ndarray:
@@ -97,7 +125,8 @@ def g1_complex_array(c1, c2, c3) -> np.ndarray:
     and the imaginary part -(1/4) sin 2c1 sin 2c2 sin 2c3, matching the
     magic-basis matrix route on canonical gates; its modulus is |g1|.
     """
-    a, b = _g1_squares(c1, c2, c3)
+    c = (c1, c2, c3)
+    a, b = _squared_product(map(np.cos, c)), _squared_product(map(np.sin, c))
     g1 = np.empty(np.shape(a), dtype=complex)
     # set the parts directly: adding 1j * imag would turn an imaginary -0.0 into 0.0
     g1.real = a - b
@@ -107,7 +136,7 @@ def g1_complex_array(c1, c2, c3) -> np.ndarray:
 
 def g2_array(c1, c2, c3) -> np.ndarray:
     """Elementwise g2 over broadcastable coordinate arrays, as a sum of cosines."""
-    return np.cos(2 * c1) + np.cos(2 * c2) + np.cos(2 * c3)
+    return _g2_trig(map(_cos2, (c1, c2, c3)))
 
 
 def g2_product_array(c1, c2, c3) -> np.ndarray:
@@ -117,7 +146,8 @@ def g2_product_array(c1, c2, c3) -> np.ndarray:
     - cos 2c1 cos 2c2 cos 2c3. Kept separate so tests can compare the
     two expressions rather than assume the identity.
     """
-    a, b = _g1_squares(c1, c2, c3)
+    c = (c1, c2, c3)
+    a, b = _squared_product(map(np.cos, c)), _squared_product(map(np.sin, c))
     return 4 * a - 4 * b - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
 
 

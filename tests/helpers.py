@@ -4,8 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 from gatepower.canonical import WeylPoint, chamber_lattice
-from gatepower.classify import is_pe_geometric, is_pe_invariant
-from gatepower.invariants import invariants_at_point
+from gatepower.classify import (
+    PE_TOL, geometric_margins, invariant_margins, is_pe_geometric, is_pe_invariant, pe_mask,
+)
+from gatepower.epower import ep_closed_array
+from gatepower.invariants import g1_abs_array, g2_array, invariants_at_point
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -31,3 +34,17 @@ def boundary_exempt_count(grid_n: int) -> int:
         p = WeylPoint(*row)
         count += is_pe_geometric(p).on_boundary or is_pe_invariant(invariants_at_point(p)).on_boundary
     return count
+
+
+def point_columns(c1, c2, c3) -> dict:
+    """The chamber-point columns scan and verify_theorems read, composed from the public
+    coordinate forms on the coordinates themselves: the reference for the lattice path."""
+    g1a, g2, ep = g1_abs_array(c1, c2, c3), g2_array(c1, c2, c3), ep_closed_array(c1, c2, c3)
+    geo, inv = geometric_margins(c1, c2, c3), invariant_margins(g1a, g2)
+    near = [np.abs(m) <= PE_TOL for m in (*geo.values(), *inv.values())]
+    return {
+        "g1_abs": g1a, "g2": g2, "ep": ep,
+        "geo_margins": geo, "inv_margins": inv,
+        "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
+        "boundary": np.logical_or.reduce(near),
+    }

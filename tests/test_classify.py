@@ -10,6 +10,7 @@ from gatepower.canonical import (
     EdgeId,
     WeylPoint,
     _edge_coords,
+    _lattice_axes,
     canonical_gate,
     chamber_lattice,
     edge_tags,
@@ -22,7 +23,7 @@ from gatepower.classify import (
     GateRecord,
     PeVerdict,
     TheoremReport,
-    _evaluate,
+    _lattice_columns,
     _value_tags,
     classify_gate,
     geometric_margins,
@@ -34,7 +35,7 @@ from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError, TheoremViolationError
 from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
 from gatepower.linalg import SWAP, require_unitary
-from helpers import boundary_exempt_count, dress
+from helpers import boundary_exempt_count, dress, point_columns
 
 PI = math.pi
 
@@ -445,7 +446,7 @@ def test_theorem_report_is_frozen():
 def _reference_verify_theorems(grid_n: int) -> TheoremReport:
     """verify_theorems with one WeylPoint and its repr per reported index, kept as the reference."""
     pts = chamber_lattice(grid_n)
-    cols = _evaluate(*pts.T)
+    cols = point_columns(*pts.T)
     g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
     geo, inv = cols["pe_geometric"], cols["pe_invariant"]
     g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
@@ -482,3 +483,38 @@ def test_verify_theorems_matches_per_index_reference():
     for grid_n in [*range(2, 65), 128]:
         rep = verify_theorems(grid_n)
         assert rep == _reference_verify_theorems(grid_n), grid_n
+
+
+def _flat(cols: dict) -> dict:
+    """Every column of an evaluation by name, each margin as its own column named after its set."""
+    flat = {k: v for k, v in cols.items() if not k.endswith("_margins")}
+    for key in ("geo_margins", "inv_margins"):
+        flat.update({f"{key}.{name}": m for name, m in cols[key].items()})
+    return flat
+
+
+def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
+    """The per-axis trig tables give every point the bits of the coordinate forms on its coordinates."""
+    for grid_n in [*range(2, 65), 128, 255]:
+        axes, ijk = _lattice_axes(grid_n)
+        cols, = _lattice_columns(axes, [ijk])
+        got = _flat(cols)
+        assert len(got) == 11
+        pts = chamber_lattice(grid_n)
+        for lo in range(0, len(pts), 1 << 18):  # the reference in slices bounds the peak at grid 255
+            ref = _flat(point_columns(*pts[lo:lo + (1 << 18)].T))
+            for name, want in ref.items():
+                have = got[name][lo:lo + len(want)]
+                if want.dtype == bool:
+                    assert np.array_equal(have, want), (grid_n, name)
+                else:
+                    assert np.array_equal(have.view(np.int64), want.view(np.int64)), (grid_n, name)
+
+
+def test_lattice_columns_do_not_depend_on_the_blocks():
+    axes, ijk = _lattice_axes(48)
+    whole, = _lattice_columns(axes, [ijk])
+    blocks = [_flat(c) for c in _lattice_columns(axes, np.split(ijk, range(1024, ijk.shape[1], 1024), axis=1))]
+    assert len(blocks) == 19
+    for name, col in _flat(whole).items():
+        assert np.concatenate([b[name] for b in blocks]).tobytes() == col.tobytes(), name

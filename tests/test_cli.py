@@ -27,7 +27,7 @@ from gatepower.cli import (
 )
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
-from helpers import dress
+from helpers import dress, point_columns
 
 PI = math.pi
 # the scan row as one printf template, "%.12g" per float, and its verdict labels indexed by a bool
@@ -424,7 +424,7 @@ def _reference_scan_rows(pts) -> str:
     """scan's CSV of the points pts, one _CSV_ROW per row in 1024-row blocks, kept as the reference."""
     blocks = [_CSV_HEADER + "\n"]
     for block in np.split(pts, range(1024, len(pts), 1024)):
-        cols = classify._evaluate(*block.T)
+        cols = point_columns(*block.T)
         geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
         columns = [*block.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
         blocks.append("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in columns)))))
@@ -515,13 +515,14 @@ def _set_at(fn, i, value):
 _GRID10_PE = "WeylPoint(c1=1.0471975511965976, c2=0.6981317007977318, c3=0.0)"
 
 
+# the lattice path computes g2 and ep from gathered cos 2c through these trig-level forms
 @pytest.mark.parametrize(("name", "value", "buckets"), [
     # g2 above 1 also fails the invariant box, so the point is an equivalence violation too
-    ("g2_array", 1.5, {
+    ("_g2_trig", 1.5, {
         "g2 bound": [f"perfect entangler with g2 = 1.5 at {_GRID10_PE}"],
         "equivalence": [f"geometric True vs invariant False at {_GRID10_PE}"],
     }),
-    ("ep_closed_array", 0.5, {"ep range": [f"perfect entangler with e_p = 0.5 at {_GRID10_PE}"]}),
+    ("_ep_trig", 0.5, {"ep range": [f"perfect entangler with e_p = 0.5 at {_GRID10_PE}"]}),
 ])
 def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, monkeypatch, name, value, buckets):
     monkeypatch.setattr(classify, name, _set_at(getattr(classify, name), 32, value))
@@ -677,12 +678,27 @@ def test_verify_rejects_a_flag_its_suite_does_not_read(capsys, suite, flag, valu
     assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
-@pytest.mark.parametrize("argv", [("verify",), ("verify", "--grid", "10", "theorems")], ids=" ".join)
+# the last line of stderr when the suite, or the command, does not come first
+_NO_LEADING_SUITE = {
+    ("verify",): "gatepower verify: error: the following arguments are required: suite",
+    # argparse alone would read 10 as the suite and report "invalid choice: '10'"
+    ("verify", "--grid", "10", "theorems"):
+        "gatepower verify: error: unrecognized arguments: --grid; a suite's flags come after its name",
+    ("verify", "--grid=10", "theorems"):
+        "gatepower verify: error: unrecognized arguments: --grid; a suite's flags come after its name",
+    ("--grid", "10", "verify", "theorems"):
+        "gatepower: error: unrecognized arguments: --grid; a command's flags come after its name",
+}
+
+
+@pytest.mark.parametrize("argv", list(_NO_LEADING_SUITE), ids=" ".join)
 def test_verify_without_a_leading_suite_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == _NO_LEADING_SUITE[argv]
 
 
 @pytest.mark.parametrize("suite", list(_SUITE_FLAGS))
