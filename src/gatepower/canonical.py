@@ -46,10 +46,10 @@ __all__ = [
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
-# _lattice_axes builds a grid_n^3 mask and keeps each axis index in a uint8, which holds grid_n <= 256;
-# at 256 (2812544 chamber points) verify theorems, evaluating the whole lattice from per-axis trig
-# tables with at most ten float64 columns live, peaked at 296 MB ru_maxrss, and scan --chamber,
-# 1024 rows at a time, at 111 MB, both in a fresh process on a 2-core host
+# _lattice_axes keeps each axis index in a uint8, which holds grid_n <= 256; at 256 (2812544 chamber
+# points) verify theorems, evaluating the whole lattice from per-axis trig tables with at most ten
+# float64 columns live, peaked at 296 MB ru_maxrss, and scan --chamber, 1024 rows at a time, at 42 MB,
+# both in a fresh process on a 2-core host
 _GRID_MAX = 256
 # attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
 _PASS_MAX = 1 << 16
@@ -98,8 +98,15 @@ def _lattice_axes(grid_n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray
         raise ValueError(f"grid size must lie in [2, {_GRID_MAX}], got {grid_n}")
     c1s = np.linspace(0.0, math.pi, grid_n)
     c2s = np.linspace(0.0, _HALF_PI, grid_n)
-    # an index is below grid_n <= 256, so uint8 holds it in an eighth of nonzero's int64
-    ijk = np.array(np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s)), dtype=np.uint8)
+    # chamber_mask at (c1, c2, 0) holds the inequalities without c3 and at (c2, c2, c3) those with it, so
+    # (i, j, k) is a chamber point when (i, j) passes the first plane and (j, k) the second; the k that
+    # pass for a j are a prefix, so each pair (i, j) expands to k = 0 .. counts - 1
+    i, j = np.nonzero(chamber_mask(c1s[:, None], c2s, 0.0))
+    counts = chamber_mask(c2s[:, None], c2s[:, None], c2s).sum(axis=1)[j]
+    # an index is below grid_n <= 256, so uint8 holds it, and k, a point's position less its pair's first
+    # position, can be taken mod 256: minus the first position, then plus the position, in uint8
+    ijk = np.repeat(np.array([i, j, counts - np.cumsum(counts)], dtype=np.uint8), counts, axis=1)
+    ijk[2] += np.resize(np.arange(256, dtype=np.uint8), ijk.shape[1])
     return (c1s, c2s, c2s), ijk
 
 
@@ -241,6 +248,8 @@ def random_chamber_coords(seed: int, count: int) -> np.ndarray:
 
     Draws (c1, c2, c3) uniformly from [0, pi] x [0, pi/2] x [0, pi/2]
     using the documented stream for ``seed`` (three uniforms per attempt,
-    consumed in index order) and keeps points inside the chamber.
+    consumed in index order) and keeps points inside the chamber. A negative count raises ValueError.
     """
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     return np.concatenate([np.empty((0, 3)), *_chamber_coord_passes(seed, count)])

@@ -133,14 +133,9 @@ def _lattice_columns(axes, blocks):
     """_evaluate at each block of lattice points, given as (3, k) axis indices (see _lattice_axes).
 
     cos c, sin c and cos 2c are computed once per axis value, before the first block, and
-    each block gathers them by index; axes that are one array, as the c2 and c3 axes are,
-    share one table. The coordinates are gathered only for geometric_margins.
+    each block gathers them by index. The coordinates are gathered only for geometric_margins.
     """
-    shared = {}
-    for axis in axes:
-        if id(axis) not in shared:
-            shared[id(axis)] = {f: f(axis) for f in (np.cos, np.sin, _cos2)}
-    tables = [shared[id(axis)] for axis in axes]
+    tables = [{f: f(axis) for f in (np.cos, np.sin, _cos2)} for axis in axes]
     for b in blocks:
         yield _evaluate(
             (axis.take(i) for axis, i in zip(axes, b)),
@@ -247,9 +242,9 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
 class TheoremReport:
     """Result of the lattice sweep over the chamber.
 
-    Violation lists are expected to stay empty; lattice points with any
-    classification margin within PE_TOL of zero are exempted from the
-    equality checks and counted in n_boundary_exempt instead.
+    violations maps each claim's label, in print order, to its violation lines, which are
+    expected to stay empty; lattice points with any classification margin within PE_TOL of
+    zero are exempted from the equality checks and counted in n_boundary_exempt instead.
     """
 
     grid_n: int
@@ -257,19 +252,11 @@ class TheoremReport:
     n_chamber: int
     n_pe: int
     n_boundary_exempt: int
-    g2_bound_violations: list[str]
-    g2_converse_violations: list[str]
-    equivalence_violations: list[str]
-    ep_range_violations: list[str]
+    violations: dict[str, list[str]]
 
     @property
     def n_violations(self) -> int:
-        return (
-            len(self.g2_bound_violations)
-            + len(self.g2_converse_violations)
-            + len(self.equivalence_violations)
-            + len(self.ep_range_violations)
-        )
+        return sum(map(len, self.violations.values()))
 
     @property
     def passed(self) -> bool:
@@ -281,11 +268,13 @@ def verify_theorems(grid_n: int) -> TheoremReport:
 
     The lattice covers c1 in [0, pi], c2 and c3 in [0, pi/2]; points
     outside the chamber are skipped. At every chamber point four checks
-    run: perfect entanglers satisfy -1 <= g2 <= 1; non-perfect entanglers
-    with |g1| <= 1/4 have g2 strictly outside (-1, 1); the geometric and
-    invariant verdicts coincide; and perfect entanglers have entangling
-    power inside [1/6, 2/9]. All comparisons carry the PE_TOL slack.
-    grid_n must lie in [2, 256], as for chamber_lattice.
+    run, reported in this order: perfect entanglers satisfy -1 <= g2 <= 1
+    ("g2 bound"); non-perfect entanglers with |g1| <= 1/4 have g2 strictly
+    outside (-1, 1) ("g2 converse"); the geometric and invariant verdicts
+    coincide ("equivalence"); and perfect entanglers have entangling power
+    inside [1/6, 2/9] ("ep range"). All comparisons carry the PE_TOL slack.
+    The points are those of chamber_lattice(grid_n), read as the axis
+    indices of _lattice_axes, so grid_n must lie in [2, 256].
     """
     axes, ijk = _lattice_axes(grid_n)
     cols, = _lattice_columns(axes, [ijk])
@@ -309,14 +298,16 @@ def verify_theorems(grid_n: int) -> TheoremReport:
         n_chamber=ijk.shape[1],
         n_pe=int(np.count_nonzero(geo)),
         n_boundary_exempt=int(np.count_nonzero(boundary)),
-        g2_bound_violations=report(
-            "perfect entangler with g2 = %r" + at, geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)), g2
-        ),
-        g2_converse_violations=report(
-            "non-perfect entangler with g2 = %r" + at, ~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside, g2
-        ),
-        equivalence_violations=report("geometric %s vs invariant %s" + at, ~boundary & (geo != inv), geo, inv),
-        ep_range_violations=report(
-            "perfect entangler with e_p = %r" + at, geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)), ep
-        ),
+        violations={
+            "g2 bound": report(
+                "perfect entangler with g2 = %r" + at, geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)), g2
+            ),
+            "g2 converse": report(
+                "non-perfect entangler with g2 = %r" + at, ~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside, g2
+            ),
+            "equivalence": report("geometric %s vs invariant %s" + at, ~boundary & (geo != inv), geo, inv),
+            "ep range": report(
+                "perfect entangler with e_p = %r" + at, geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)), ep
+            ),
+        },
     )

@@ -311,12 +311,7 @@ def cmd_verify(args) -> int:
             f" {rep.n_pe} perfect entanglers)",
             f"boundary-exempt points: {rep.n_boundary_exempt}",
         ]
-        for label, bucket in [
-            ("g2 bound", rep.g2_bound_violations),
-            ("g2 converse", rep.g2_converse_violations),
-            ("equivalence", rep.equivalence_violations),
-            ("ep range", rep.ep_range_violations),
-        ]:
+        for label, bucket in rep.violations.items():
             lines += [f"{label} violations: {len(bucket)}", *(f"  {line}" for line in bucket)]
     elif args.suite == "routes":
         rep = verify_route_agreement(args.n, args.seed)

@@ -10,6 +10,9 @@ from gatepower.classify import (
 from gatepower.epower import ep_closed_array
 from gatepower.invariants import g1_abs_array, g2_array, invariants_at_point
 
+# the labels of verify_theorems' claims, in print order
+THEOREM_CLAIMS = ("g2 bound", "g2 converse", "equivalence", "ep range")
+
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""

@@ -145,10 +145,10 @@ def test_criterion_07_theorem_sweep(grid_n):
     assert rep.n_boundary_exempt == boundary_exempt_count(grid_n)
     assert rep.n_boundary_exempt / rep.n_lattice < 0.05
     counts = (
-        f"g2-bound {len(rep.g2_bound_violations)}, "
-        f"g2-converse {len(rep.g2_converse_violations)}, "
-        f"equivalence {len(rep.equivalence_violations)}, "
-        f"ep-range {len(rep.ep_range_violations)}"
+        f"g2-bound {len(rep.violations['g2 bound'])}, "
+        f"g2-converse {len(rep.violations['g2 converse'])}, "
+        f"equivalence {len(rep.violations['equivalence'])}, "
+        f"ep-range {len(rep.violations['ep range'])}"
     )
     status = "PASS" if rep.passed else "FAIL"
     print(

@@ -10,6 +10,7 @@ from gatepower.canonical import (
     EdgeId,
     WeylPoint,
     _edge_coords,
+    _lattice_axes,
     canonical_gate,
     canonical_gate_array,
     chamber_mask,
@@ -229,6 +230,21 @@ def test_edge_tags():
     assert edge_tags(WeylPoint(1.1, 0.6, 0.2)) == set()
 
 
+def _reference_lattice_indices(grid_n: int) -> np.ndarray:
+    """_lattice_axes's indices as np.nonzero of the whole grid_n^3 chamber mask, kept as the reference."""
+    c1s = np.linspace(0.0, PI, grid_n)
+    c2s = np.linspace(0.0, PI / 2, grid_n)
+    return np.array(np.nonzero(chamber_mask(c1s[:, None, None], c2s[:, None], c2s)), dtype=np.uint8)
+
+
+def test_lattice_axes_indices_match_the_whole_mask_reference():
+    for grid_n in [*range(2, 65), 128, 255, 256]:
+        _, ijk = _lattice_axes(grid_n)
+        want = _reference_lattice_indices(grid_n)
+        assert ijk.dtype == want.dtype and ijk.shape == want.shape, grid_n
+        assert ijk.tobytes() == want.tobytes(), grid_n
+
+
 def test_random_chamber_coords_deterministic():
     a = random_chamber_coords(123, 40)
     b = random_chamber_coords(123, 40)
@@ -262,6 +278,11 @@ def test_random_chamber_coords_is_bit_identical_to_fixed_pass_reference(seed):
         got = random_chamber_coords(seed, count)
         assert got.shape == (count, 3)
         assert got.tobytes() == _fixed_pass_chamber_coords(seed, count).tobytes()
+
+
+def test_random_chamber_coords_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        random_chamber_coords(0, -1)
 
 
 @pytest.fixture

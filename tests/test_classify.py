@@ -35,7 +35,7 @@ from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError, TheoremViolationError
 from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
 from gatepower.linalg import SWAP, require_unitary
-from helpers import boundary_exempt_count, dress, point_columns
+from helpers import THEOREM_CLAIMS, boundary_exempt_count, dress, point_columns
 
 PI = math.pi
 
@@ -371,10 +371,7 @@ def test_verify_theorems_small_grid():
     rep = verify_theorems(10)
     assert rep.passed
     assert rep.n_violations == 0
-    assert rep.g2_bound_violations == []
-    assert rep.g2_converse_violations == []
-    assert rep.equivalence_violations == []
-    assert rep.ep_range_violations == []
+    assert rep.violations == {label: [] for label in THEOREM_CLAIMS}
     assert rep.n_lattice == 1000
     assert rep.n_chamber == 190
     assert rep.n_pe > 0
@@ -394,12 +391,19 @@ def test_verify_theorems_grid25_detects_invariant_box_sliver():
     (g2 bound and ep range for true perfect entanglers) stay clean.
     """
     rep = verify_theorems(25)
-    assert len(rep.g2_converse_violations) == 58
-    assert len(rep.equivalence_violations) == 58
-    assert rep.g2_bound_violations == []
-    assert rep.ep_range_violations == []
+    assert len(rep.violations["g2 converse"]) == 58
+    assert len(rep.violations["equivalence"]) == 58
+    assert rep.violations["g2 bound"] == []
+    assert rep.violations["ep range"] == []
     # every flagged point is truly non-PE geometrically yet passes the box
-    assert all("invariant True" in line for line in rep.equivalence_violations)
+    assert all("invariant True" in line for line in rep.violations["equivalence"])
+
+
+@pytest.mark.parametrize("grid_n", [2, 10, 25])
+def test_verify_theorems_reports_each_claim_once_in_print_order(grid_n):
+    rep = verify_theorems(grid_n)
+    assert list(rep.violations) == list(THEOREM_CLAIMS)
+    assert rep.n_violations == sum(len(lines) for lines in rep.violations.values())
 
 
 def test_invariant_box_counterexample_pair():
@@ -460,22 +464,24 @@ def _reference_verify_theorems(grid_n: int) -> TheoremReport:
         n_chamber=len(pts),
         n_pe=int(np.count_nonzero(geo)),
         n_boundary_exempt=int(np.count_nonzero(boundary)),
-        g2_bound_violations=[
-            f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
-            for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
-        ],
-        g2_converse_violations=[
-            f"non-perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
-            for i in np.flatnonzero(~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside)
-        ],
-        equivalence_violations=[
-            f"geometric {bool(geo[i])} vs invariant {bool(inv[i])} at {at(i)}"
-            for i in np.flatnonzero(~boundary & (geo != inv))
-        ],
-        ep_range_violations=[
-            f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
-            for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)))
-        ],
+        violations={
+            "g2 bound": [
+                f"perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+                for i in np.flatnonzero(geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)))
+            ],
+            "g2 converse": [
+                f"non-perfect entangler with g2 = {float(g2[i])!r} at {at(i)}"
+                for i in np.flatnonzero(~boundary & ~geo & (g1a <= 0.25 + PE_TOL) & g2_inside)
+            ],
+            "equivalence": [
+                f"geometric {bool(geo[i])} vs invariant {bool(inv[i])} at {at(i)}"
+                for i in np.flatnonzero(~boundary & (geo != inv))
+            ],
+            "ep range": [
+                f"perfect entangler with e_p = {float(ep[i])!r} at {at(i)}"
+                for i in np.flatnonzero(geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)))
+            ],
+        },
     )
 
 

@@ -27,7 +27,7 @@ from gatepower.cli import (
 )
 from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
-from helpers import dress, point_columns
+from helpers import THEOREM_CLAIMS, dress, point_columns
 
 PI = math.pi
 # the scan row as one printf template, "%.12g" per float, and its verdict labels indexed by a bool
@@ -527,8 +527,7 @@ _GRID10_PE = "WeylPoint(c1=1.0471975511965976, c2=0.6981317007977318, c3=0.0)"
 def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, monkeypatch, name, value, buckets):
     monkeypatch.setattr(classify, name, _set_at(getattr(classify, name), 32, value))
     rep = classify.verify_theorems(10)
-    assert rep.g2_bound_violations == buckets.get("g2 bound", [])
-    assert rep.ep_range_violations == buckets.get("ep range", [])
+    assert rep.violations == {label: buckets.get(label, []) for label in THEOREM_CLAIMS}
     assert rep.n_violations == sum(map(len, buckets.values()))
     code, out, _ = run(capsys, "verify", "theorems", "--grid", "10")
     assert code == 1
@@ -536,7 +535,7 @@ def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, m
         "theorem sweep: grid 10 (1000 lattice points, 190 in chamber, 92 perfect entanglers)",
         "boundary-exempt points: 26",
     ]
-    for label in ("g2 bound", "g2 converse", "equivalence", "ep range"):
+    for label in THEOREM_CLAIMS:
         lines = buckets.get(label, [])
         expected += [f"{label} violations: {len(lines)}", *(f"  {line}" for line in lines)]
     assert out.splitlines() == expected + ["result: FAIL"]
