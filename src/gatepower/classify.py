@@ -18,9 +18,9 @@ reports every off-boundary point where the two tests disagree.
 One evaluator, ``_evaluate``, gives every column a point set needs from
 the closed forms over per-coordinate trig values (see invariants).
 classify_gate and ``scan --edge`` compute that trig from the coordinates;
-``_lattice_columns``, which ``verify_theorems`` and ``scan --chamber``
-use, computes cos c, sin c and cos 2c once per lattice axis value and
-gathers them by each point's axis indices.
+``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber`` read,
+evaluates a lattice in blocks of chamber points, each gathering by axis
+index the cos c, sin c and cos 2c computed once per lattice axis value.
 """
 from __future__ import annotations
 
@@ -71,6 +71,8 @@ PE_TOL = 1e-9
 PE_EP_MIN = 1.0 / 6.0
 
 _HALF_PI = math.pi / 2
+# chamber points verify_theorems evaluates at a time: one block up to grid 72 (62196 points)
+_THEOREM_BLOCK = 1 << 16
 
 
 def geometric_margins(c1, c2, c3) -> dict[str, np.ndarray]:
@@ -104,23 +106,17 @@ def _boundary_mask(margins: dict) -> np.ndarray:
 def _evaluate(coords, trig=None) -> dict:
     """Every chamber-point column that scan, verify_theorems and classify_gate read.
 
-    coords is an iterable of the broadcastable coordinate arrays c1, c2, c3, which only
-    geometric_margins reads. trig(f) is an iterable of f(c1), f(c2), f(c3) for f = np.cos,
-    np.sin and _cos2, read when the formula that needs it runs; by default it applies f to
-    coords, which must then be a sequence. Columns: g1_abs, g2 and ep; the signed margins of
-    both tests and their verdicts; and boundary, where some margin lies within PE_TOL of zero.
+    coords is the broadcastable coordinate arrays c1, c2, c3. trig(f) returns f(c1), f(c2),
+    f(c3) for f = np.cos, np.sin and _cos2; by default it applies f to coords. Columns: g1_abs,
+    g2 and ep; the signed margins of both tests and their verdicts; and boundary, where some
+    margin lies within PE_TOL of zero.
     """
     if trig is None:
         def trig(f):
-            return map(f, coords)
-    # the geometric margins first, while no column is held: their sort network needs the most
-    # temporaries, so a whole lattice peaks at ten float columns, not thirteen
-    geo = geometric_margins(*coords)
-    g1a = _g1_abs_trig(trig(np.cos), trig(np.sin))
-    x = list(trig(_cos2))  # g2 and ep share one cos 2c per coordinate
-    g2, ep = _g2_trig(x), _ep_trig(x)
-    del x
-    inv = invariant_margins(g1a, g2)
+            return [f(c) for c in coords]
+    x = trig(_cos2)  # g2 and ep share one cos 2c per coordinate
+    g1a, g2, ep = _g1_abs_trig(trig(np.cos), trig(np.sin)), _g2_trig(x), _ep_trig(x)
+    geo, inv = geometric_margins(*coords), invariant_margins(g1a, g2)
     return {
         "g1_abs": g1a, "g2": g2, "ep": ep,
         "geo_margins": geo, "inv_margins": inv,
@@ -129,18 +125,22 @@ def _evaluate(coords, trig=None) -> dict:
     }
 
 
-def _lattice_columns(axes, blocks):
-    """_evaluate at each block of lattice points, given as (3, k) axis indices (see _lattice_axes).
+def _lattice_blocks(grid_n: int, rows: int):
+    """The axes of the grid_n lattice (see _lattice_axes), checked here, and a generator of its blocks.
 
-    cos c, sin c and cos 2c are computed once per axis value, before the first block, and
-    each block gathers them by index. The coordinates are gathered only for geometric_margins.
+    Each block is at most rows chamber points, in lattice order: it yields their (3, k) axis
+    indices and _evaluate's columns there, from trig tables computed once per axis value.
     """
+    axes, ijk = _lattice_axes(grid_n)
     tables = [{f: f(axis) for f in (np.cos, np.sin, _cos2)} for axis in axes]
-    for b in blocks:
-        yield _evaluate(
-            (axis.take(i) for axis, i in zip(axes, b)),
-            lambda f, b=b: (table[f].take(i) for table, i in zip(tables, b)),
-        )
+
+    def blocks():
+        for lo in range(0, ijk.shape[1], rows):
+            b = ijk[:, lo:lo + rows]
+            coords = [axis.take(i) for axis, i in zip(axes, b)]
+            yield b, _evaluate(coords, lambda f: [t[f].take(i) for t, i in zip(tables, b)])
+
+    return axes, blocks()
 
 
 @dataclass(frozen=True)
@@ -273,32 +273,30 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     outside (-1, 1) ("g2 converse"); the geometric and invariant verdicts
     coincide ("equivalence"); and perfect entanglers have entangling power
     inside [1/6, 2/9] ("ep range"). All comparisons carry the PE_TOL slack.
-    The points are those of chamber_lattice(grid_n), read as the axis
-    indices of _lattice_axes, so grid_n must lie in [2, 256].
+    The points are those of chamber_lattice(grid_n), in its order, read as the axis indices of
+    _lattice_axes, so grid_n must lie in [2, 256]. They are evaluated _THEOREM_BLOCK at a time.
     """
-    axes, ijk = _lattice_axes(grid_n)
-    cols, = _lattice_columns(axes, [ijk])
-    g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
-    geo, inv = cols["pe_geometric"], cols["pe_invariant"]
-    del cols  # frees the margins: the report reads only the six columns above
-    g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
+    axes, blocks = _lattice_blocks(grid_n, _THEOREM_BLOCK)
     # repr runs once per axis value; a reported point's WeylPoint repr is put together from its indices
     reprs = [np.array([repr(x) for x in axis.tolist()], dtype=object) for axis in axes]
+    at = " at WeylPoint(c1=%s, c2=%s, c3=%s)"
 
     def report(template: str, where: np.ndarray, *values: np.ndarray) -> list[str]:
-        """template % (*values, c1, c2, c3) at each point where is true, the coordinates as their reprs."""
+        """template % (*values, c1, c2, c3) at each point of block ijk where is true, coordinates as reprs."""
         rows = np.flatnonzero(where)
         args = [v[rows].tolist() for v in values] + [r[i[rows]].tolist() for r, i in zip(reprs, ijk)]
         return list(map(template.__mod__, zip(*args)))
 
-    at = " at WeylPoint(c1=%s, c2=%s, c3=%s)"
-    return TheoremReport(
-        grid_n=grid_n,
-        n_lattice=grid_n**3,
-        n_chamber=ijk.shape[1],
-        n_pe=int(np.count_nonzero(geo)),
-        n_boundary_exempt=int(np.count_nonzero(boundary)),
-        violations={
+    n_chamber = n_pe = n_boundary_exempt = 0
+    violations: dict[str, list[str]] = {}
+    for ijk, cols in blocks:
+        g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
+        geo, inv = cols["pe_geometric"], cols["pe_invariant"]
+        g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
+        n_chamber += ijk.shape[1]
+        n_pe += int(np.count_nonzero(geo))
+        n_boundary_exempt += int(np.count_nonzero(boundary))
+        for label, lines in {
             "g2 bound": report(
                 "perfect entangler with g2 = %r" + at, geo & ((g2 < -1.0 - PE_TOL) | (g2 > 1.0 + PE_TOL)), g2
             ),
@@ -309,5 +307,6 @@ def verify_theorems(grid_n: int) -> TheoremReport:
             "ep range": report(
                 "perfect entangler with e_p = %r" + at, geo & ((ep < PE_EP_MIN - PE_TOL) | (ep > EP_MAX + PE_TOL)), ep
             ),
-        },
-    )
+        }.items():
+            violations.setdefault(label, []).extend(lines)
+    return TheoremReport(grid_n, grid_n**3, n_chamber, n_pe, n_boundary_exempt, violations)

@@ -22,9 +22,9 @@ import sys
 
 import numpy as np
 
-from .canonical import EdgeId, WeylPoint, _edge_coords, _lattice_axes
+from .canonical import EdgeId, WeylPoint, _edge_coords
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import GateRecord, _evaluate, _lattice_columns, classify_gate, verify_theorems
+from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, verify_theorems
 from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo, verify_route_agreement
 from .errors import ConsistencyError, TheoremViolationError
 
@@ -283,15 +283,11 @@ def cmd_scan(args) -> int:
             for b in np.split(pts, range(_SCAN_BLOCK, len(pts), _SCAN_BLOCK))
         )
     else:
-        axes, ijk = _lattice_axes(args.chamber)
-        parts = np.split(ijk, range(_SCAN_BLOCK, ijk.shape[1], _SCAN_BLOCK), axis=1)
+        axes, lattice = _lattice_blocks(args.chamber, _SCAN_BLOCK)
         # a lattice has grid_n values per axis: each is rendered once, and a row takes its
-        # coordinate text from these tables by its axis indices, as _lattice_columns takes its trig
+        # coordinate text from these tables by its axis indices, as _lattice_blocks takes its trig
         texts = [_g12_text(axis) for axis in axes]
-        blocks = zip(
-            _lattice_columns(axes, parts),
-            ([text.take(i, axis=0) for text, i in zip(texts, b)] for b in parts),
-        )
+        blocks = ((cols, [text.take(i, axis=0) for text, i in zip(texts, b)]) for b, cols in lattice)
     # one block at a time: peak memory holds one block's columns and text, not the CSV
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")

@@ -98,11 +98,7 @@ def _squared_product(t) -> np.ndarray:
 
 
 def _g1_abs_trig(cos, sin) -> np.ndarray:
-    """|g1| from iterables of the cosines and of the sines of c1, c2, c3.
-
-    The sines are read only once the cosine term is formed, so lazy iterables hold three
-    arrays at a time.
-    """
+    """|g1| from the cosines and from the sines of c1, c2, c3."""
     return _squared_product(cos) + _squared_product(sin)
 
 

@@ -1,16 +1,16 @@
 """Tests for perfect-entangler classification and the lattice sweeps."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gatepower import linalg
+from gatepower import classify, linalg
 from gatepower.canonical import (
     EdgeId,
     WeylPoint,
     _edge_coords,
-    _lattice_axes,
     canonical_gate,
     chamber_lattice,
     edge_tags,
@@ -23,7 +23,7 @@ from gatepower.classify import (
     GateRecord,
     PeVerdict,
     TheoremReport,
-    _lattice_columns,
+    _lattice_blocks,
     _value_tags,
     classify_gate,
     geometric_margins,
@@ -502,11 +502,12 @@ def _flat(cols: dict) -> dict:
 def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
     """The per-axis trig tables give every point the bits of the coordinate forms on its coordinates."""
     for grid_n in [*range(2, 65), 128, 255]:
-        axes, ijk = _lattice_axes(grid_n)
-        cols, = _lattice_columns(axes, [ijk])
+        axes, blocks = _lattice_blocks(grid_n, 1 << 22)
+        (ijk, cols), = blocks
+        pts = chamber_lattice(grid_n)
+        assert np.array_equal(np.column_stack([axis[i] for axis, i in zip(axes, ijk)]), pts)
         got = _flat(cols)
         assert len(got) == 11
-        pts = chamber_lattice(grid_n)
         for lo in range(0, len(pts), 1 << 18):  # the reference in slices bounds the peak at grid 255
             ref = _flat(point_columns(*pts[lo:lo + (1 << 18)].T))
             for name, want in ref.items():
@@ -518,9 +519,40 @@ def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
 
 
 def test_lattice_columns_do_not_depend_on_the_blocks():
-    axes, ijk = _lattice_axes(48)
-    whole, = _lattice_columns(axes, [ijk])
-    blocks = [_flat(c) for c in _lattice_columns(axes, np.split(ijk, range(1024, ijk.shape[1], 1024), axis=1))]
+    _, (whole,) = _lattice_blocks(48, 1 << 22)
+    _, blocks = _lattice_blocks(48, 1024)
+    blocks = list(blocks)
     assert len(blocks) == 19
-    for name, col in _flat(whole).items():
-        assert np.concatenate([b[name] for b in blocks]).tobytes() == col.tobytes(), name
+    assert [ijk.shape[1] for ijk, _ in blocks[:-1]] == [1024] * 18
+    assert np.concatenate([ijk for ijk, _ in blocks], axis=1).tobytes() == whole[0].tobytes()
+    for name, col in _flat(whole[1]).items():
+        assert np.concatenate([_flat(c)[name] for _, c in blocks]).tobytes() == col.tobytes(), name
+
+
+@pytest.mark.parametrize("rows", [1000, 4096])
+def test_verify_theorems_does_not_depend_on_the_block_size(monkeypatch, rows):
+    """Each grid is one block unpatched. With 1000 rows the sliver's 58 and 290 equivalence lines
+    at grids 25 and 40 span several blocks; with 4096, those of grids 40 and 48 do."""
+    whole = {grid_n: verify_theorems(grid_n) for grid_n in (25, 40, 48)}
+    assert max(rep.n_chamber for rep in whole.values()) <= classify._THEOREM_BLOCK
+    monkeypatch.setattr(classify, "_THEOREM_BLOCK", rows)
+    for grid_n, rep in whole.items():
+        assert verify_theorems(grid_n) == rep, grid_n
+    assert len(whole[25].violations["equivalence"]) == 58
+    assert len(whole[40].violations["equivalence"]) == 290
+
+
+def test_verify_theorems_holds_one_block_beyond_its_report():
+    """Peak traced memory less what the returned report holds, at grid 200 (1.3M chamber points).
+
+    Evaluating the whole lattice at once traces about 90 MB over the report, one block of
+    _THEOREM_BLOCK points about 16 MB; the bound lies between the two.
+    """
+    tracemalloc.start()
+    try:
+        rep = verify_theorems(200)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.n_chamber > 20 * classify._THEOREM_BLOCK
+    assert peak - held < 32 * 2**20

@@ -820,6 +820,8 @@ GOLDEN_OUTPUTS = [
     (("verify", "theorems", "--grid", "25"), 1, "e4ab3e4cd7ce7883fd8c9769628f51468c00b7eb0838994077cc4de47e40d13e"),
     (("verify", "theorems", "--grid", "40"), 1, "be43ac940f4369a84eed81e0f3c3dca75bd9d276081f3f47c2ac6159318c8a7c"),
     (("verify", "theorems", "--grid", "48"), 1, "a342e7a1b97b92095415f6a86b0af989b571da581b5a00a1dd7a5afb1ecf7287"),
+    # 169150 chamber points: more than one of verify_theorems's blocks
+    (("verify", "theorems", "--grid", "100"), 1, "957428fe76986c1f1326889ab7053807a8fe13325fdea799ddccebce492b69d6"),
     (("verify", "routes", "--n", "600", "--seed", "3"), 0, "902fd024599bf155d2bc903db4d1123731f82a46490513e5d74ce6bc8ba2df89"),
     (("verify", "routes"), 0, "7e5ee9104669e9f7e1cc05517f4ce8ff264a0c56855393085a0c5acd46452254"),
     (("verify", "montecarlo", "--mc", "2000", "--seed", "5"), 0, "8c646162478ab4d590516b9f590b686e73febc4929783b8ad910ab5ac365780b"),
