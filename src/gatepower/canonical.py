@@ -47,7 +47,7 @@ __all__ = [
 CHAMBER_TOL = 1e-12
 _EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
 # _lattice_axes keeps each axis index in a uint8, which holds grid_n <= 256; at 256 (2812544 chamber
-# points) verify theorems, 65536 points at a time, peaked at 165 MB ru_maxrss, most of it its 204644
+# points) verify theorems, 65536 points at a time, peaked at 94 MB ru_maxrss, 35 MB of it its 204644
 # report lines, and scan --chamber, 1024 rows at a time, at 42 MB, both in a fresh process on a 2-core
 # host
 _GRID_MAX = 256

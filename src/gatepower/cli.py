@@ -33,7 +33,8 @@ __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
 # the text of a verdict column, NUL-padded to one width; a bool mask cast to intp indexes it
 _CSV_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)
-# an edge sweep keeps its points and one block: scan --edge LN --steps 1000000 --out peaked at 83 MB
+# the cap bounds run time and the CSV (99 MB); an edge sweep keeps its 8 MB of parameters and builds one
+# block's points at a time: scan --edge LN --steps 1000000 --out peaked at 39 MB
 _STEPS_MAX = 1_000_000
 _SCAN_BLOCK = 1024  # rows scan evaluates and writes at a time
 # the four ASCII digits of each d < 10000 as one uint32: the digit pair of d // 100, then that of
@@ -276,12 +277,10 @@ def cmd_scan(args) -> int:
         steps = 11 if args.steps is None else args.steps
         if not 2 <= steps <= _STEPS_MAX:
             raise ValueError(f"--steps must lie in [2, {_STEPS_MAX}], got {steps}")
-        pts = _edge_coords(edge, np.linspace(0.0, 1.0, steps))
-        # an edge repeats no coordinate: each block evaluates and renders its own three columns
-        blocks = (
-            (_evaluate(b.T), np.split(_g12_text(b.T.ravel()), 3))
-            for b in np.split(pts, range(_SCAN_BLOCK, len(pts), _SCAN_BLOCK))
-        )
+        t = np.linspace(0.0, 1.0, steps)
+        # an edge repeats no coordinate: each block builds, evaluates and renders its own three columns
+        coords = (_edge_coords(edge, t[lo:lo + _SCAN_BLOCK]).T for lo in range(0, steps, _SCAN_BLOCK))
+        blocks = ((_evaluate(b), np.split(_g12_text(b.ravel()), 3)) for b in coords)
     else:
         axes, lattice = _lattice_blocks(args.chamber, _SCAN_BLOCK)
         # a lattice has grid_n values per axis: each is rendered once, and a row takes its
@@ -299,34 +298,30 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # each suite prints its header, then writes its violation lines one at a time as it renders
+    # them: verify theorems --grid 256 has 204644, and no second copy of them is built
     if args.suite == "theorems":
         rep = verify_theorems(args.grid)
-        lines = [
-            f"theorem sweep: grid {rep.grid_n}"
-            f" ({rep.n_lattice} lattice points, {rep.n_chamber} in chamber,"
-            f" {rep.n_pe} perfect entanglers)",
-            f"boundary-exempt points: {rep.n_boundary_exempt}",
-        ]
+        print(f"theorem sweep: grid {rep.grid_n}"
+              f" ({rep.n_lattice} lattice points, {rep.n_chamber} in chamber,"
+              f" {rep.n_pe} perfect entanglers)")
+        print(f"boundary-exempt points: {rep.n_boundary_exempt}")
         for label, bucket in rep.violations.items():
-            lines += [f"{label} violations: {len(bucket)}", *(f"  {line}" for line in bucket)]
+            print(f"{label} violations: {len(bucket)}")
+            sys.stdout.writelines(f"  {line}\n" for line in bucket)
     elif args.suite == "routes":
         rep = verify_route_agreement(args.n, args.seed)
-        lines = [
-            f"route agreement: {rep.n_points} points, seed {rep.seed}",
-            f"max |closed - from_g1| : {rep.max_closed_vs_g1:.3e}",
-            f"max |closed - operator|: {rep.max_closed_vs_operator:.3e}",
-            f"max |g2 form difference|: {rep.max_g2_forms:.3e}",
-            *(f"  {line}" for line in rep.violations),
-        ]
+        print(f"route agreement: {rep.n_points} points, seed {rep.seed}",
+              f"max |closed - from_g1| : {rep.max_closed_vs_g1:.3e}",
+              f"max |closed - operator|: {rep.max_closed_vs_operator:.3e}",
+              f"max |g2 form difference|: {rep.max_g2_forms:.3e}", sep="\n")
+        sys.stdout.writelines(f"  {line}\n" for line in rep.violations)
     else:
         rep = verify_monte_carlo(args.mc, args.seed)
-        lines = [
-            f"monte carlo: {rep.n_samples} samples per gate, seed {rep.seed}",
-            *(f"{name}: mean={_fmt(mean)} std_err={_fmt(std_err)} analytic={_fmt(analytic)}"
-              for name, mean, std_err, analytic in rep.rows),
-            *(f"  {line}" for line in rep.violations),
-        ]
-    print("\n".join(lines))
+        print(f"monte carlo: {rep.n_samples} samples per gate, seed {rep.seed}")
+        for name, mean, std_err, analytic in rep.rows:
+            print(f"{name}: mean={_fmt(mean)} std_err={_fmt(std_err)} analytic={_fmt(analytic)}")
+        sys.stdout.writelines(f"  {line}\n" for line in rep.violations)
     print(f"result: {'PASS' if rep.passed else 'FAIL'}")
     return 0 if rep.passed else 1
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -20,7 +21,7 @@ from gatepower import canonical, catalog, classify, cli, epower, linalg
 from gatepower.canonical import (
     EdgeId, WeylPoint, _edge_coords, canonical_gate, chamber_lattice, random_chamber_coords,
 )
-from gatepower.classify import classify_gate
+from gatepower.classify import classify_gate, verify_theorems
 from gatepower.cli import (
     _CSV_BOOL_TEXT, _CSV_HEADER, _csv_rows, _g12_text, _record, _record_json, build_parser, load_matrix_file, main,
     matrix_to_json,
@@ -360,12 +361,32 @@ def test_scan_writes_one_block_at_a_time(monkeypatch):
     assert max(text.count("\n") for text in writes) <= 1024
 
 
+def test_scan_edge_builds_its_points_one_block_at_a_time(monkeypatch):
+    sizes: list[int] = []  # how many parameters each _edge_coords call takes
+    edge_coords = cli._edge_coords
+
+    def recording(edge, t):
+        sizes.append(len(t))
+        return edge_coords(edge, t)
+
+    monkeypatch.setattr(cli, "_edge_coords", recording)
+    writes: list[str] = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
+    argv = ("scan", "--edge", "LN", "--steps", "4096")
+    assert main(list(argv)) == 0
+    digest = next(d for a, _, d in GOLDEN_OUTPUTS if a == argv)
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
+    assert sum(sizes) == 4096
+    assert max(sizes) <= cli._SCAN_BLOCK
+
+
 @pytest.mark.parametrize(
     ("argv", "lines_read"),
     [
         # larger than a pipe's buffer: the command is still writing when the pipe closes
         (("scan", "--chamber", "48"), 1),
         (("verify", "theorems", "--grid", "64"), 1),
+        (("scan", "--edge", "LN", "--steps", "100000"), 1),
         # a few hundred bytes, left in stdout's buffer until main flushes it into the closed pipe
         (("analyze", "--name", "SWAP"), 0),
     ],
@@ -645,6 +666,43 @@ def test_verify_routes_rejects_empty_sample_exit_code(capsys, n):
     assert code == 2
     assert "n_points must be at least 1" in err
     assert "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "theorems", "--grid", "40"),
+        ("verify", "routes", "--n", "600", "--seed", "3"),
+        ("verify", "montecarlo", "--mc", "2000", "--seed", "5"),
+    ],
+    ids=" ".join,
+)
+def test_verify_writes_each_violation_line_as_it_renders(monkeypatch, argv):
+    writes: list[str] = []  # the argument of every write and each item of every writelines
+    monkeypatch.setattr(
+        sys, "stdout", types.SimpleNamespace(write=writes.append, writelines=writes.extend, flush=lambda: None)
+    )
+    exit_code, digest = next((c, d) for a, c, d in GOLDEN_OUTPUTS if a == argv)
+    assert main(list(argv)) == exit_code
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
+    # a violation line is indented by two spaces; no write carries more than one
+    assert max(sum(line.startswith("  ") for line in text.splitlines()) for text in writes) <= 1
+
+
+def test_verify_theorems_holds_no_second_copy_of_its_report(monkeypatch):
+    tracemalloc.start()
+    try:
+        verify_theorems(200)
+        _, alone = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main(["verify", "theorems", "--grid", "200"]) == 1
+        _, command = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the report's own lines are in both peaks; printing them may add no more than a buffer
+    assert command - alone <= 4 << 20
 
 
 def test_verify_byte_deterministic(capsys):
