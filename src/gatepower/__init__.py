@@ -19,6 +19,7 @@ from .classify import (
     classify_gate,
     is_pe_geometric,
     is_pe_invariant,
+    verify_route_agreement,
     verify_theorems,
 )
 from .epower import (
@@ -28,7 +29,6 @@ from .epower import (
     ep_monte_carlo,
     ep_monte_carlo_many,
     ep_operator_exact,
-    verify_route_agreement,
 )
 from .errors import CatalogError, ConsistencyError, NonUnitaryError, TheoremViolationError
 from .invariants import (

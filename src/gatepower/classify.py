@@ -14,13 +14,16 @@ of 11060 at grid 40 (2.6%), a share that rises with the lattice
 resolution. ``verify_theorems`` sweeps a chamber lattice,
 checks the entangling-power window [1/6, 2/9] of perfect entanglers and
 reports every off-boundary point where the two tests disagree.
+``verify_route_agreement`` compares the independent e_p and g2 routes on
+random chamber points.
 
 One evaluator, ``_evaluate``, gives every column a point set needs from
 the closed forms over per-coordinate trig values (see invariants).
-classify_gate and ``scan --edge`` compute that trig from the coordinates;
-``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber`` read,
-evaluates a lattice in blocks of chamber points, each gathering by axis
-index the cos c, sin c and cos 2c computed once per lattice axis value.
+classify_gate, ``scan --edge`` and verify_route_agreement compute that
+trig from the coordinates; ``_lattice_blocks``, which ``verify_theorems``
+and ``scan --chamber`` read, evaluates a lattice in blocks of chamber
+points, each gathering by axis index the cos c, sin c and cos 2c computed
+once per lattice axis value.
 """
 from __future__ import annotations
 
@@ -31,13 +34,15 @@ import numpy as np
 
 from .canonical import (
     WeylPoint,
+    _chamber_coord_passes,
     _lattice_axes,
     _sort_desc,
     canonical_gate,
+    canonical_gate_array,
     edge_tags,
     in_weyl_chamber,
 )
-from .epower import EP_MAX, _ep_trig, ep_from_g1_abs
+from .epower import EP_MAX, _ep_operator, _ep_trig, ep_from_g1_abs
 from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
@@ -45,6 +50,7 @@ from .invariants import (
     _g1_abs_trig,
     _g2_trig,
     _invariants,
+    g2_product_array,
     invariants_at_point,
 )
 from .linalg import require_unitary
@@ -54,6 +60,7 @@ __all__ = [
     "PE_TOL",
     "GateRecord",
     "PeVerdict",
+    "RouteAgreementReport",
     "TheoremReport",
     "classify_gate",
     "geometric_margins",
@@ -61,6 +68,7 @@ __all__ = [
     "is_pe_geometric",
     "is_pe_invariant",
     "pe_mask",
+    "verify_route_agreement",
     "verify_theorems",
 ]
 
@@ -73,6 +81,10 @@ PE_EP_MIN = 1.0 / 6.0
 _HALF_PI = math.pi / 2
 # chamber points verify_theorems evaluates at a time: one block up to grid 72 (62196 points)
 _THEOREM_BLOCK = 1 << 16
+# verify_route_agreement holds one sampler pass at a time, so its memory does not grow with n_points;
+# the cap bounds run time: verify routes --n 1000000 took 4.8-4.9 s and peaked at 54 MB ru_maxrss in a
+# fresh process on a 2-core host
+_ROUTE_POINTS_MAX = 1_000_000
 
 
 def geometric_margins(c1, c2, c3) -> dict[str, np.ndarray]:
@@ -104,7 +116,7 @@ def _boundary_mask(margins: dict) -> np.ndarray:
 
 
 def _evaluate(coords, trig=None) -> dict:
-    """Every chamber-point column that scan, verify_theorems and classify_gate read.
+    """Every chamber-point column that scan, verify_theorems, verify_route_agreement and classify_gate read.
 
     coords is the broadcastable coordinate arrays c1, c2, c3. trig(f) returns f(c1), f(c2),
     f(c3) for f = np.cos, np.sin and _cos2; by default it applies f to coords. Columns: g1_abs,
@@ -310,3 +322,44 @@ def verify_theorems(grid_n: int) -> TheoremReport:
         }.items():
             violations.setdefault(label, []).extend(lines)
     return TheoremReport(grid_n, grid_n**3, n_chamber, n_pe, n_boundary_exempt, violations)
+
+
+@dataclass(frozen=True)
+class RouteAgreementReport:
+    """Largest discrepancies between independent e_p and g2 routes."""
+
+    n_points: int
+    seed: int
+    max_closed_vs_g1: float
+    max_closed_vs_operator: float
+    max_g2_forms: float
+    violations: tuple[str, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+
+def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
+    """Compare all e_p routes and both g2 forms on n_points random chamber points, 1 to 1_000_000."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if n_points > _ROUTE_POINTS_MAX:
+        raise ValueError(f"n_points must be at most {_ROUTE_POINTS_MAX}, got {n_points}")
+    maxima = [0.0, 0.0, 0.0]
+    violations = []
+    # one sampler pass at a time, so peak memory holds one pass's gate stack; maxima and point order are unchanged
+    for pts in _chamber_coord_passes(seed, n_points):
+        c = pts.T
+        cols = _evaluate(c)  # the closed form, |g1| and g2, as every other point path reads them
+        d_g1 = np.abs(cols["ep"] - ep_from_g1_abs(cols["g1_abs"]))
+        d_op = np.abs(cols["ep"] - _ep_operator(canonical_gate_array(*c)))
+        d_g2 = np.abs(cols["g2"] - g2_product_array(*c))
+        checks = [("closed vs |g1| route", d_g1, 1e-12), ("closed vs operator route", d_op, 1e-10), ("g2 forms", d_g2, 1e-12)]
+        maxima = [max(m, float(diffs.max())) for m, (_, diffs, _) in zip(maxima, checks)]
+        bad = np.logical_or.reduce([diffs > tol for _, diffs, tol in checks])
+        violations += [
+            f"{label}: {diffs[i]:.3e} at {WeylPoint(*pts[i].tolist())}"
+            for i in np.flatnonzero(bad) for label, diffs, tol in checks if diffs[i] > tol
+        ]
+    return RouteAgreementReport(n_points, seed, *maxima, tuple(violations))

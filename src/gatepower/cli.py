@@ -24,8 +24,8 @@ import numpy as np
 
 from .canonical import EdgeId, WeylPoint, _edge_coords
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, verify_theorems
-from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo, verify_route_agreement
+from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, verify_route_agreement, verify_theorems
+from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo
 from .errors import ConsistencyError, TheoremViolationError
 
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]

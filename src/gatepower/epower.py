@@ -15,10 +15,9 @@ exactly by the special perfect entanglers (|g1| = 0), and gates in the
 identity or SWAP class give 0, which the Monte-Carlo estimate also
 reports exactly.
 
-The operator route is written once over (..., 4, 4) stacks of matrices.
-ep_operator_exact checks one 4x4 input and evaluates it there;
-verify_route_agreement evaluates each sampler pass of its canonical gates
-as one stack.
+The operator route is written once over (..., 4, 4) stacks of matrices;
+ep_operator_exact checks one 4x4 input and evaluates it there, and
+classify.verify_route_agreement evaluates stacks of canonical gates.
 """
 from __future__ import annotations
 
@@ -28,21 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .canonical import WeylPoint, _chamber_coord_passes, canonical_gate_array
-from .invariants import _RANGE_TOL, _cos2, g1_abs_array, g2_array, g2_product_array
+from .canonical import WeylPoint
+from .invariants import _RANGE_TOL, _cos2
 from .linalg import SWAP, require_unitary
 
 __all__ = [
     "EP_MAX",
     "EpEstimate",
-    "RouteAgreementReport",
     "ep_closed_array",
     "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
     "ep_monte_carlo_many",
     "ep_operator_exact",
-    "verify_route_agreement",
 ]
 
 EP_MAX = 2.0 / 9.0
@@ -54,10 +51,6 @@ _BLOCK = 1024
 # mean and standard error are snapped at 1e-12 to flush accumulated float
 # noise, so non-entangling gates report exactly 0
 _SNAP_DECIMALS = 12
-
-# verify_route_agreement holds one sampler pass at a time, so its memory does not grow with n_points;
-# the cap bounds run time: verify routes --n 1000000 took 4.4-5.6 s in a fresh process on a 2-core host
-_ROUTE_POINTS_MAX = 1_000_000
 
 # ep_monte_carlo_many keeps a block key and per-gate block sums for every 1024 samples; at n = 10**7
 # tracemalloc read 100 bytes per block for one gate and 230 for the nine catalog gates (15 s on a
@@ -225,51 +218,3 @@ def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
     pass several gates there to share each block's draw between them.
     """
     return ep_monte_carlo_many([u], n_samples, seed)[0]
-
-
-@dataclass(frozen=True)
-class RouteAgreementReport:
-    """Largest discrepancies between independent e_p and g2 routes."""
-
-    n_points: int
-    seed: int
-    max_closed_vs_g1: float
-    max_closed_vs_operator: float
-    max_g2_forms: float
-    violations: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def verify_route_agreement(n_points: int, seed: int) -> RouteAgreementReport:
-    """Compare all e_p routes and both g2 forms on n_points random chamber points, 1 to 1_000_000."""
-    if n_points < 1:
-        raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if n_points > _ROUTE_POINTS_MAX:
-        raise ValueError(f"n_points must be at most {_ROUTE_POINTS_MAX}, got {n_points}")
-    maxima = [0.0, 0.0, 0.0]
-    violations = []
-    # one sampler pass at a time, so peak memory holds one pass's gate stack; maxima and point order are unchanged
-    for pts in _chamber_coord_passes(seed, n_points):
-        c = pts.T
-        closed = ep_closed_array(*c)
-        d_g1 = np.abs(closed - ep_from_g1_abs(g1_abs_array(*c)))
-        d_op = np.abs(closed - _ep_operator(canonical_gate_array(*c)))
-        d_g2 = np.abs(g2_array(*c) - g2_product_array(*c))
-        checks = [("closed vs |g1| route", d_g1, 1e-12), ("closed vs operator route", d_op, 1e-10), ("g2 forms", d_g2, 1e-12)]
-        maxima = [max(m, float(diffs.max())) for m, (_, diffs, _) in zip(maxima, checks)]
-        bad = np.logical_or.reduce([diffs > tol for _, diffs, tol in checks])
-        violations += [
-            f"{label}: {diffs[i]:.3e} at {WeylPoint(*pts[i].tolist())}"
-            for i in np.flatnonzero(bad) for label, diffs, tol in checks if diffs[i] > tol
-        ]
-    return RouteAgreementReport(
-        n_points=n_points,
-        seed=seed,
-        max_closed_vs_g1=maxima[0],
-        max_closed_vs_operator=maxima[1],
-        max_g2_forms=maxima[2],
-        violations=tuple(violations),
-    )

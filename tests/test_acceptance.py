@@ -18,14 +18,13 @@ from gatepower.canonical import (
     random_chamber_coords,
 )
 from gatepower.catalog import named_gate
-from gatepower.classify import verify_theorems
+from gatepower.classify import verify_route_agreement, verify_theorems
 from gatepower.cli import main
 from gatepower.epower import (
     ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
     ep_operator_exact,
-    verify_route_agreement,
 )
 from gatepower.invariants import (
     g1_abs_array,

@@ -172,6 +172,16 @@ def test_edges_stay_in_chamber(edge):
         assert in_weyl_chamber(edge_point(edge, float(t)))
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+@pytest.mark.parametrize("edge", list(EdgeId))
+def test_edge_tag_holds_within_its_slack(edge, scale):
+    # moving c2 off an edge's midpoint breaks one of its equalities by that much; the slack is 1e-9
+    c1, c2, c3 = edge_point(edge, 0.5)
+    for d in (scale * 1e-9, -scale * 1e-9):
+        tags = edge_tags(WeylPoint(c1, c2 + d, c3))
+        assert (f"EDGE_{edge.value}" in tags) == (scale < 1.0), d
+
+
 def test_edge_point_rejects_out_of_range():
     with pytest.raises(ValueError):
         edge_point(EdgeId.QP, -0.01)

@@ -10,6 +10,7 @@ from gatepower import classify, linalg
 from gatepower.canonical import (
     EdgeId,
     WeylPoint,
+    _chamber_coord_passes,
     _edge_coords,
     canonical_gate,
     chamber_lattice,
@@ -137,6 +138,33 @@ def test_invariant_dcnot_is_pe():
     v = is_pe_invariant(LocalInvariants(0j, -1.0))
     assert v.is_pe
     assert v.margins["g2_low"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [-2.0, -0.5, 0.5, 2.0])
+def test_verdict_and_boundary_flag_at_half_and_twice_pe_tol(scale):
+    """A margin at half and at twice the documented PE_TOL of 1e-9 from zero, on either side of its
+    face: the verdict needs the margin to clear -1e-9, the boundary flag puts it within 1e-9 of zero."""
+    assert PE_TOL == 1e-9
+    d = scale * 1e-9
+    verdicts = {
+        "c1_plus_c2": is_pe_geometric(WeylPoint(PI / 4 + d / 2, PI / 4 + d / 2, 0.1)),
+        "c2_plus_c3": is_pe_geometric(WeylPoint(1.2, PI / 4 - d / 2, PI / 4 - d / 2)),
+        "g1_abs": is_pe_invariant(LocalInvariants(complex(0.25 - d), 0.0)),
+        "g2_low": is_pe_invariant(LocalInvariants(0.1j, -1.0 + d)),
+        "g2_high": is_pe_invariant(LocalInvariants(0.1j, 1.0 - d)),
+    }
+    for margin, v in verdicts.items():
+        assert v.margins[margin] == pytest.approx(d, abs=1e-15), margin
+        assert v.is_pe == (scale > -1.0), margin
+        assert v.on_boundary == (abs(scale) < 1.0), margin
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_value_tags_at_half_and_twice_their_slack(scale):
+    """SPE marks |g1| below 1e-9 and ZERO_EP |g1| within 1e-9 of 1."""
+    d = scale * 1e-9
+    assert _value_tags(LocalInvariants(complex(d), 3.0)) == ({"SPE"} if scale < 1.0 else set())
+    assert _value_tags(LocalInvariants(complex(1.0 - d), 3.0)) == ({"ZERO_EP"} if scale < 1.0 else set())
 
 
 def test_invariant_depends_only_on_g1_modulus():
@@ -516,6 +544,21 @@ def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
                     assert np.array_equal(have, want), (grid_n, name)
                 else:
                     assert np.array_equal(have.view(np.int64), want.view(np.int64)), (grid_n, name)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2025, -1])
+def test_sampled_columns_match_the_coordinate_forms_bit_for_bit(seed):
+    """verify_route_agreement evaluates each sampler pass of random_chamber_coords as a (3, k) view."""
+    for n in (1, 7, 600, 30_000):
+        passes = list(_chamber_coord_passes(seed, n))
+        assert np.array_equal(np.concatenate(passes), random_chamber_coords(seed, n))
+        assert len(passes) >= 3 or n < 30_000  # about 180000 attempts, 65536 per pass
+        for pts in passes:
+            got, ref = _flat(classify._evaluate(pts.T)), _flat(point_columns(*pts.T))
+            assert list(got) == list(ref)
+            for name, want in ref.items():
+                have = got[name]
+                assert (have.dtype, have.tobytes()) == (want.dtype, want.tobytes()), (seed, n, name)
 
 
 def test_lattice_columns_do_not_depend_on_the_blocks():

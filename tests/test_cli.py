@@ -615,7 +615,7 @@ def _bumped(fn, at):
 def _bump_routes(monkeypatch, g1_at, op_at, g2_at):
     # bumps of 1e-6: above every tolerance, rendered as 1.000e-06
     for name, at in (("ep_from_g1_abs", g1_at), ("_ep_operator", op_at), ("g2_product_array", g2_at)):
-        monkeypatch.setattr(epower, name, _bumped(getattr(epower, name), at))
+        monkeypatch.setattr(classify, name, _bumped(getattr(classify, name), at))
 
 
 def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypatch):
@@ -631,7 +631,7 @@ def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypa
     )
     with monkeypatch.context() as patch:
         _bump_routes(patch, g1_at=[1, 5], op_at=[3, 5], g2_at=[3, 5])
-        rep = epower.verify_route_agreement(n, seed)
+        rep = classify.verify_route_agreement(n, seed)
     assert rep.violations == expected
     assert rep.passed is False
     with monkeypatch.context() as patch:
@@ -652,7 +652,7 @@ def test_verify_routes_in_chunks_matches_one_shot_report(monkeypatch):
             patch.setattr(canonical, "_PASS_MAX", pass_max)
             passes = [len(pts) for pts in canonical._chamber_coord_passes(seed, n)]
             _bump_routes(patch, g1_at=[2, 9], op_at=[3, 8], g2_at=[9, 11])
-            reports.append(epower.verify_route_agreement(n, seed))
+            reports.append(classify.verify_route_agreement(n, seed))
         assert sum(passes) == n
         assert (len(passes) > 4) == (pass_max == 4)
     chunked, one_shot = reports

@@ -6,6 +6,7 @@ import pytest
 
 from gatepower import epower
 from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
+from gatepower.classify import verify_route_agreement
 from gatepower.epower import (
     EP_MAX,
     EpEstimate,
@@ -14,7 +15,6 @@ from gatepower.epower import (
     ep_monte_carlo,
     ep_monte_carlo_many,
     ep_operator_exact,
-    verify_route_agreement,
 )
 from gatepower.errors import NonUnitaryError
 from gatepower.invariants import g1_abs_array
