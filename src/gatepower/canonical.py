@@ -12,7 +12,7 @@ midpoint L = (pi/2,0,0) of O-A1 is the CNOT class. The polyhedron of
 perfect entanglers sits between the planes c1 + c2 = pi/2, c1 - c2 = pi/2
 and c2 + c3 = pi/2; its vertices Q = (pi/4,pi/4,0), P = (pi/4,pi/4,pi/4),
 M = (3pi/4,pi/4,0) and N = (3pi/4,pi/4,pi/4), with L and A2, end the six
-named edges of EdgeId.
+named edges of EdgeId, whose ends one table holds for edge_point and edge_tags.
 
 canonical_gate_array builds the canonical gates of whole coordinate arrays
 as one (..., 4, 4) stack; canonical_gate is the same formula on one point.
@@ -45,7 +45,7 @@ __all__ = [
 
 # slack applied to every chamber inequality
 CHAMBER_TOL = 1e-12
-_EDGE_TAG_TOL = 1e-9  # slack on each constraint that puts a point on a named edge
+_EDGE_TAG_TOL = 1e-9  # slack on each coordinate of a point's offset from a named edge; see edge_tags
 # _lattice_axes keeps each axis index in a uint8, which holds grid_n <= 256; at 256 (2812544 chamber
 # points) verify theorems, 65536 points at a time, peaked at 94 MB ru_maxrss, 35 MB of it its 204644
 # report lines, and scan --chamber, 1024 rows at a time, at 42 MB, both in a fresh process on a 2-core
@@ -55,7 +55,6 @@ _GRID_MAX = 256
 _PASS_MAX = 1 << 16
 
 _HALF_PI = math.pi / 2
-_QUARTER_PI = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -178,12 +177,17 @@ class EdgeId(Enum):
 
 
 # the vertices that end the named edges, in units of pi/4
-_Q, _P, _M, _N, _L, _A2 = _QUARTER_PI * np.array([[1, 1, 0], [1, 1, 1], [3, 1, 0], [3, 1, 1], [2, 0, 0], [2, 2, 0]])
+_Q, _P, _M, _N, _L, _A2 = math.pi / 4 * np.array([[1, 1, 0], [1, 1, 1], [3, 1, 0], [3, 1, 1], [2, 0, 0], [2, 2, 0]])
 # (start, end) vertices of each named edge
 _EDGE_ENDPOINTS = {
     EdgeId.QP: (_Q, _P), EdgeId.MN: (_M, _N), EdgeId.PN: (_P, _N),
     EdgeId.LQ: (_L, _Q), EdgeId.LN: (_L, _N), EdgeId.A2P: (_A2, _P),
 }
+# edge_tags' row of each named edge, in Python floats: tag, start, end - start and k, the first moving coordinate
+_EDGE_ROWS = [
+    (f"EDGE_{edge.value}", start.tolist(), (end - start).tolist(), int(np.flatnonzero(end - start)[0]))
+    for edge, (start, end) in _EDGE_ENDPOINTS.items()
+]
 
 
 def _edge_coords(edge: EdgeId, t) -> np.ndarray:
@@ -207,22 +211,18 @@ def edge_point(edge: EdgeId, t: float) -> WeylPoint:
 
 
 def edge_tags(p: WeylPoint) -> set[str]:
-    """EDGE_* labels for every named segment passing through p, each constraint up to 1e-9."""
-    c1, c2, c3 = p
+    """EDGE_* labels for every named segment passing through p: each coordinate of p lies within 1e-9
+    of start + t (end - start) at t = (p_k - start_k) / (end_k - start_k) clamped to [0, 1]."""
+    c = c1, c2, c3 = tuple(p)
     tol = _EDGE_TAG_TOL
     tags = set()
-    if abs(c1 - _QUARTER_PI) <= tol and abs(c2 - _QUARTER_PI) <= tol and -tol <= c3 <= _QUARTER_PI + tol:
-        tags.add("EDGE_QP")
-    if abs(c1 - 3 * _QUARTER_PI) <= tol and abs(c2 - _QUARTER_PI) <= tol and -tol <= c3 <= _QUARTER_PI + tol:
-        tags.add("EDGE_MN")
-    if abs(c2 - _QUARTER_PI) <= tol and abs(c3 - _QUARTER_PI) <= tol and _QUARTER_PI - tol <= c1 <= 3 * _QUARTER_PI + tol:
-        tags.add("EDGE_PN")
-    if abs(c3) <= tol and abs(c1 + c2 - _HALF_PI) <= tol and _QUARTER_PI - tol <= c1 <= _HALF_PI + tol:
-        tags.add("EDGE_LQ")
-    if abs(c2 - c3) <= tol and abs(c1 - _HALF_PI - c2) <= tol and -tol <= c2 <= _QUARTER_PI + tol:
-        tags.add("EDGE_LN")
-    if abs(c1 - c2) <= tol and abs(c1 + c3 - _HALF_PI) <= tol and -tol <= c3 <= _QUARTER_PI + tol:
-        tags.add("EDGE_A2P")
+    for tag, start, step, k in _EDGE_ROWS:
+        t = (c[k] - start[k]) / step[k]
+        # written out, not min/max and a generator over the coordinates, which made a call 5 times slower
+        t = 0.0 if t < 0.0 else 1.0 if t > 1.0 else t
+        (s1, s2, s3), (d1, d2, d3) = start, step
+        if abs(c1 - (s1 + t * d1)) <= tol and abs(c2 - (s2 + t * d2)) <= tol and abs(c3 - (s3 + t * d3)) <= tol:
+            tags.add(tag)
     return tags
 
 

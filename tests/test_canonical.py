@@ -20,6 +20,7 @@ from gatepower.canonical import (
     mirror_coords,
     random_chamber_coords,
 )
+from gatepower.catalog import catalog_records
 from gatepower.linalg import SWAP, unitarity_defect
 
 PI = math.pi
@@ -175,7 +176,7 @@ def test_edges_stay_in_chamber(edge):
 @pytest.mark.parametrize("scale", [0.5, 2.0])
 @pytest.mark.parametrize("edge", list(EdgeId))
 def test_edge_tag_holds_within_its_slack(edge, scale):
-    # moving c2 off an edge's midpoint breaks one of its equalities by that much; the slack is 1e-9
+    # moving c2 off an edge's midpoint moves the point that far off the edge; the slack is 1e-9
     c1, c2, c3 = edge_point(edge, 0.5)
     for d in (scale * 1e-9, -scale * 1e-9):
         tags = edge_tags(WeylPoint(c1, c2 + d, c3))
@@ -224,7 +225,7 @@ def test_edge_point_is_bit_identical_to_six_branch_reference(edge):
     got = np.array([tuple(edge_point(edge, t)) for t in EDGE_PARAMS.tolist()])
     ref = np.array([_six_branch_edge_point(edge, t) for t in EDGE_PARAMS.tolist()])
     assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-    # the array form scan --edge evaluates in one call
+    # the array form scan --edge evaluates block by block
     assert np.array_equal(_edge_coords(edge, EDGE_PARAMS).view(np.int64), ref.view(np.int64))
 
 
@@ -238,6 +239,49 @@ def test_edge_tags():
     l_vertex = WeylPoint(PI / 2, 0, 0)
     assert {"EDGE_LQ", "EDGE_LN"} <= edge_tags(l_vertex)
     assert edge_tags(WeylPoint(1.1, 0.6, 0.2)) == set()
+
+
+def _six_branch_edge_tags(p: WeylPoint) -> set[str]:
+    """The hand-written per-edge equations, each up to 1e-9, kept as the reference for edge_tags."""
+    c1, c2, c3 = p
+    quarter, half, tol = PI / 4, PI / 2, 1e-9
+    tags = set()
+    if abs(c1 - quarter) <= tol and abs(c2 - quarter) <= tol and -tol <= c3 <= quarter + tol:
+        tags.add("EDGE_QP")
+    if abs(c1 - 3 * quarter) <= tol and abs(c2 - quarter) <= tol and -tol <= c3 <= quarter + tol:
+        tags.add("EDGE_MN")
+    if abs(c2 - quarter) <= tol and abs(c3 - quarter) <= tol and quarter - tol <= c1 <= 3 * quarter + tol:
+        tags.add("EDGE_PN")
+    if abs(c3) <= tol and abs(c1 + c2 - half) <= tol and quarter - tol <= c1 <= half + tol:
+        tags.add("EDGE_LQ")
+    if abs(c2 - c3) <= tol and abs(c1 - half - c2) <= tol and -tol <= c2 <= quarter + tol:
+        tags.add("EDGE_LN")
+    if abs(c1 - c2) <= tol and abs(c1 + c3 - half) <= tol and -tol <= c3 <= quarter + tol:
+        tags.add("EDGE_A2P")
+    return tags
+
+
+def _edge_probe_points() -> list[WeylPoint]:
+    """Each edge at t in {0, 1/4, 1/3, 1/2, 1}, as is and with each coordinate in turn moved by
+    +-{0.5, 0.99, 1.01, 2} x 1e-9 (750 points), then the catalog points and 20000 random chamber points."""
+    points = []
+    for edge in EdgeId:
+        for t in (0.0, 0.25, 1 / 3, 0.5, 1.0):
+            c = tuple(edge_point(edge, t))
+            points.append(WeylPoint(*c))
+            for i in range(3):
+                for d in (0.5e-9, 0.99e-9, 1.01e-9, 2e-9, -0.5e-9, -0.99e-9, -1.01e-9, -2e-9):
+                    points.append(WeylPoint(*(x + d * (j == i) for j, x in enumerate(c))))
+    points += [rec.point for rec in catalog_records()]
+    points += [WeylPoint(*c) for c in random_chamber_coords(3, 20_000).tolist()]
+    return points
+
+
+def test_edge_tags_match_the_six_branch_reference():
+    points = _edge_probe_points()
+    assert len(points) == 20_759
+    mismatched = [p for p in points if edge_tags(p) != _six_branch_edge_tags(p)]
+    assert not mismatched, mismatched[:5]
 
 
 def _reference_lattice_indices(grid_n: int) -> np.ndarray:
