@@ -70,4 +70,5 @@ def block_key(seed: int, block: int) -> int:
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two standard-normal arrays from two uniform-(0,1) arrays."""
     r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+    t = 2.0 * np.pi * u2
+    return r * np.cos(t), r * np.sin(t)

@@ -6,6 +6,7 @@ import pytest
 
 from gatepower import epower
 from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
+from gatepower.catalog import catalog_records
 from gatepower.classify import verify_route_agreement
 from gatepower.epower import (
     EP_MAX,
@@ -19,7 +20,7 @@ from gatepower.epower import (
 from gatepower.errors import NonUnitaryError
 from gatepower.invariants import g1_abs_array
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
-from gatepower.rng import block_key
+from gatepower.rng import block_key, box_muller, uniform_stream
 
 from helpers import dress, haar_unitary
 
@@ -261,27 +262,79 @@ def test_mc_block_order_independence():
     """The estimate is a pure function of (u, n, seed), not block order."""
     u_t = CNOT.T.copy()
     n = 2500
-    pieces = {
-        b: epower._entropy_sums(epower._block_states(block_key(17, b), c), u_t)
-        for b, c in [(0, 1024), (1, 1024), (2, 452)]
-    }
+    keys = [block_key(17, b) for b in range(3)]
+    full, _ = epower._entropy_sums(epower._block_states(keys[:2], 1024), u_t, 2)
+    tail, _ = epower._entropy_sums(epower._block_states(keys[2:], 452), u_t, 1)
+    pieces = dict(enumerate(full.tolist() + tail.tolist()))
     for order in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
-        total = math.fsum(pieces[b][0] for b in order)
+        total = math.fsum(pieces[b] for b in order)
         assert total / n == pytest.approx(ep_monte_carlo(CNOT, n, seed=17).mean, abs=1e-12)
 
 
 def test_mc_entropy_sums_match_reduced_density_matrix_form():
-    """Elementwise purity agrees with tr(rho_A^2) from the batched 2x2 product."""
+    """Elementwise purity agrees with tr(rho_A^2) from the batched 2x2 product, block by block."""
     for u in [CNOT, _dressed(*DRESSED_MC_GOLDEN[1][:2])]:
-        for block, count in [(0, 1024), (5, 300)]:
-            psi = epower._block_states(block_key(3, block), count)
-            m = (psi @ u.T).reshape(count, 2, 2)
+        for blocks, count in [((0, 1), 1024), ((5,), 300)]:
+            psi = epower._block_states([block_key(3, b) for b in blocks], count)
+            m = (psi @ u.T).reshape(-1, 2, 2)
             rho = m @ m.conj().swapaxes(1, 2)
-            e = 1.0 - np.sum(np.abs(rho) ** 2, axis=(1, 2))
-            s, s2 = epower._entropy_sums(psi, u.T.copy())
+            e = 1.0 - np.sum(np.abs(rho) ** 2, axis=(1, 2)).reshape(len(blocks), count)
+            s, s2 = epower._entropy_sums(psi, u.T.copy(), len(blocks))
             # a few ulps per sample, summed over at most 1024 samples
-            assert s == pytest.approx(np.sum(e), abs=1e-12)
-            assert s2 == pytest.approx(np.sum(e * e), abs=1e-12)
+            assert s == pytest.approx(np.sum(e, axis=1), abs=1e-12)
+            assert s2 == pytest.approx(np.sum(e * e, axis=1), abs=1e-12)
+
+
+def _reference_block_states(key: int, count: int) -> np.ndarray:
+    """The states of one block, drawn one block per call as _block_states once did; the reference."""
+    us = uniform_stream(key, 0, 8 * count).reshape(count, 2, 2, 2)
+    z_re, z_im = box_muller(us[..., 0], us[..., 1])
+    q = z_re + 1j * z_im
+    q /= np.linalg.norm(q, axis=2, keepdims=True)
+    return np.einsum("ni,nj->nij", q[:, 0], q[:, 1]).reshape(count, 4)
+
+
+def _reference_entropy_sums(psi: np.ndarray, u_t: np.ndarray) -> tuple[float, float]:
+    """Sum and sum of squares of one block's output entropies, as _entropy_sums once scored one block."""
+    out = psi @ u_t
+    a, b, c, d = out.T
+    p = out.real**2 + out.imag**2
+    r00 = p[:, 0] + p[:, 1]
+    r11 = p[:, 2] + p[:, 3]
+    r01 = a * c.conj() + b * d.conj()
+    e = 1.0 - (r00 * r00 + r11 * r11 + 2.0 * (r01.real**2 + r01.imag**2))
+    return float(np.sum(e)), float(np.sum(e * e))
+
+
+_CATALOG_AND_DRESSED = [canonical_gate(r.point) for r in catalog_records()] + [
+    _dressed(point, angles) for point, angles, *_ in DRESSED_MC_GOLDEN
+]
+
+
+@pytest.mark.parametrize("count", [1024, 452])
+@pytest.mark.parametrize("seed", [0, 17, -7, 2**64 + 3])
+def test_mc_chunked_block_sums_are_bit_identical_to_one_block_reference(seed, count):
+    # chunks of 16 and 64 blocks hold temporaries of 256 KiB or more, which numpy may reuse in place
+    keys = [block_key(seed, b) for b in range(64)]
+    u_ts = [u.T.copy() for u in _CATALOG_AND_DRESSED]
+    ref_psi = [_reference_block_states(key, count) for key in keys]
+    want = np.array([[_reference_entropy_sums(psi, u_t) for psi in ref_psi] for u_t in u_ts])
+    for width in (1, 2, 3, 16, 64):
+        psi = epower._block_states(keys[:width], count)
+        assert psi.shape == (width * count, 4)
+        for u_t, ref in zip(u_ts, want):
+            got = np.stack(epower._entropy_sums(psi, u_t, width), axis=1)
+            np.testing.assert_array_equal(got.view(np.int64), ref[:width].view(np.int64))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_mc_estimates_do_not_depend_on_chunk_width(monkeypatch, chunk):
+    gates = _CATALOG_AND_DRESSED
+    ns = (100, 1023, 1025, 20000, 50000, 100001)
+    default = {n: ep_monte_carlo_many(gates, n, 5) for n in ns}
+    monkeypatch.setattr(epower, "_CHUNK", chunk)
+    for n in ns:
+        assert ep_monte_carlo_many(gates, n, 5) == default[n]
 
 
 def _mc_gates():

@@ -72,3 +72,19 @@ def test_box_muller_moments():
     assert abs(z.mean()) < 0.01
     assert abs(z.std() - 1.0) < 0.01
     assert np.all(np.isfinite(z))
+
+
+def _reference_box_muller(u1, u2):
+    """box_muller with 2 pi u2 written in both expressions, kept as the reference."""
+    r = np.sqrt(-2.0 * np.log(u1))
+    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+
+
+def test_box_muller_bits_match_two_expression_reference():
+    u = rng.uniform_stream(321, 0, 200_000)
+    # the strided (sample, qubit, amplitude) views that the Monte-Carlo states are drawn from
+    us = u.reshape(-1, 2, 2, 2)
+    for u1, u2 in [(u[:100_000], u[100_000:]), (us[..., 0], us[..., 1])]:
+        for got, want in zip(rng.box_muller(u1, u2), _reference_box_muller(u1, u2)):
+            assert got.shape == want.shape == u1.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
