@@ -49,17 +49,19 @@ EP_MAX = 2.0 / 9.0
 _BLOCK = 1024
 
 # full blocks drawn and scored per numpy call; each block is still summed on its own, so the
-# grouping changes no bit. Nine gates at 50000 samples on a 2-core host: 36-39 ms and a 0.8 MB
-# tracemalloc peak at 2, against 44-48 ms and 0.4 MB at 1, 67-68 ms and 1.5 MB at 4, 72-79 ms at 16
+# grouping changes no bit. The nine catalog gates (six distinct matrices) at 50000 samples, best of
+# 7-15 calls in three rounds on a noisy 2-core host: 26-35 ms and a 0.84 MB tracemalloc peak at 2,
+# against 30-44 ms and 0.43 MB at 1, 26-33 ms and 1.6 MB at 4, 30-36 ms and 6.3 MB at 16
 _CHUNK = 2
 
 # mean and standard error are snapped at 1e-12 to flush accumulated float
 # noise, so non-entangling gates report exactly 0
 _SNAP_DECIMALS = 12
 
-# ep_monte_carlo_many keeps a block key and per-gate block sums for every 1024 samples; at n = 10**7
-# tracemalloc read 100 bytes per block for one gate and 230 for the nine catalog gates (15 s on a
-# 2-core host), so this caps that bookkeeping near 25 MB and verify montecarlo near 3 minutes
+# ep_monte_carlo_many keeps a block key and per-distinct-gate block sums for every 1024 samples; at
+# n = 10**7 its tracemalloc peak, working set included, was 144 bytes per block for one gate and 225
+# for the nine catalog gates (six distinct; 11 s on a 2-core host), so this caps the peak near 22 MB
+# and verify montecarlo near 2 minutes
 _MC_SAMPLES_MAX = 100_000_000
 
 
@@ -209,7 +211,9 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
     gate equals ep_monte_carlo(u, n_samples, seed) and does not depend on
     which other gates are in the list or on their order. The states of
     _CHUNK consecutive full blocks are drawn, and each gate scored on them,
-    in one pass of numpy calls.
+    in one pass of numpy calls. Each distinct matrix is scored once: inputs
+    whose checked complex128 matrices have the same bytes share one
+    EpEstimate, returned in input order.
     """
     u_ts = [require_unitary(u).T.copy() for u in us]
     if n_samples < 100:
@@ -218,22 +222,25 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
         raise ValueError(f"n_samples must be at most {_MC_SAMPLES_MAX}, got {n_samples}")
     if not u_ts:
         return []
+    # one scoring per distinct matrix: inputs whose checked complex128 matrices have the same bytes
+    tags = [u_t.tobytes() for u_t in u_ts]
+    distinct = dict(zip(tags, u_ts))
     # block_key(seed, b) of every block b, from one call
     keys = rng.raw_stream(seed, 0, (n_samples + _BLOCK - 1) // _BLOCK).tolist()
-    # sum and sum of squares of each gate's output entropies, per block
-    block_sums = np.empty((len(u_ts), 2, len(keys)))
+    # sum and sum of squares of each distinct gate's output entropies, per block
+    block_sums = np.empty((len(distinct), 2, len(keys)))
     for lo, hi, count in _spans(n_samples):
         psi = _block_states(keys[lo:hi], count)
-        for sums, u_t in zip(block_sums, u_ts):
+        for sums, u_t in zip(block_sums, distinct.values()):
             sums[:, lo:hi] = _entropy_sums(psi, u_t, hi - lo)
-    estimates = []
-    for sums in block_sums:
+    estimates = {}
+    for tag, sums in zip(distinct, block_sums):
         total, total2 = map(math.fsum, sums.tolist())
         mean = total / n_samples
         var = max(0.0, total2 - n_samples * mean * mean) / (n_samples - 1)
         std_err = math.sqrt(var / n_samples)
-        estimates.append(EpEstimate(_snap(mean), _snap(std_err), n_samples, seed))
-    return estimates
+        estimates[tag] = EpEstimate(_snap(mean), _snap(std_err), n_samples, seed)
+    return [estimates[tag] for tag in tags]
 
 
 def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:

@@ -69,6 +69,8 @@ def block_key(seed: int, block: int) -> int:
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two standard-normal arrays from two uniform-(0,1) arrays."""
-    r = np.sqrt(-2.0 * np.log(u1))
+    # on the 8192 strided u1 of one Monte-Carlo chunk numpy's float64 log took 25-27 us, a contiguous
+    # copy and its log 14-19 us (2-core host), with the same bits
+    r = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u1)))
     t = 2.0 * np.pi * u2
     return r * np.cos(t), r * np.sin(t)

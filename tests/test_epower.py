@@ -6,7 +6,7 @@ import pytest
 
 from gatepower import epower
 from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
-from gatepower.catalog import catalog_records
+from gatepower.catalog import catalog_records, verify_monte_carlo
 from gatepower.classify import verify_route_agreement
 from gatepower.epower import (
     EP_MAX,
@@ -358,6 +358,59 @@ def test_mc_many_independent_of_other_gates_and_order():
     assert permuted == [full[i] for i in order]
     assert ep_monte_carlo_many(gates[4:6], 3000, 8) == full[4:6]
     assert ep_monte_carlo_many([gates[0], gates[0]], 3000, 8) == [full[0], full[0]]
+
+
+def _count_scorings(monkeypatch) -> list:
+    """Record the gate matrix of every _entropy_sums call made from here on."""
+    scored = []
+    score = epower._entropy_sums
+
+    def counted(psi, u_t, blocks):
+        scored.append(u_t)
+        return score(psi, u_t, blocks)
+
+    monkeypatch.setattr(epower, "_entropy_sums", counted)
+    return scored
+
+
+def test_verify_monte_carlo_scores_six_distinct_catalog_gates(monkeypatch):
+    # 2500 samples are two spans: blocks 0-1 together, then the 452-sample block
+    unscored = verify_monte_carlo(2500, 1)
+    scored = _count_scorings(monkeypatch)
+    report = verify_monte_carlo(2500, 1)
+    assert len(report.rows) == 9
+    assert len(scored) == 6 * 2
+    assert report == unscored
+
+
+def test_mc_many_scores_each_distinct_matrix_once_per_span(monkeypatch):
+    u, v = _mc_gates()[4:6]
+    want = [ep_monte_carlo(x, 3000, 8) for x in (u, v, u, u)]
+    scored = _count_scorings(monkeypatch)
+    assert ep_monte_carlo_many([u, v, u, u], 3000, 8) == want
+    assert len(scored) == 2 * 2
+
+
+def test_mc_many_dedupes_on_the_checked_matrix(monkeypatch):
+    # a real array, a nested list and a Fortran-ordered complex copy are one complex128 matrix
+    u = _mc_gates()[4]
+    idents = [np.eye(4), np.eye(4, dtype=int).tolist(), np.asfortranarray(np.eye(4, dtype=complex))]
+    copies = [u, u.tolist(), np.asfortranarray(u)]
+    want = [ep_monte_carlo(np.eye(4), 3000, 8)] * 3 + [ep_monte_carlo(u, 3000, 8)] * 3
+    scored = _count_scorings(monkeypatch)
+    assert ep_monte_carlo_many(idents + copies, 3000, 8) == want
+    assert len(scored) == 2 * 2
+
+
+def test_mc_many_scores_matrices_a_last_bit_apart_separately(monkeypatch):
+    u = _mc_gates()[4]
+    v = u.copy()
+    v[1, 2] = complex(np.nextafter(v[1, 2].real, np.inf), v[1, 2].imag)
+    assert u.tobytes() != v.tobytes()
+    want = [ep_monte_carlo(u, 3000, 8), ep_monte_carlo(v, 3000, 8)]
+    scored = _count_scorings(monkeypatch)
+    assert ep_monte_carlo_many([u, v], 3000, 8) == want
+    assert len(scored) == 2 * 2
 
 
 def test_mc_many_rejects_bad_input():

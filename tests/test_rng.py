@@ -84,7 +84,18 @@ def test_box_muller_bits_match_two_expression_reference():
     u = rng.uniform_stream(321, 0, 200_000)
     # the strided (sample, qubit, amplitude) views that the Monte-Carlo states are drawn from
     us = u.reshape(-1, 2, 2, 2)
-    for u1, u2 in [(u[:100_000], u[100_000:]), (us[..., 0], us[..., 1])]:
-        for got, want in zip(rng.box_muller(u1, u2), _reference_box_muller(u1, u2)):
-            assert got.shape == want.shape == u1.shape
-            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    cases = [(u[:100_000], u[100_000:]), (us[..., 0], us[..., 1])]
+    # u1 from the smallest and the largest uniform_stream value, 2**-54 and 1 - 2**-53, to 1e-3
+    # away, as contiguous arrays and as strided views of the same values
+    for u1 in [np.geomspace(2.0**-54, 1e-3, 50_000), 1.0 - np.geomspace(2.0**-53, 1e-3, 50_000)]:
+        pairs = np.stack([u1, u[: u1.size]], axis=1)
+        cases += [(u1, u[: u1.size]), (pairs[:, 0], pairs[:, 1])]
+    for u1, u2 in cases:
+        # box_muller logs a contiguous copy of u1: its bits must be those of the reference on the
+        # same layout and on contiguous copies
+        same_layout = _reference_box_muller(u1, u2)
+        contiguous = _reference_box_muller(np.ascontiguousarray(u1), np.ascontiguousarray(u2))
+        for got, *wants in zip(rng.box_muller(u1, u2), same_layout, contiguous):
+            for want in wants:
+                assert got.shape == want.shape == u1.shape
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
