@@ -30,7 +30,7 @@ from .epower import (
     ep_monte_carlo_many,
     ep_operator_exact,
 )
-from .errors import CatalogError, ConsistencyError, NonUnitaryError, TheoremViolationError
+from .errors import CatalogError, ConsistencyError, NonUnitaryError
 from .invariants import (
     LocalInvariants,
     invariants_at_point,
@@ -51,7 +51,6 @@ __all__ = [
     "PeVerdict",
     "SWAP",
     "TheoremReport",
-    "TheoremViolationError",
     "WeylPoint",
     "canonical_gate",
     "canonical_gate_array",

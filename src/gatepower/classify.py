@@ -44,7 +44,6 @@ from .canonical import (
     in_weyl_chamber,
 )
 from .epower import EP_MAX, _ep_operator, _ep_trig, ep_from_g1_abs
-from .errors import TheoremViolationError
 from .invariants import (
     LocalInvariants,
     _cos2,
@@ -216,9 +215,10 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     """Classify a chamber point or an explicit 4x4 unitary.
 
     For a WeylPoint the invariants and entangling power come from the
-    closed forms and the perfect-entangler verdict is computed by both
-    routes; a disagreement away from the boundary raises
-    TheoremViolationError. For a matrix only the invariant route applies,
+    closed forms, both perfect-entangler routes are recorded and the verdict
+    is the exact geometric one; in a thin sliver off the boundary the
+    invariant box over-admits, and there invariant.is_pe reads True while
+    pe_verdict is False. For a matrix only the invariant route applies,
     and ep is the |g1| route; the matrix is checked for unitarity once, here.
     """
     if isinstance(target, WeylPoint):
@@ -228,8 +228,6 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         cols = _evaluate(point)
         geo = _verdict("geometric", cols["geo_margins"])
         ivd = _verdict("invariant", cols["inv_margins"])
-        if geo.is_pe != ivd.is_pe and not cols["boundary"]:
-            raise TheoremViolationError(point, geo.margins, ivd.margins)
         matrix, inv, ep = canonical_gate(point), invariants_at_point(point), float(cols["ep"])
         tags = _value_tags(inv) | edge_tags(point)
     else:

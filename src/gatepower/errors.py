@@ -34,23 +34,3 @@ class ConsistencyError(RuntimeError):
 
 class CatalogError(ValueError):
     """Unknown or malformed gate name passed to the catalog."""
-
-
-class TheoremViolationError(RuntimeError):
-    """Geometric and invariant-based classifications disagree off-boundary.
-
-    Attributes:
-        point: the chamber point where the routes disagreed.
-        geometric_margins: signed slacks of the geometric inequalities.
-        invariant_margins: signed slacks of the invariant inequalities.
-    """
-
-    def __init__(self, point, geometric_margins, invariant_margins):
-        self.point = point
-        self.geometric_margins = dict(geometric_margins)
-        self.invariant_margins = dict(invariant_margins)
-        super().__init__(
-            f"classification routes disagree at {point}: "
-            f"geometric margins {self.geometric_margins}, "
-            f"invariant margins {self.invariant_margins}"
-        )

@@ -35,7 +35,7 @@ def test_all_names_resolve_once_and_benchmark_names_are_exported():
 PUBLIC_NAMES = {
     "gatepower": (
         "CatalogError", "ConsistencyError", "EdgeId", "EpEstimate", "GateRecord", "LocalInvariants",
-        "NonUnitaryError", "PeVerdict", "SWAP", "TheoremReport", "TheoremViolationError", "WeylPoint",
+        "NonUnitaryError", "PeVerdict", "SWAP", "TheoremReport", "WeylPoint",
         "canonical_gate", "canonical_gate_array", "catalog_records", "classify_gate", "edge_point",
         "ep_closed_form", "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
         "in_weyl_chamber", "invariants_at_point", "invariants_from_matrix", "is_pe_geometric",

@@ -26,7 +26,6 @@ from gatepower.cli import (
     _CSV_BOOL_TEXT, _CSV_HEADER, _csv_rows, _g12_text, _record, _record_json, build_parser, load_matrix_file, main,
     matrix_to_json,
 )
-from gatepower.errors import TheoremViolationError
 from gatepower.linalg import SWAP
 from helpers import THEOREM_CLAIMS, dress, point_columns
 
@@ -131,13 +130,21 @@ def test_analyze_bad_point_exits_2(capsys):
         # 17pi/24, 7pi/24, 11pi/48 rounded to 6 decimals: c1 + c2 ends up above pi
         ("2.225295,0.916298,0.719948", 2, "chamber"),
         # the same point rounded into the chamber lies in the invariant-box sliver
-        ("2.225295,0.916297,0.719948", 1, "classification routes disagree"),
+        ("2.225295,0.916297,0.719948", 0, "perfect entangler: no"),
     ],
 )
 def test_analyze_point_exit_code(capsys, point, exit_code, message):
-    code, _, err = run(capsys, "analyze", "--point", point)
+    code, out, err = run(capsys, "analyze", "--point", point)
     assert code == exit_code
-    assert message in err
+    assert message in (err if code else out)
+
+
+def test_analyze_sliver_point_json_gives_geometric_verdict(capsys):
+    code, out, _ = run(capsys, "analyze", "--point", "2.225295,0.916297,0.719948", "--json")
+    assert code == 0
+    pe = json.loads(out)["pe"]
+    assert pe["verdict"] is pe["geometric"]["is_pe"] is False
+    assert pe["invariant"]["is_pe"] is True
 
 
 def test_analyze_unknown_name_exits_2(capsys):
@@ -431,14 +438,11 @@ def test_scan_verdicts_match_classify_gate(capsys, argv):
         fields = row.split(",")
         assert fields[:3] == [format(x, ".12g") for x in c]
         geo, inv = (f == "true" for f in fields[6:])
-        try:
-            rec = classify_gate(WeylPoint(*c))
-        except TheoremViolationError:
-            assert geo != inv
-            continue
+        rec = classify_gate(WeylPoint(*c))
         assert (geo, inv) == (rec.geometric.is_pe, rec.invariant.is_pe)
-        # columns that disagree without an error must sit on a classification boundary
-        assert geo == inv or rec.geometric.on_boundary or rec.invariant.on_boundary
+        # off the boundary the columns disagree only where the box over-admits
+        if geo != inv and not (rec.geometric.on_boundary or rec.invariant.on_boundary):
+            assert (geo, inv) == (False, True)
 
 
 def _reference_scan_rows(pts) -> str:

@@ -45,9 +45,13 @@ def test_ep_from_g1_abs_domain():
         ep_from_g1_abs(-0.1)
     with pytest.raises(ValueError):
         ep_from_g1_abs(1.1)
-    # tolerance slack at the boundaries
+    # tolerance slack at the boundaries: half the 1e-9 slack is accepted, twice it is refused
     ep_from_g1_abs(-1e-10)
     ep_from_g1_abs(1.0 + 1e-10)
+    for past in (lambda x: -x, lambda x: 1.0 + x):
+        ep_from_g1_abs(past(0.5e-9))
+        with pytest.raises(ValueError):
+            ep_from_g1_abs(past(2e-9))
 
 
 def test_ep_closed_form_extremes():

@@ -210,6 +210,14 @@ def test_invariants_reject_out_of_range_g2():
         LocalInvariants(0j, 3.5)
 
 
+def test_invariants_range_tolerance():
+    # x past |g1| <= 1, g2 <= 3 and g2 >= -3: half the 1e-9 slack is accepted, twice it is refused
+    for past in (lambda x: (complex(1.0 + x), 0.0), lambda x: (0j, 3.0 + x), lambda x: (0j, -3.0 - x)):
+        LocalInvariants(*past(0.5e-9))
+        with pytest.raises(ValueError):
+            LocalInvariants(*past(2e-9))
+
+
 def test_invariants_reject_non_finite():
     with pytest.raises(ValueError):
         LocalInvariants(complex(math.nan, 0), 0.0)
