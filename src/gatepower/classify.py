@@ -19,15 +19,20 @@ random chamber points.
 
 One evaluator, ``_evaluate``, gives every column a point set needs from
 the closed forms over per-coordinate trig values (see invariants).
-classify_gate, ``scan --edge`` and verify_route_agreement compute that
-trig from the coordinates; ``_lattice_blocks``, which ``verify_theorems``
+``scan --edge`` and verify_route_agreement compute that trig from the
+coordinate arrays. classify_gate computes it as Python floats, with one
+numpy call per trig function over the point's three coordinates
+(``_point_columns``), so the closed forms and the invariant margins are
+float arithmetic; the geometric margins stay numpy scalars. ``_lattice_blocks``, which ``verify_theorems``
 and ``scan --chamber`` read, evaluates a lattice in blocks of chamber
 points, each gathering by axis index the cos c, sin c and cos 2c computed
 once per lattice axis value.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +55,8 @@ from .invariants import (
     _g1_abs_trig,
     _g2_trig,
     _invariants,
+    g1_complex_array,
     g2_product_array,
-    invariants_at_point,
 )
 from .linalg import require_unitary
 
@@ -105,20 +110,20 @@ def invariant_margins(g1_abs, g2) -> dict:
 
 
 def pe_mask(margins: dict) -> np.ndarray:
-    """True where every margin clears -PE_TOL."""
-    return np.logical_and.reduce([m >= -PE_TOL for m in margins.values()])
+    """True where every margin clears -PE_TOL; a bool on float margins."""
+    return functools.reduce(operator.and_, [m >= -PE_TOL for m in margins.values()])
 
 
 def _boundary_mask(margins: dict) -> np.ndarray:
-    """True where some margin lies within PE_TOL of zero."""
-    return np.logical_or.reduce([np.abs(m) <= PE_TOL for m in margins.values()])
+    """True where some margin lies within PE_TOL of zero; a bool on float margins."""
+    return functools.reduce(operator.or_, [abs(m) <= PE_TOL for m in margins.values()])
 
 
 def _evaluate(coords, trig=None) -> dict:
     """Every chamber-point column that scan, verify_theorems, verify_route_agreement and classify_gate read.
 
-    coords is the broadcastable coordinate arrays c1, c2, c3. trig(f) returns f(c1), f(c2),
-    f(c3) for f = np.cos, np.sin and _cos2; by default it applies f to coords. Columns: g1_abs,
+    coords is the broadcastable coordinate arrays c1, c2, c3, or three floats. trig(f) returns f(c1),
+    f(c2), f(c3) for f = np.cos, np.sin and _cos2; by default it applies f to coords. Columns: g1_abs,
     g2 and ep; the signed margins of both tests and their verdicts; and boundary, where some
     margin lies within PE_TOL of zero.
     """
@@ -136,6 +141,12 @@ def _evaluate(coords, trig=None) -> dict:
         "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
         "boundary": _boundary_mask(geo) | _boundary_mask(inv),
     }
+
+
+def _point_columns(p: WeylPoint) -> dict:
+    """_evaluate at one point, its trig as Python floats: one numpy call per function over the three coordinates."""
+    c = np.array(tuple(p))
+    return _evaluate(tuple(p), lambda f: f(c).tolist())
 
 
 def _lattice_blocks(grid_n: int, rows: int):
@@ -173,9 +184,10 @@ class PeVerdict:
         return bool(_boundary_mask(self.margins))
 
 
-def _verdict(route: str, margins: dict) -> PeVerdict:
+def _verdict(route: str, margins: dict, is_pe=None) -> PeVerdict:
+    """The PeVerdict of margins; is_pe, when given, is their pe_mask, already formed."""
     margins = {k: float(v) for k, v in margins.items()}
-    return PeVerdict(is_pe=bool(pe_mask(margins)), route=route, margins=margins)
+    return PeVerdict(is_pe=bool(pe_mask(margins) if is_pe is None else is_pe), route=route, margins=margins)
 
 
 def is_pe_geometric(p: WeylPoint) -> PeVerdict:
@@ -225,10 +237,11 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
-        cols = _evaluate(point)
-        geo = _verdict("geometric", cols["geo_margins"])
-        ivd = _verdict("invariant", cols["inv_margins"])
-        matrix, inv, ep = canonical_gate(point), invariants_at_point(point), float(cols["ep"])
+        cols = _point_columns(point)
+        geo = _verdict("geometric", cols["geo_margins"], cols["pe_geometric"])
+        ivd = _verdict("invariant", cols["inv_margins"], cols["pe_invariant"])
+        inv = LocalInvariants(complex(g1_complex_array(*point)), cols["g2"])
+        matrix, ep = canonical_gate(point), cols["ep"]
         tags = _value_tags(inv) | edge_tags(point)
     else:
         matrix, point, geo = require_unitary(target), None, None

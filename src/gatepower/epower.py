@@ -94,18 +94,25 @@ def ep_closed_form(p: WeylPoint) -> float:
     return float(ep_closed_array(*p))
 
 
-def _operator_entanglement(m: np.ndarray) -> np.ndarray:
+# flat indices into a 4x4 matrix m of the entries of its realignment, <i k|R|j l> = <i j|m|k l>, and of the
+# realignment of m with columns 1 and 2 swapped, <i j|m|l k>
+_REALIGN, _REALIGN_SWAPPED = (
+    np.arange(16).reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4) for axes in ((0, 2, 1, 3), (0, 3, 1, 2))
+)
+
+
+def _operator_entanglement(m: np.ndarray, realign: np.ndarray = _REALIGN) -> np.ndarray:
     """Operator entanglement 1 - ||R R†||_F^2 / 16 of each 4x4 unitary in a (..., 4, 4) stack.
 
     R is the realignment of m, <i k|R|j l> = <i j|m|k l>: it groups the two
     indices of qubit 1 into rows and those of qubit 2 into columns, so
     ||R R†||_F^2 is the operator purity of m across the qubit cut. The
-    value is 0 for local gates and 3/4 for SWAP.
+    value is 0 for local gates and 3/4 for SWAP. realign=_REALIGN_SWAPPED
+    gives that of m with columns 1 and 2 swapped.
     """
-    lead = m.shape[:-2]
-    r = m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lead + (4, 4))
+    r = m.reshape(m.shape[:-2] + (16,)).take(realign, axis=-1)  # one gather, whatever the stack's shape
     rr = r @ r.conj().swapaxes(-1, -2)
-    return 1.0 - np.sum(rr.real**2 + rr.imag**2, axis=(-2, -1)) / 16.0
+    return 1.0 - (rr.real**2 + rr.imag**2).sum(axis=(-2, -1)) / 16.0
 
 
 _E_SWAP = float(_operator_entanglement(SWAP))
@@ -117,9 +124,10 @@ def _ep_operator(m: np.ndarray) -> np.ndarray:
     The caller guarantees unitarity: ep_operator_exact validates user
     input, and the library's own canonical gates are unitary by construction.
     """
-    # m @ SWAP is m with columns 1 and 2 swapped, up to the sign of zero entries, which E does not
-    # see; indexing swaps them without the matrix product
-    return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m[..., [0, 2, 1, 3]]) - _E_SWAP)
+    # m @ SWAP is m with columns 1 and 2 swapped, up to the sign of zero entries, which E does not see, so
+    # its realignment is one take of m. Each realignment gets its own take and matmul: one take of both
+    # doubled the arrays every step works on, and made verify routes 3-13% slower at 400 to 3000 points
+    return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m, _REALIGN_SWAPPED) - _E_SWAP)
 
 
 def ep_operator_exact(u) -> float:

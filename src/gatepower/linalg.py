@@ -35,7 +35,10 @@ def unitarity_defect(u) -> float:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     with np.errstate(all="ignore"):
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+        d = m.conj().T @ m
+        # u†u - I in place: the product is C-contiguous, so ravel is a view and every (n+1)-th entry is diagonal
+        d.ravel()[:: m.shape[0] + 1] -= 1.0
+        return float(np.abs(d).max())
 
 
 def require_unitary(u) -> np.ndarray:

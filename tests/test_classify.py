@@ -1,5 +1,6 @@
 """Tests for perfect-entangler classification and the lattice sweeps."""
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -30,6 +31,7 @@ from gatepower.classify import (
     geometric_margins,
     is_pe_geometric,
     is_pe_invariant,
+    pe_mask,
     verify_theorems,
 )
 from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
@@ -317,6 +319,80 @@ def test_point_records_match_scalar_reference():
         assert got.invariant.on_boundary == ref.invariant.on_boundary
         _assert_same_invariant_margins(got.invariant.margins, ref.invariant.margins)
     assert n_split > 0  # the sample covers the sliver
+
+
+def _reference_pe_mask(margins: dict) -> np.ndarray:
+    """pe_mask as np.logical_and.reduce, kept as the reference."""
+    return np.logical_and.reduce([m >= -PE_TOL for m in margins.values()])
+
+
+def _reference_boundary_mask(margins: dict) -> np.ndarray:
+    """_boundary_mask as np.logical_or.reduce, kept as the reference."""
+    return np.logical_or.reduce([np.abs(m) <= PE_TOL for m in margins.values()])
+
+
+_MASK_MARGINS = [0.0, -0.0, 0.5 * PE_TOL, -0.5 * PE_TOL, PE_TOL, -PE_TOL, 2 * PE_TOL, -2 * PE_TOL]
+
+
+@pytest.mark.parametrize("n_margins", [2, 3])  # the geometric and the invariant test
+def test_masks_match_logical_reduce_on_floats_and_arrays(n_margins):
+    """pe_mask and _boundary_mask fold with & and |: a bool on float margins, a bool array on arrays."""
+    combos = list(itertools.product(_MASK_MARGINS, repeat=n_margins))
+    masks = [(pe_mask, _reference_pe_mask), (classify._boundary_mask, _reference_boundary_mask)]
+    for combo in combos:
+        margins = dict(zip("abc", combo))
+        for fn, ref in masks:
+            got = fn(margins)
+            assert type(got) is bool and got == bool(ref(margins)), (fn.__name__, combo)
+    columns = dict(zip("abc", np.array(combos).T))
+    for fn, ref in masks:
+        got, want = fn(columns), ref(columns)
+        assert got.dtype == bool and np.array_equal(got, want), fn.__name__
+
+
+def _column_rows(evaluations) -> tuple[np.ndarray, np.ndarray]:
+    """The float columns of _evaluate results on one point each, as int64 bits, and their bool columns, one row per point."""
+    floats, bools = [], []
+    for cols in evaluations:
+        floats.append([cols["g1_abs"], cols["g2"], cols["ep"], *cols["geo_margins"].values(), *cols["inv_margins"].values()])
+        bools.append([cols["pe_geometric"], cols["pe_invariant"], cols["boundary"]])
+    n = len(floats)
+    return np.array(floats, dtype=np.float64).reshape(n, -1).view(np.int64), np.array(bools, dtype=bool).reshape(n, -1)
+
+
+def test_point_float_evaluation_matches_scalar_and_array_paths():
+    """classify_gate evaluates a point as three Python floats (_point_columns).
+
+    Every column has the bits of _evaluate on the coordinates as numpy scalars, the path it
+    replaced. It also has those of _evaluate on 1-element arrays, except |g1| and its margin: a
+    float or numpy scalar is squared by libm pow, an array by np.square, and the two round apart
+    on about one point in a thousand, by one ulp.
+    """
+    coords = np.concatenate([
+        np.array([tuple(rec.point) for rec in catalog_records()]),
+        random_chamber_coords(9, 50000),
+        chamber_lattice(16),
+        chamber_lattice(25),
+        *(_edge_coords(edge, np.linspace(0.0, 1.0, 101)) for edge in EdgeId),
+    ])
+    rows = coords.tolist()
+    got_f, got_b = _column_rows(classify._point_columns(WeylPoint(*row)) for row in rows)
+    ref_f, ref_b = _column_rows(classify._evaluate(tuple(row)) for row in rows)
+    assert np.array_equal(got_f, ref_f) and np.array_equal(got_b, ref_b)
+    # an array evaluates each element on its own, so one call over every point gives the rows of
+    # 1-element arrays; the first 3000 points check that
+    # one evaluation's columns over every point, turned to one row per point
+    arr_f, arr_b = (c.reshape(-1, len(coords)).T for c in _column_rows([classify._evaluate(coords.T)]))
+    one_f, one_b = _column_rows(classify._evaluate(row[:, None]) for row in coords[:3000])
+    assert np.array_equal(one_f, arr_f[:3000]) and np.array_equal(one_b, arr_b[:3000])
+    g1 = [0, 5]  # g1_abs and the invariant g1_abs margin
+    same = [j for j in range(arr_f.shape[1]) if j not in g1]
+    assert np.array_equal(got_f[:, same], arr_f[:, same]) and np.array_equal(got_b, arr_b)
+    apart = np.flatnonzero((got_f[:, g1] != arr_f[:, g1]).any(axis=1))
+    assert 0 < len(apart) < len(rows) / 200
+    a, b = got_f[apart][:, g1].view(np.float64), arr_f[apart][:, g1].view(np.float64)
+    # one ulp of |g1| or of its margin, whichever is larger: 0.25 - |g1| passes |g1|'s rounding on
+    assert np.all(np.abs(a - b) <= np.spacing(np.abs(a).max(axis=1, keepdims=True)))
 
 
 def _reference_matrix_record(u: np.ndarray, name: str | None = None) -> GateRecord:

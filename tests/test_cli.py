@@ -1034,7 +1034,9 @@ _JSON_EDGE_VALUES = [-0.0, 5e-324, 1e17, 0.1 + 0.2, -5e-324, 1e16, 1e-5, 2.0**60
 
 @pytest.mark.parametrize("shift", range(0, len(_JSON_EDGE_VALUES), 3))
 @pytest.mark.parametrize(
-    ("name", "tags"), [(None, []), ('a"b\\c \u00e9 \u2713\t\x7f', ["SPE", "EDGE_LN"]), ("", [""])], ids=["bare", "escaped", "empty"]
+    ("name", "tags"),
+    [(None, []), ('a"b\\c \u00e9 \u2713\t\x7f', ["SPE", "EDGE_LN"]), ("", [""]), ("100% %s %% %(x)r %", ["%s", "%%"])],
+    ids=["bare", "escaped", "empty", "percent"],
 )
 def test_record_json_matches_json_dumps_indent_2(shift, name, tags):
     record = _json_test_record(_JSON_EDGE_VALUES[shift:] + _JSON_EDGE_VALUES[:shift], name, tags)

@@ -186,6 +186,23 @@ def test_operator_route_column_swap_is_bit_identical_to_swap_product():
         assert epower._ep_operator(us).tolist() == _reference_ep_operator(us).tolist()
 
 
+def test_operator_route_matches_reference_on_one_gate_and_non_contiguous_stacks():
+    """Each realignment is one take of the flattened matrices, whatever the stack's shape and strides."""
+    rng = np.random.default_rng(8)
+    us = np.stack([haar_unitary(4, rng) for _ in range(300)])
+    cases = [
+        us[0],
+        canonical_gate(WeylPoint(1.1, 0.6, 0.3)),
+        us[::3],  # every third gate
+        us.swapaxes(-1, -2),  # every gate transposed
+        us.reshape(30, 10, 4, 4)[:, ::2],
+    ]
+    for m in cases:
+        got, want = np.asarray(epower._ep_operator(m)), np.asarray(_reference_ep_operator(m))
+        assert got.shape == m.shape[:-2]
+        assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
+
+
 # ------------------------------------------------------------------ monte carlo
 
 
