@@ -15,7 +15,8 @@ M = (3pi/4,pi/4,0) and N = (3pi/4,pi/4,pi/4), with L and A2, end the six
 named edges of EdgeId, whose ends one table holds for edge_point and edge_tags.
 
 canonical_gate_array builds the canonical gates of whole coordinate arrays
-as one (..., 4, 4) stack; canonical_gate is the same formula on one point.
+as one (..., 4, 4) stack; canonical_gate is the same formula on one point,
+in Python floats.
 """
 from __future__ import annotations
 
@@ -130,6 +131,20 @@ def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _sort_desc(math.pi - c1, c2, c3)
 
 
+def _fill_canonical(u, em, cm, sm, cp, sp):
+    """Write the canonical gates' nonzero entries into the zeroed (..., 4, 4) u and return it.
+
+    em is e^{-ic3/2}, and cm, sm, cp, sp are c-, s-, c+, s+ (see canonical_gate_array):
+    elementwise arrays, or one complex and four floats, whose products have the same bits.
+    """
+    ep = em.conjugate()
+    u[..., 0, 0] = u[..., 3, 3] = em * cm
+    u[..., 0, 3] = u[..., 3, 0] = -1j * em * sm
+    u[..., 1, 1] = u[..., 2, 2] = ep * cp
+    u[..., 1, 2] = u[..., 2, 1] = -1j * ep * sp
+    return u
+
+
 def canonical_gate_array(c1, c2, c3) -> np.ndarray:
     """Canonical gates over broadcastable coordinate arrays, as a (..., 4, 4) stack.
 
@@ -144,25 +159,25 @@ def canonical_gate_array(c1, c2, c3) -> np.ndarray:
     with c± = cos((c1 ± c2)/2) and s± = sin((c1 ± c2)/2).
     """
     c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c3)))
-    cm = np.cos((c1 - c2) / 2)
-    sm = np.sin((c1 - c2) / 2)
-    cp = np.cos((c1 + c2) / 2)
-    sp = np.sin((c1 + c2) / 2)
     em = np.empty(c3.shape, dtype=complex)
     em.real = np.cos(c3 / 2)
     em.imag = -np.sin(c3 / 2)
-    ep = em.conj()
-    u = np.zeros(c3.shape + (4, 4), dtype=complex)
-    u[..., 0, 0] = u[..., 3, 3] = em * cm
-    u[..., 0, 3] = u[..., 3, 0] = -1j * em * sm
-    u[..., 1, 1] = u[..., 2, 2] = ep * cp
-    u[..., 1, 2] = u[..., 2, 1] = -1j * ep * sp
-    return u
+    return _fill_canonical(
+        np.zeros(c3.shape + (4, 4), dtype=complex),
+        em, np.cos((c1 - c2) / 2), np.sin((c1 - c2) / 2), np.cos((c1 + c2) / 2), np.sin((c1 + c2) / 2),
+    )
 
 
 def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
-    """Canonical 4x4 unitary of the local-equivalence class at p; see canonical_gate_array."""
-    return canonical_gate_array(*p)
+    """Canonical 4x4 unitary of the local-equivalence class at p; see canonical_gate_array.
+
+    The same bits as canonical_gate_array on p, with one numpy call per trig function over the
+    three half-angles and the entries formed as Python complex numbers.
+    """
+    c1, c2, c3 = (float(c) for c in p)
+    half = np.array([(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])
+    (cm, cp, ec), (sm, sp, es) = np.cos(half).tolist(), np.sin(half).tolist()
+    return _fill_canonical(np.zeros((4, 4), dtype=complex), complex(ec, -es), cm, sm, cp, sp)
 
 
 class EdgeId(Enum):

@@ -53,9 +53,10 @@ from .invariants import (
     LocalInvariants,
     _cos2,
     _g1_abs_trig,
+    _g1_parts_trig,
     _g2_trig,
     _invariants,
-    g1_complex_array,
+    _sin2,
     g2_product_array,
 )
 from .linalg import require_unitary
@@ -143,10 +144,12 @@ def _evaluate(coords, trig=None) -> dict:
     }
 
 
-def _point_columns(p: WeylPoint) -> dict:
-    """_evaluate at one point, its trig as Python floats: one numpy call per function over the three coordinates."""
+def _point_columns(p: WeylPoint) -> tuple[dict, dict]:
+    """_evaluate at one point, and the trig it read with sin 2c added, by function: the values at
+    the three coordinates as Python floats, from one numpy call per function."""
     c = np.array(tuple(p))
-    return _evaluate(tuple(p), lambda f: f(c).tolist())
+    trig = {f: f(c).tolist() for f in (np.cos, np.sin, _cos2, _sin2)}
+    return _evaluate(tuple(p), trig.__getitem__), trig
 
 
 def _lattice_blocks(grid_n: int, rows: int):
@@ -237,10 +240,10 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
-        cols = _point_columns(point)
+        cols, trig = _point_columns(point)
         geo = _verdict("geometric", cols["geo_margins"], cols["pe_geometric"])
         ivd = _verdict("invariant", cols["inv_margins"], cols["pe_invariant"])
-        inv = LocalInvariants(complex(g1_complex_array(*point)), cols["g2"])
+        inv = LocalInvariants(complex(*_g1_parts_trig(trig[np.cos], trig[np.sin], trig[_sin2])), cols["g2"])
         matrix, ep = canonical_gate(point), cols["ep"]
         tags = _value_tags(inv) | edge_tags(point)
     else:

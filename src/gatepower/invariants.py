@@ -91,6 +91,11 @@ def _cos2(c):
     return np.cos(2 * c)
 
 
+def _sin2(c):
+    """sin 2c elementwise, the per-coordinate value of the imaginary part of g1."""
+    return np.sin(2 * c)
+
+
 def _squared_product(t) -> np.ndarray:
     """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
     sines of c1, c2, c3, the two terms of |g1|."""
@@ -117,6 +122,12 @@ def g1_abs_array(c1, c2, c3) -> np.ndarray:
     return _g1_abs_trig(map(np.cos, c), map(np.sin, c))
 
 
+def _g1_parts_trig(cos, sin, sin2) -> tuple:
+    """The real and imaginary parts of g1 from the cosines, the sines and the sin 2c of c1, c2, c3."""
+    s1, s2, s3 = sin2
+    return _squared_product(cos) - _squared_product(sin), -0.25 * s1 * s2 * s3
+
+
 def g1_complex_array(c1, c2, c3) -> np.ndarray:
     """Elementwise complex g1 over broadcastable coordinate arrays.
 
@@ -125,11 +136,10 @@ def g1_complex_array(c1, c2, c3) -> np.ndarray:
     magic-basis matrix route on canonical gates; its modulus is |g1|.
     """
     c = (c1, c2, c3)
-    a, b = _squared_product(map(np.cos, c)), _squared_product(map(np.sin, c))
-    g1 = np.empty(np.shape(a), dtype=complex)
+    re, im = _g1_parts_trig(map(np.cos, c), map(np.sin, c), map(_sin2, c))
+    g1 = np.empty(np.shape(re), dtype=complex)
     # set the parts directly: adding 1j * imag would turn an imaginary -0.0 into 0.0
-    g1.real = a - b
-    g1.imag = -0.25 * np.sin(2 * c1) * np.sin(2 * c2) * np.sin(2 * c3)
+    g1.real, g1.imag = re, im
     return g1
 
 

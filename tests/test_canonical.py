@@ -88,7 +88,7 @@ def test_canonical_gate_matches_exponential_form():
 
 
 def test_canonical_gate_array_matches_exponential_form():
-    # an independent reference: canonical_gate itself is canonical_gate_array on one point
+    # an independent reference; canonical_gate has the bits of canonical_gate_array (test below)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -97,6 +97,22 @@ def test_canonical_gate_array_matches_exponential_form():
     stack = canonical_gate_array(*pts.T)
     ref = np.stack([expm(-0.5j * (c1 * xx + c2 * yy + c3 * zz)) for c1, c2, c3 in pts.tolist()])
     assert np.max(np.abs(stack - ref)) < 1e-14
+
+
+def test_canonical_gate_matches_canonical_gate_array_bit_for_bit():
+    """canonical_gate forms one point's entries as Python complex numbers, with the bits of
+    canonical_gate_array on that point, alone and in a stack: the path it replaced."""
+    pts = np.concatenate([
+        np.array([tuple(rec.point) for rec in catalog_records()]),
+        random_chamber_coords(9, 20000),
+        *(_edge_coords(edge, np.linspace(0.0, 1.0, 41)) for edge in EdgeId),
+        [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.5, 0.5, -0.0], [PI, 0.0, 0.0], [PI / 2, PI / 2, PI / 2], [3.0, 0.1, 0.1]],
+    ])
+    stack = canonical_gate_array(*pts.T)
+    for row, want in zip(pts.tolist(), stack):
+        got = canonical_gate(WeylPoint(*row))
+        assert got.dtype == complex and got.shape == (4, 4)
+        assert got.tobytes() == canonical_gate_array(*row).tobytes() == want.tobytes(), row
 
 
 def test_canonical_gate_array_shapes():

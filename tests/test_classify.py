@@ -314,6 +314,10 @@ def test_point_records_match_scalar_reference():
         for f in dataclasses.fields(GateRecord):
             if f.name not in ("matrix", "invariant"):
                 assert getattr(got, f.name) == getattr(ref, f.name), f.name
+        # bit for bit: the record's g1 comes from the trig of its point evaluation, the reference's from g1_complex_array
+        assert [x.hex() for x in (got.invariants.g1.real, got.invariants.g1.imag, got.invariants.g2)] == [
+            x.hex() for x in (ref.invariants.g1.real, ref.invariants.g1.imag, ref.invariants.g2)
+        ]
         assert np.array_equal(got.matrix, ref.matrix)
         assert (got.invariant.is_pe, got.invariant.route) == (ref.invariant.is_pe, ref.invariant.route)
         assert got.invariant.on_boundary == ref.invariant.on_boundary
@@ -376,7 +380,7 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
         *(_edge_coords(edge, np.linspace(0.0, 1.0, 101)) for edge in EdgeId),
     ])
     rows = coords.tolist()
-    got_f, got_b = _column_rows(classify._point_columns(WeylPoint(*row)) for row in rows)
+    got_f, got_b = _column_rows(classify._point_columns(WeylPoint(*row))[0] for row in rows)
     ref_f, ref_b = _column_rows(classify._evaluate(tuple(row)) for row in rows)
     assert np.array_equal(got_f, ref_f) and np.array_equal(got_b, ref_b)
     # an array evaluates each element on its own, so one call over every point gives the rows of
