@@ -23,10 +23,11 @@ the closed forms over per-coordinate trig values (see invariants).
 coordinate arrays. classify_gate computes it as Python floats, with one
 numpy call per trig function over the point's three coordinates
 (``_point_columns``), so the closed forms and the invariant margins are
-float arithmetic; the geometric margins stay numpy scalars. ``_lattice_blocks``, which ``verify_theorems``
-and ``scan --chamber`` read, evaluates a lattice in blocks of chamber
-points, each gathering by axis index the cos c, sin c and cos 2c computed
-once per lattice axis value.
+float arithmetic; the geometric margins stay numpy scalars.
+``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber``
+read, evaluates a lattice in blocks of chamber points, each gathering by
+axis index the cos c, sin c and cos 2c computed once per lattice axis
+value.
 """
 from __future__ import annotations
 
@@ -147,9 +148,10 @@ def _evaluate(coords, trig=None) -> dict:
 def _point_columns(p: WeylPoint) -> tuple[dict, dict]:
     """_evaluate at one point, and the trig it read with sin 2c added, by function: the values at
     the three coordinates as Python floats, from one numpy call per function."""
-    c = np.array(tuple(p))
+    coords = tuple(p)
+    c = np.array(coords)
     trig = {f: f(c).tolist() for f in (np.cos, np.sin, _cos2, _sin2)}
-    return _evaluate(tuple(p), trig.__getitem__), trig
+    return _evaluate(coords, trig.__getitem__), trig
 
 
 def _lattice_blocks(grid_n: int, rows: int):

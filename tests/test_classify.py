@@ -383,9 +383,8 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
     got_f, got_b = _column_rows(classify._point_columns(WeylPoint(*row))[0] for row in rows)
     ref_f, ref_b = _column_rows(classify._evaluate(tuple(row)) for row in rows)
     assert np.array_equal(got_f, ref_f) and np.array_equal(got_b, ref_b)
-    # an array evaluates each element on its own, so one call over every point gives the rows of
-    # 1-element arrays; the first 3000 points check that
-    # one evaluation's columns over every point, turned to one row per point
+    # one evaluation over every point, turned to one row per point: an array evaluates each element
+    # on its own, so its rows are those of 1-element arrays, as the first 3000 points check
     arr_f, arr_b = (c.reshape(-1, len(coords)).T for c in _column_rows([classify._evaluate(coords.T)]))
     one_f, one_b = _column_rows(classify._evaluate(row[:, None]) for row in coords[:3000])
     assert np.array_equal(one_f, arr_f[:3000]) and np.array_equal(one_b, arr_b[:3000])
