@@ -174,7 +174,7 @@ def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
     The same bits as canonical_gate_array on p, with one numpy call per trig function over the
     three half-angles and the entries formed as Python complex numbers.
     """
-    c1, c2, c3 = (float(c) for c in p)
+    c1, c2, c3 = p
     half = np.array([(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])
     (cm, cp, ec), (sm, sp, es) = np.cos(half).tolist(), np.sin(half).tolist()
     return _fill_canonical(np.zeros((4, 4), dtype=complex), complex(ec, -es), cm, sm, cp, sp)
