@@ -24,7 +24,6 @@ from .classify import (
 )
 from .epower import (
     EpEstimate,
-    ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
     ep_monte_carlo_many,
@@ -33,7 +32,6 @@ from .epower import (
 from .errors import CatalogError, ConsistencyError, NonUnitaryError
 from .invariants import (
     LocalInvariants,
-    invariants_at_point,
     invariants_from_matrix,
 )
 from .linalg import SWAP
@@ -57,13 +55,11 @@ __all__ = [
     "catalog_records",
     "classify_gate",
     "edge_point",
-    "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
     "ep_monte_carlo_many",
     "ep_operator_exact",
     "in_weyl_chamber",
-    "invariants_at_point",
     "invariants_from_matrix",
     "is_pe_geometric",
     "is_pe_invariant",

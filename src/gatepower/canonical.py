@@ -40,7 +40,6 @@ __all__ = [
     "edge_point",
     "edge_tags",
     "in_weyl_chamber",
-    "mirror_coords",
     "random_chamber_coords",
 ]
 
@@ -124,11 +123,6 @@ def _sort_desc(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     mid, top = np.minimum(hi, c), np.maximum(hi, c)
     return top, np.maximum(lo, mid), np.minimum(lo, mid)
-
-
-def mirror_coords(c1, c2, c3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise mirror: (pi - c1, c2, c3) re-sorted descending."""
-    return _sort_desc(math.pi - c1, c2, c3)
 
 
 def _fill_canonical(u, em, cm, sm, cp, sp):

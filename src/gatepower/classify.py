@@ -23,7 +23,10 @@ the closed forms over per-coordinate trig values (see invariants).
 coordinate arrays. classify_gate computes it as Python floats, with one
 numpy call per trig function over the point's three coordinates
 (``_point_columns``), so the closed forms and the invariant margins are
-float arithmetic; the geometric margins stay numpy scalars.
+float arithmetic; the geometric margins stay numpy scalars. The closed
+forms are the same operations on floats and on arrays, so a point's
+columns have the bits of that point in any array; the invariants and
+entangling power of one point are classify_gate(p).invariants and .ep.
 ``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber``
 read, evaluates a lattice in blocks of chamber points, each gathering by
 axis index the cos c, sin c and cos 2c computed once per lattice axis

@@ -5,7 +5,8 @@ generates when applied to uniformly random product states. Four
 independent routes are provided:
 
   * closed form in chamber coordinates, written once over x_i = cos 2c_i
-    (_ep_trig) as g2 is in invariants,
+    (_ep_trig) as g2 is in invariants; classify_gate(p).ep reads it at a
+    point,
   * the affine map from |g1|:  e_p = (2/9)(1 - |g1|),
   * the operator entanglement of u and u·SWAP, from the 4x4 matrix alone,
   * a reproducible Monte-Carlo average over Haar-random product states.
@@ -27,15 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .canonical import WeylPoint
-from .invariants import _RANGE_TOL, _cos2
+from .invariants import _RANGE_TOL
 from .linalg import SWAP, require_unitary
 
 __all__ = [
     "EP_MAX",
     "EpEstimate",
-    "ep_closed_array",
-    "ep_closed_form",
     "ep_from_g1_abs",
     "ep_monte_carlo",
     "ep_monte_carlo_many",
@@ -79,19 +77,6 @@ def _ep_trig(x) -> np.ndarray:
     """
     x1, x2, x3 = x
     return (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
-
-
-def ep_closed_array(c1, c2, c3) -> np.ndarray:
-    """Elementwise closed-form entangling power over broadcastable coordinate arrays.
-
-    (1/18)[3 - (cos 2c1 cos 2c2 + cos 2c2 cos 2c3 + cos 2c3 cos 2c1)]
-    """
-    return _ep_trig(map(_cos2, (c1, c2, c3)))
-
-
-def ep_closed_form(p: WeylPoint) -> float:
-    """Entangling power of the canonical gate at a chamber point; see ep_closed_array."""
-    return float(ep_closed_array(*p))
 
 
 # flat indices into a 4x4 matrix m of the entries of its realignment, <i k|R|j l> = <i j|m|k l>, and of the

@@ -11,10 +11,12 @@ Closed forms at a chamber point (c1, c2, c3):
 
 Each closed form is written once over per-coordinate trig values: |g1|
 from cos c_i and sin c_i, g2 (like the closed-form entangling power in
-epower) from x_i = cos 2c_i. The coordinate forms g1_abs_array,
-g1_complex_array, g2_array and g2_product_array compute that trig from
-the coordinates they are given; a chamber lattice, which has grid_n values
-per axis, gathers it from per-axis tables instead (see classify).
+epower) from x_i = cos 2c_i. They are the same arithmetic on Python
+floats, numpy scalars and arrays, so a point's values have the same bits
+however it is evaluated. classify evaluates them, at a point through
+classify_gate(p).invariants and over arrays and lattices through its one
+evaluator; g2_product_array is the independent product form of g2 that
+verify_route_agreement checks the sum against.
 
 The matrix route conjugates the gate into the magic (Bell) basis, where
 local gates become real orthogonal: with u_m = Q† u Q and m = u_mᵀ u_m,
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import WeylPoint
 from .errors import ConsistencyError
 from .linalg import require_unitary
 
@@ -37,11 +38,7 @@ __all__ = [
     "G2_IMAG_TOL",
     "MAGIC_BASIS",
     "LocalInvariants",
-    "g1_abs_array",
-    "g1_complex_array",
-    "g2_array",
     "g2_product_array",
-    "invariants_at_point",
     "invariants_from_matrix",
 ]
 
@@ -100,9 +97,10 @@ def _squared_product(t) -> np.ndarray:
     """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
     sines of c1, c2, c3, the two terms of |g1|."""
     t1, t2, t3 = t
-    # ** 2, not p * p: on floats and numpy scalars it is libm pow, which rounds about 1 square in 1000
-    # to the other neighbour, and that changed the analyze --point --json bytes of 24 in 23768 points
-    return (t1 * t2 * t3) ** 2
+    p = t1 * t2 * t3
+    # p * p, not p ** 2: the product is correctly rounded on floats, numpy scalars and arrays alike,
+    # where ** 2 is libm pow on the first two, which rounds about 1 square in 1000 the other way
+    return p * p
 
 
 def _g1_abs_trig(cos, sin) -> np.ndarray:
@@ -116,36 +114,15 @@ def _g2_trig(x) -> np.ndarray:
     return x1 + x2 + x3
 
 
-def g1_abs_array(c1, c2, c3) -> np.ndarray:
-    """Elementwise |g1| over broadcastable coordinate arrays."""
-    c = (c1, c2, c3)
-    return _g1_abs_trig(map(np.cos, c), map(np.sin, c))
-
-
 def _g1_parts_trig(cos, sin, sin2) -> tuple:
-    """The real and imaginary parts of g1 from the cosines, the sines and the sin 2c of c1, c2, c3."""
-    s1, s2, s3 = sin2
-    return _squared_product(cos) - _squared_product(sin), -0.25 * s1 * s2 * s3
-
-
-def g1_complex_array(c1, c2, c3) -> np.ndarray:
-    """Elementwise complex g1 over broadcastable coordinate arrays.
+    """The real and imaginary parts of g1 from the cosines, the sines and the sin 2c of c1, c2, c3.
 
     The real part is cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3
     and the imaginary part -(1/4) sin 2c1 sin 2c2 sin 2c3, matching the
-    magic-basis matrix route on canonical gates; its modulus is |g1|.
+    magic-basis matrix route on canonical gates; the modulus is |g1|.
     """
-    c = (c1, c2, c3)
-    re, im = _g1_parts_trig(map(np.cos, c), map(np.sin, c), map(_sin2, c))
-    g1 = np.empty(np.shape(re), dtype=complex)
-    # set the parts directly: adding 1j * imag would turn an imaginary -0.0 into 0.0
-    g1.real, g1.imag = re, im
-    return g1
-
-
-def g2_array(c1, c2, c3) -> np.ndarray:
-    """Elementwise g2 over broadcastable coordinate arrays, as a sum of cosines."""
-    return _g2_trig(map(_cos2, (c1, c2, c3)))
+    s1, s2, s3 = sin2
+    return _squared_product(cos) - _squared_product(sin), -0.25 * s1 * s2 * s3
 
 
 def g2_product_array(c1, c2, c3) -> np.ndarray:
@@ -158,11 +135,6 @@ def g2_product_array(c1, c2, c3) -> np.ndarray:
     c = (c1, c2, c3)
     a, b = _squared_product(map(np.cos, c)), _squared_product(map(np.sin, c))
     return 4 * a - 4 * b - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
-
-
-def invariants_at_point(p: WeylPoint) -> LocalInvariants:
-    """Invariants of the local class at a chamber point, via closed forms."""
-    return LocalInvariants(complex(g1_complex_array(*p)), float(g2_array(*p)))
 
 
 def _invariants(m4: np.ndarray) -> LocalInvariants:

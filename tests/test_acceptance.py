@@ -18,19 +18,14 @@ from gatepower.canonical import (
     random_chamber_coords,
 )
 from gatepower.catalog import named_gate
-from gatepower.classify import verify_route_agreement, verify_theorems
+from gatepower.classify import classify_gate, verify_route_agreement, verify_theorems
 from gatepower.cli import main
 from gatepower.epower import (
-    ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
     ep_operator_exact,
 )
-from gatepower.invariants import (
-    g1_abs_array,
-    g2_array,
-    invariants_from_matrix,
-)
+from gatepower.invariants import invariants_from_matrix
 
 from helpers import boundary_exempt_count, dress
 
@@ -47,10 +42,11 @@ def test_criterion_01_extremal_entangling_power():
     cases += [(WeylPoint(PI / 2, phi, 0), 2 / 9) for phi in (0.0, PI / 8, PI / 4, PI / 2)]
     worst_closed = worst_op = 0.0
     for p, expected in cases:
+        rec = classify_gate(p)
         worst_closed = max(
             worst_closed,
-            abs(ep_closed_form(p) - expected),
-            abs(ep_from_g1_abs(g1_abs_array(*p)) - expected),
+            abs(rec.ep - expected),
+            abs(ep_from_g1_abs(abs(rec.invariants.g1)) - expected),
         )
         worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - expected))
     assert worst_closed <= 1e-12
@@ -63,10 +59,11 @@ def test_criterion_02_quarter_g1_edges():
     for edge in (EdgeId.QP, EdgeId.MN, EdgeId.PN):
         for t in T11:
             p = edge_point(edge, float(t))
+            rec = classify_gate(p)
             worst_closed = max(
                 worst_closed,
-                abs(ep_closed_form(p) - 1 / 6),
-                abs(g1_abs_array(*p) - 0.25),
+                abs(rec.ep - 1 / 6),
+                abs(abs(rec.invariants.g1) - 0.25),
             )
             worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - 1 / 6))
     assert worst_closed <= 1e-12
@@ -74,14 +71,18 @@ def test_criterion_02_quarter_g1_edges():
     _done(2, f"ep=1/6, |g1|=1/4 on QP/MN/PN, max err {worst_closed:.1e}/{worst_op:.1e}")
 
 
+def _g2(p: WeylPoint) -> float:
+    return classify_gate(p).invariants.g2
+
+
 def test_criterion_03_g2_extremes():
     worst = max(
-        abs(g2_array(0, 0, 0) - 3.0),
-        abs(g2_array(PI / 2, PI / 2, PI / 2) + 3.0),
-        abs(g2_array(PI / 2, PI / 2, 0) + 1.0),
+        abs(_g2(WeylPoint(0, 0, 0)) - 3.0),
+        abs(_g2(WeylPoint(PI / 2, PI / 2, PI / 2)) + 3.0),
+        abs(_g2(WeylPoint(PI / 2, PI / 2, 0)) + 1.0),
     )
     for t in T11:
-        worst = max(worst, abs(g2_array(*edge_point(EdgeId.LQ, float(t))) - 1.0))
+        worst = max(worst, abs(_g2(edge_point(EdgeId.LQ, float(t))) - 1.0))
     assert worst <= 1e-12
     _done(3, f"g2 extremes 3/-3/-1 and LQ=1, max err {worst:.1e}")
 
@@ -103,10 +104,11 @@ def test_criterion_05_matrix_route_consistency():
     worst = 0.0
     for p in random_chamber_coords(777, 500).tolist():
         inv = invariants_from_matrix(canonical_gate(p))
+        closed = classify_gate(WeylPoint(*p)).invariants
         worst = max(
             worst,
-            abs(abs(inv.g1) - g1_abs_array(*p)),
-            abs(inv.g2 - g2_array(*p)),
+            abs(abs(inv.g1) - abs(closed.g1)),
+            abs(inv.g2 - closed.g2),
         )
     assert worst <= 1e-10
     _done(5, f"matrix vs closed invariants on 500 points, max err {worst:.1e}")
@@ -179,7 +181,7 @@ def test_criterion_08_monte_carlo_agreement():
         if label == "IDENTITY":
             assert est.mean == 0.0
     est = ep_monte_carlo(canonical_gate(p), 200_000, seed=42)
-    assert abs(est.mean - ep_closed_form(p)) <= max(3 * est.std_err, 5e-3)
+    assert abs(est.mean - classify_gate(WeylPoint(*p)).ep) <= max(3 * est.std_err, 5e-3)
     _done(8, "monte carlo within max(3 std_err, 5e-3) on 6 gates, identity exact 0")
 
 
@@ -188,7 +190,7 @@ def test_criterion_09_edge_family_identity():
     for t in T11:
         expected = 0.25 * math.sin(PI * t / 2) ** 2
         values = [
-            g1_abs_array(*edge_point(edge, float(t)))
+            abs(classify_gate(edge_point(edge, float(t))).invariants.g1)
             for edge in (EdgeId.LQ, EdgeId.LN, EdgeId.A2P)
         ]
         for v in values:

@@ -37,23 +37,21 @@ PUBLIC_NAMES = {
         "CatalogError", "ConsistencyError", "EdgeId", "EpEstimate", "GateRecord", "LocalInvariants",
         "NonUnitaryError", "PeVerdict", "SWAP", "TheoremReport", "WeylPoint",
         "canonical_gate", "canonical_gate_array", "catalog_records", "classify_gate", "edge_point",
-        "ep_closed_form", "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
-        "in_weyl_chamber", "invariants_at_point", "invariants_from_matrix", "is_pe_geometric",
+        "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
+        "in_weyl_chamber", "invariants_from_matrix", "is_pe_geometric",
         "is_pe_invariant", "named_gate", "verify_monte_carlo", "verify_route_agreement", "verify_theorems",
     ),
     "linalg": ("INGEST_UNITARY_TOL", "SWAP", "require_unitary", "unitarity_defect"),
     "rng": ("GAMMA", "MASK64", "block_key", "box_muller", "raw_stream", "uniform_stream"),
     "canonical": (
         "CHAMBER_TOL", "EdgeId", "WeylPoint", "canonical_gate", "canonical_gate_array", "chamber_lattice",
-        "chamber_mask", "edge_point", "edge_tags", "in_weyl_chamber", "mirror_coords", "random_chamber_coords",
+        "chamber_mask", "edge_point", "edge_tags", "in_weyl_chamber", "random_chamber_coords",
     ),
     "invariants": (
-        "G2_IMAG_TOL", "LocalInvariants", "MAGIC_BASIS", "g1_abs_array", "g1_complex_array", "g2_array",
-        "g2_product_array", "invariants_at_point", "invariants_from_matrix",
+        "G2_IMAG_TOL", "LocalInvariants", "MAGIC_BASIS", "g2_product_array", "invariants_from_matrix",
     ),
     "epower": (
-        "EP_MAX", "EpEstimate", "ep_closed_array", "ep_closed_form", "ep_from_g1_abs", "ep_monte_carlo",
-        "ep_monte_carlo_many", "ep_operator_exact",
+        "EP_MAX", "EpEstimate", "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
     ),
     "classify": (
         "GateRecord", "PE_EP_MIN", "PE_TOL", "PeVerdict", "RouteAgreementReport", "TheoremReport",

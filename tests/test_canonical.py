@@ -11,13 +11,13 @@ from gatepower.canonical import (
     WeylPoint,
     _edge_coords,
     _lattice_axes,
+    _sort_desc,
     canonical_gate,
     canonical_gate_array,
     chamber_mask,
     edge_point,
     edge_tags,
     in_weyl_chamber,
-    mirror_coords,
     random_chamber_coords,
 )
 from gatepower.catalog import catalog_records
@@ -161,20 +161,20 @@ def test_in_weyl_chamber_tolerance():
 
 
 def test_mirror_example():
-    m = mirror_coords(0.9 * PI, 0.4 * PI, 0.0)
+    m = _sort_desc(PI - 0.9 * PI, 0.4 * PI, 0.0)
     assert_allclose(m, (0.4 * PI, 0.1 * PI, 0.0), atol=1e-15)
 
 
 def test_mirror_fixes_half_chamber_boundary():
     p = (PI / 2, 0.3, 0.1)
-    assert_allclose(mirror_coords(*p), p, atol=1e-15)
+    assert_allclose(_sort_desc(PI - p[0], p[1], p[2]), p, atol=1e-15)
 
 
 def test_mirror_is_involution_and_stays_in_chamber():
     c = random_chamber_coords(77, 200).T
-    m = mirror_coords(*c)
+    m = _sort_desc(PI - c[0], c[1], c[2])
     assert np.all(chamber_mask(*m))
-    assert_allclose(mirror_coords(*m), c, atol=1e-12)
+    assert_allclose(_sort_desc(PI - m[0], m[1], m[2]), c, atol=1e-12)
 
 
 EDGE_ENDPOINTS = {

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from gatepower import catalog
 from gatepower.canonical import WeylPoint
 from gatepower.catalog import (
     FIXED_GATES,
@@ -12,7 +13,7 @@ from gatepower.catalog import (
     parse_gate_name,
     verify_monte_carlo,
 )
-from gatepower.epower import ep_operator_exact
+from gatepower.epower import EpEstimate, ep_operator_exact
 from gatepower.errors import CatalogError
 from gatepower.invariants import invariants_from_matrix
 
@@ -171,6 +172,20 @@ def test_verify_monte_carlo_small_run():
     # product-preserving gates sample to exactly zero
     assert by_name["IDENTITY"][1] == 0.0
     assert by_name["SWAP"][1] == 0.0
+
+
+@pytest.mark.parametrize("std_err, bound", [(0.01, 0.03), (1e-4, 5e-3)], ids=["3 std_err", "5e-3"])
+def test_verify_monte_carlo_pass_rule_at_half_and_twice(monkeypatch, std_err, bound):
+    # a gate passes when |mean - analytic| <= max(3 std_err, 5e-3); each branch of the max at half and
+    # twice its bound, above and below the analytic value in turn
+    eps = [rec.ep for rec in catalog_records()]
+    for factor, fails in ((0.5, False), (2.0, True)):
+        def sampled(us, n_samples, seed):
+            return [EpEstimate(ep + (-1) ** i * factor * bound, std_err, n_samples, seed) for i, ep in enumerate(eps)]
+
+        monkeypatch.setattr(catalog, "ep_monte_carlo_many", sampled)
+        rep = verify_monte_carlo(1000, seed=3)
+        assert len(rep.violations) == (len(eps) if fails else 0)
 
 
 def test_verify_monte_carlo_deterministic():

@@ -34,11 +34,11 @@ from gatepower.classify import (
     pe_mask,
     verify_theorems,
 )
-from gatepower.epower import EP_MAX, ep_closed_form, ep_from_g1_abs
+from gatepower.epower import EP_MAX, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError
-from gatepower.invariants import LocalInvariants, _invariants, g1_abs_array, g2_array, invariants_at_point
+from gatepower.invariants import LocalInvariants, _invariants
 from gatepower.linalg import SWAP, require_unitary
-from helpers import THEOREM_CLAIMS, boundary_exempt_count, dress, point_columns
+from helpers import THEOREM_CLAIMS, boundary_exempt_count, dress, ep_closed, invariants_closed, point_columns
 
 PI = math.pi
 
@@ -269,16 +269,16 @@ def test_classify_sliver_point_gets_geometric_verdict():
 
 
 def _reference_point_record(p: WeylPoint) -> GateRecord:
-    """classify_gate(point) composed from the scalar helpers, kept as the reference for the point path."""
+    """classify_gate(point) composed from the scalar helpers and the closed forms, kept as the reference for the point path."""
     geo = is_pe_geometric(p)
-    inv = invariants_at_point(p)
+    inv = invariants_closed(p)
     ivd = is_pe_invariant(inv)
     return GateRecord(
         name=None,
         matrix=canonical_gate(p),
         point=p,
         invariants=inv,
-        ep=ep_closed_form(p),
+        ep=float(ep_closed(*p)),
         pe_verdict=geo.is_pe,
         tags=frozenset(_value_tags(inv) | edge_tags(p)),
         geometric=geo,
@@ -286,7 +286,7 @@ def _reference_point_record(p: WeylPoint) -> GateRecord:
     )
 
 
-# the invariant g1_abs margin reads |g1| from g1_abs_array, the reference from abs(g1):
+# the invariant g1_abs margin reads |g1| from its closed form, the reference from abs(g1):
 # the two agree to a few ulps of 1/4
 G1_ABS_MARGIN_TOL = 4.5e-16
 
@@ -314,7 +314,7 @@ def test_point_records_match_scalar_reference():
         for f in dataclasses.fields(GateRecord):
             if f.name not in ("matrix", "invariant"):
                 assert getattr(got, f.name) == getattr(ref, f.name), f.name
-        # bit for bit: the record's g1 comes from the trig of its point evaluation, the reference's from g1_complex_array
+        # bit for bit: the record's g1 comes from the trig of its point evaluation, the reference's from helpers.g1_closed
         assert [x.hex() for x in (got.invariants.g1.real, got.invariants.g1.imag, got.invariants.g2)] == [
             x.hex() for x in (ref.invariants.g1.real, ref.invariants.g1.imag, ref.invariants.g2)
         ]
@@ -368,9 +368,8 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
     """classify_gate evaluates a point as three Python floats (_point_columns).
 
     Every column has the bits of _evaluate on the coordinates as numpy scalars, the path it
-    replaced. It also has those of _evaluate on 1-element arrays, except |g1| and its margin: a
-    float or numpy scalar is squared by libm pow, an array by np.square, and the two round apart
-    on about one point in a thousand, by one ulp.
+    replaced, and of _evaluate on the same points as one array: the closed forms square with a
+    product, which rounds the same on floats, numpy scalars and arrays.
     """
     coords = np.concatenate([
         np.array([tuple(rec.point) for rec in catalog_records()]),
@@ -382,20 +381,13 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
     rows = coords.tolist()
     got_f, got_b = _column_rows(classify._point_columns(WeylPoint(*row))[0] for row in rows)
     ref_f, ref_b = _column_rows(classify._evaluate(tuple(row)) for row in rows)
-    assert np.array_equal(got_f, ref_f) and np.array_equal(got_b, ref_b)
     # one evaluation over every point, turned to one row per point: an array evaluates each element
     # on its own, so its rows are those of 1-element arrays, as the first 3000 points check
     arr_f, arr_b = (c.reshape(-1, len(coords)).T for c in _column_rows([classify._evaluate(coords.T)]))
     one_f, one_b = _column_rows(classify._evaluate(row[:, None]) for row in coords[:3000])
     assert np.array_equal(one_f, arr_f[:3000]) and np.array_equal(one_b, arr_b[:3000])
-    g1 = [0, 5]  # g1_abs and the invariant g1_abs margin
-    same = [j for j in range(arr_f.shape[1]) if j not in g1]
-    assert np.array_equal(got_f[:, same], arr_f[:, same]) and np.array_equal(got_b, arr_b)
-    apart = np.flatnonzero((got_f[:, g1] != arr_f[:, g1]).any(axis=1))
-    assert 0 < len(apart) < len(rows) / 200
-    a, b = got_f[apart][:, g1].view(np.float64), arr_f[apart][:, g1].view(np.float64)
-    # one ulp of |g1| or of its margin, whichever is larger: 0.25 - |g1| passes |g1|'s rounding on
-    assert np.all(np.abs(a - b) <= np.spacing(np.abs(a).max(axis=1, keepdims=True)))
+    for f, b in ((ref_f, ref_b), (arr_f, arr_b)):
+        assert np.array_equal(got_f, f) and np.array_equal(got_b, b)
 
 
 def _reference_matrix_record(u: np.ndarray, name: str | None = None) -> GateRecord:
@@ -498,16 +490,18 @@ def test_invariant_box_counterexample_pair():
     moving the third gives a different local class with the same pair.
     """
     p_no = WeylPoint(17 * PI / 24, 7 * PI / 24, 11 * PI / 48)
-    e1 = g2_array(*p_no)
-    e2 = 4 * g1_abs_array(*p_no) - 1.0
+    closed_no = classify_gate(p_no).invariants
+    e1 = closed_no.g2
+    e2 = 4 * abs(closed_no.g1) - 1.0
     # companion on the same (e1, e2) level set with x2 = 0 (c2 = pi/4)
     disc = math.sqrt(e1 * e1 - 4 * e2)
     xs = ((e1 + disc) / 2, 0.0, (e1 - disc) / 2)
     cs = sorted((math.acos(x) / 2 for x in xs), reverse=True)
     p_yes = WeylPoint(*cs)
 
-    assert g1_abs_array(*p_yes) == pytest.approx(g1_abs_array(*p_no), abs=1e-12)
-    assert g2_array(*p_yes) == pytest.approx(g2_array(*p_no), abs=1e-12)
+    closed_yes = classify_gate(p_yes).invariants
+    assert abs(closed_yes.g1) == pytest.approx(abs(closed_no.g1), abs=1e-12)
+    assert closed_yes.g2 == pytest.approx(closed_no.g2, abs=1e-12)
     assert not is_pe_geometric(p_no).is_pe
     assert is_pe_geometric(p_yes).is_pe
     # the box test cannot tell them apart

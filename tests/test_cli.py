@@ -603,23 +603,23 @@ def test_verify_montecarlo_reports_each_violation_in_catalog_order(capsys, monke
     assert lines[10:] == [f"  {line}" for line in expected] + ["result: FAIL"]
 
 
-def _bumped(fn, at):
-    """fn with 1e-6 added to its values at the points numbered in at, counting across chunked calls."""
+def _bumped(fn, at, size):
+    """fn with size added to its values at the points numbered in at, counting across chunked calls."""
     seen = 0
 
     def wrapped(*args):
         nonlocal seen
         out = np.array(fn(*args), dtype=float)
-        out[[i - seen for i in at if seen <= i < seen + len(out)]] += 1e-6
+        out[[i - seen for i in at if seen <= i < seen + len(out)]] += size
         seen += len(out)
         return out
     return wrapped
 
 
-def _bump_routes(monkeypatch, g1_at, op_at, g2_at):
-    # bumps of 1e-6: above every tolerance, rendered as 1.000e-06
+def _bump_routes(monkeypatch, g1_at=(), op_at=(), g2_at=(), size=1e-6):
+    # the default bump of 1e-6 is above every tolerance, rendered as 1.000e-06
     for name, at in (("ep_from_g1_abs", g1_at), ("_ep_operator", op_at), ("g2_product_array", g2_at)):
-        monkeypatch.setattr(classify, name, _bumped(getattr(classify, name), at))
+        monkeypatch.setattr(classify, name, _bumped(getattr(classify, name), at, size))
 
 
 def test_verify_routes_reports_each_disagreement_in_point_order(capsys, monkeypatch):
@@ -662,6 +662,23 @@ def test_verify_routes_in_chunks_matches_one_shot_report(monkeypatch):
     chunked, one_shot = reports
     assert len(chunked.violations) == 6
     assert chunked == one_shot
+
+
+@pytest.mark.parametrize("route, label, field, tol", [
+    ("g1_at", "closed vs |g1| route", "max_closed_vs_g1", 1e-12),
+    ("op_at", "closed vs operator route", "max_closed_vs_operator", 1e-10),
+    ("g2_at", "g2 forms", "max_g2_forms", 1e-12),
+])
+def test_verify_routes_tolerance_at_half_and_twice(monkeypatch, route, label, field, tol):
+    # a bump of half a route's tolerance at one point passes, and is the largest discrepancy; twice it is reported
+    n, seed, i = 8, 4, 2
+    at = WeylPoint(*random_chamber_coords(seed, n).tolist()[i])
+    for size, reported in ((0.5 * tol, False), (2 * tol, True)):
+        with monkeypatch.context() as patch:
+            _bump_routes(patch, **{route: [i]}, size=size)
+            rep = classify.verify_route_agreement(n, seed)
+        assert getattr(rep, field) == pytest.approx(size, rel=1e-3)
+        assert rep.violations == ((f"{label}: {size:.3e} at {at}",) if reported else ())
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])

@@ -7,18 +7,16 @@ import pytest
 from gatepower import epower
 from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
 from gatepower.catalog import catalog_records, verify_monte_carlo
-from gatepower.classify import verify_route_agreement
+from gatepower.classify import classify_gate, verify_route_agreement
 from gatepower.epower import (
     EP_MAX,
     EpEstimate,
-    ep_closed_form,
     ep_from_g1_abs,
     ep_monte_carlo,
     ep_monte_carlo_many,
     ep_operator_exact,
 )
 from gatepower.errors import NonUnitaryError
-from gatepower.invariants import g1_abs_array
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 from gatepower.rng import block_key, box_muller, uniform_stream
 
@@ -55,14 +53,14 @@ def test_ep_from_g1_abs_domain():
 
 
 def test_ep_closed_form_extremes():
-    assert ep_closed_form(WeylPoint(0, 0, 0)) == pytest.approx(0.0, abs=1e-15)
-    assert ep_closed_form(WeylPoint(PI / 2, PI / 2, PI / 2)) == pytest.approx(0.0, abs=1e-13)
-    assert ep_closed_form(WeylPoint(PI / 2, 0, 0)) == pytest.approx(2 / 9, abs=1e-13)
+    assert classify_gate(WeylPoint(0, 0, 0)).ep == pytest.approx(0.0, abs=1e-15)
+    assert classify_gate(WeylPoint(PI / 2, PI / 2, PI / 2)).ep == pytest.approx(0.0, abs=1e-13)
+    assert classify_gate(WeylPoint(PI / 2, 0, 0)).ep == pytest.approx(2 / 9, abs=1e-13)
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, PI / 2, 6))
 def test_ep_closed_form_constant_on_pn_segment(eta):
-    assert ep_closed_form(WeylPoint(PI / 4 + eta, PI / 4, PI / 4)) == pytest.approx(
+    assert classify_gate(WeylPoint(PI / 4 + eta, PI / 4, PI / 4)).ep == pytest.approx(
         1 / 6, abs=1e-13
     )
 
@@ -101,8 +99,9 @@ def test_operator_route_canonical_examples():
 
 def test_three_routes_agree():
     for p in random_chamber_coords(11, 50).tolist():
-        closed = ep_closed_form(p)
-        assert closed == pytest.approx(ep_from_g1_abs(g1_abs_array(*p)), abs=1e-12)
+        rec = classify_gate(WeylPoint(*p))
+        closed = rec.ep
+        assert closed == pytest.approx(ep_from_g1_abs(abs(rec.invariants.g1)), abs=1e-12)
         assert closed == pytest.approx(ep_operator_exact(canonical_gate(p)), abs=1e-10)
         assert -1e-9 <= closed <= EP_MAX + 1e-9
 
@@ -127,7 +126,7 @@ def test_operator_route_rounded_dressed_gates():
         u = np.round(phase * dress(canonical_gate(p), rng), 8)
         if unitarity_defect(u) > INGEST_UNITARY_TOL:
             continue
-        assert ep_operator_exact(u) == pytest.approx(ep_closed_form(p), abs=1e-6)
+        assert ep_operator_exact(u) == pytest.approx(classify_gate(WeylPoint(*p)).ep, abs=1e-6)
         checked += 1
     assert checked >= 50
 
@@ -244,10 +243,19 @@ def test_mc_matches_analytic_cnot():
     assert -3 * est.std_err <= est.mean <= EP_MAX + 3 * est.std_err
 
 
+def test_snap_flushes_below_half_of_1e_12():
+    # rounding to 12 decimals: half of 1e-12 snaps to zero, without a sign, and twice it is kept
+    for x in (0.5e-12, -0.5e-12):
+        assert math.copysign(1.0, epower._snap(x)) == 1.0 and epower._snap(x) == 0.0
+    assert epower._snap(2e-12) == 2e-12
+    assert epower._snap(-2e-12) == -2e-12
+    assert epower._snap(0.25 + 0.5e-12) == 0.25
+
+
 def test_mc_matches_analytic_generic_point():
     p = WeylPoint(2.0, 1.0, 0.5)
     est = ep_monte_carlo(canonical_gate(p), 20000, seed=7)
-    assert abs(est.mean - ep_closed_form(p)) <= max(3 * est.std_err, 5e-3)
+    assert abs(est.mean - classify_gate(p).ep) <= max(3 * est.std_err, 5e-3)
 
 
 def _u3(theta, phi, lam):

@@ -4,20 +4,20 @@ import math
 import numpy as np
 import pytest
 
+from gatepower import classify
 from gatepower.canonical import (
     WeylPoint,
+    _sort_desc,
     canonical_gate,
-    mirror_coords,
     random_chamber_coords,
 )
+from gatepower.classify import classify_gate
 from gatepower.errors import ConsistencyError, NonUnitaryError
 from gatepower.invariants import (
+    MAGIC_BASIS,
     LocalInvariants,
-    g1_abs_array,
-    g1_complex_array,
-    g2_array,
+    _invariants,
     g2_product_array,
-    invariants_at_point,
     invariants_from_matrix,
 )
 from gatepower.linalg import SWAP
@@ -40,57 +40,60 @@ ISWAP = np.array(
 # ---------------------------------------------------------------- closed forms
 
 
+def _point_invariants(c1, c2, c3):
+    """The closed-form invariants at a chamber point, as classify_gate records them."""
+    return classify_gate(WeylPoint(c1, c2, c3)).invariants
+
+
 def test_g1_abs_identity_point():
-    assert g1_abs_array(0, 0, 0) == pytest.approx(1.0, abs=1e-15)
+    assert abs(_point_invariants(0, 0, 0).g1) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, PI / 4])
 def test_g1_abs_quarter_edge(eta):
     # constant 1/4 along c1 = c2 = pi/4, any c3
-    assert g1_abs_array(PI / 4, PI / 4, eta) == pytest.approx(0.25, abs=1e-13)
+    assert abs(_point_invariants(PI / 4, PI / 4, eta).g1) == pytest.approx(0.25, abs=1e-13)
 
 
 @pytest.mark.parametrize("phi", [0.0, 0.3, PI / 2])
 def test_g1_abs_vanishing_line(phi):
-    assert abs(g1_abs_array(PI / 2, phi, 0)) <= 1e-13
+    assert abs(_point_invariants(PI / 2, phi, 0).g1) <= 1e-13
 
 
 def test_g1_complex_examples():
-    assert invariants_at_point(WeylPoint(0, 0, 0)).g1 == pytest.approx(1 + 0j, abs=1e-13)
-    assert invariants_at_point(WeylPoint(PI / 2, PI / 2, PI / 2)).g1 == pytest.approx(
-        -1 + 0j, abs=1e-13
-    )
-    assert invariants_at_point(WeylPoint(PI / 2, 0, 0)).g1 == pytest.approx(0j, abs=1e-13)
+    assert _point_invariants(0, 0, 0).g1 == pytest.approx(1 + 0j, abs=1e-13)
+    assert _point_invariants(PI / 2, PI / 2, PI / 2).g1 == pytest.approx(-1 + 0j, abs=1e-13)
+    assert _point_invariants(PI / 2, 0, 0).g1 == pytest.approx(0j, abs=1e-13)
 
 
 def test_g1_modulus_identity():
-    """|g1_complex| equals the direct modulus expression.
+    """The modulus of the complex g1 equals the direct |g1| expression.
 
     Writing a = prod cos^2, b = prod sin^2, the identity
     (a - b)^2 + (1/4 sin 2c1 sin 2c2 sin 2c3)^2 = (a + b)^2 holds because
     the cross term (1/2 sin 2c)^3-squared equals 4ab.
     """
-    c = random_chamber_coords(7, 200).T
+    c = random_chamber_coords(7, 200)
+    g1 = np.array([_point_invariants(*p).g1 for p in c.tolist()])
     np.testing.assert_allclose(
-        np.abs(g1_complex_array(*c)), g1_abs_array(*c), rtol=0, atol=1e-13
+        np.abs(g1), classify._evaluate(c.T)["g1_abs"], rtol=0, atol=1e-13
     )
 
 
 def test_g2_examples():
-    assert g2_array(0, 0, 0) == pytest.approx(3.0, abs=1e-15)
-    assert g2_array(PI / 2, PI / 2, PI / 2) == pytest.approx(-3.0, abs=1e-13)
-    assert g2_array(PI / 2, PI / 2, 0) == pytest.approx(-1.0, abs=1e-13)
+    assert _point_invariants(0, 0, 0).g2 == pytest.approx(3.0, abs=1e-15)
+    assert _point_invariants(PI / 2, PI / 2, PI / 2).g2 == pytest.approx(-3.0, abs=1e-13)
+    assert _point_invariants(PI / 2, PI / 2, 0).g2 == pytest.approx(-1.0, abs=1e-13)
     # cos(pi) + cos(pi/2) + cos(0) = -1 + 0 + 1
-    assert g2_array(PI / 2, PI / 4, 0) == pytest.approx(0.0, abs=1e-13)
+    assert _point_invariants(PI / 2, PI / 4, 0).g2 == pytest.approx(0.0, abs=1e-13)
 
 
 def test_mirror_preserves_invariant_values():
-    from gatepower.epower import ep_closed_array
-
     c = random_chamber_coords(53, 100).T
-    m = mirror_coords(*c)
-    for f in (g1_abs_array, g2_array, ep_closed_array):
-        np.testing.assert_allclose(f(*m), f(*c), rtol=0, atol=1e-12)
+    m = _sort_desc(PI - c[0], c[1], c[2])
+    at_m, at_c = classify._evaluate(m), classify._evaluate(c)
+    for name in ("g1_abs", "g2", "ep"):
+        np.testing.assert_allclose(at_m[name], at_c[name], rtol=0, atol=1e-12)
 
 
 def test_g2_two_forms_agree_on_grid():
@@ -98,15 +101,8 @@ def test_g2_two_forms_agree_on_grid():
     c1, c2, c3 = np.meshgrid(
         np.linspace(0.0, PI, 50), np.linspace(0.0, PI / 2, 50), np.linspace(0.0, PI / 2, 50)
     )
-    worst = np.max(np.abs(g2_array(c1, c2, c3) - g2_product_array(c1, c2, c3)))
+    worst = np.max(np.abs(classify._evaluate((c1, c2, c3))["g2"] - g2_product_array(c1, c2, c3)))
     assert worst <= 1e-12
-
-
-def test_invariants_at_point_bundles_closed_forms():
-    p = WeylPoint(1.1, 0.7, 0.2)
-    inv = invariants_at_point(p)
-    assert inv.g1 == complex(g1_complex_array(*p))
-    assert inv.g2 == float(g2_array(*p))
 
 
 # ---------------------------------------------------------------- matrix route
@@ -149,8 +145,8 @@ def test_routes_agree_on_random_points():
     """Matrix and closed-form routes match on 1000 sampled chamber points."""
     for p in random_chamber_coords(2024, 1000).tolist():
         inv = invariants_from_matrix(canonical_gate(p))
-        closed = invariants_at_point(p)
-        assert abs(inv.g1) == pytest.approx(float(g1_abs_array(*p)), abs=1e-10)
+        closed = _point_invariants(*p)
+        assert abs(inv.g1) == pytest.approx(float(classify._evaluate(p)["g1_abs"]), abs=1e-10)
         assert inv.g1 == pytest.approx(closed.g1, abs=1e-10)
         assert inv.g2 == pytest.approx(closed.g2, abs=1e-10)
 
@@ -252,3 +248,29 @@ def test_g2_imaginary_residue_guard():
     # perturbation passes the 1e-8 unitarity gate yet leaves |Im g2| > 1e-9
     with pytest.raises(ConsistencyError, match="g2"):
         invariants_from_matrix(bad)
+
+
+def _g2_imag_residue(u) -> float:
+    """|Im g2| of a 4x4 matrix, from the magic-basis formula written out here."""
+    um = MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
+    m = um.T @ um
+    tr = np.trace(m)
+    return abs(((tr * tr - np.trace(m @ m)) / (4.0 * np.linalg.det(um))).imag)
+
+
+def test_g2_imag_tolerance_at_half_and_twice():
+    """u (I + eps H), H Hermitian, leaves an imaginary residue on g2 that grows linearly in eps:
+    a residue of half the 1e-9 tolerance is accepted, twice it raises."""
+    rng = np.random.default_rng(0)
+    u = haar_unitary(4, rng)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (g + g.conj().T) / 2
+    per_eps = _g2_imag_residue(u @ (np.eye(4) + 1e-6 * h)) / 1e-6
+    for residue, raises in ((0.5e-9, False), (2e-9, True)):
+        v = u @ (np.eye(4) + (residue / per_eps) * h)
+        assert _g2_imag_residue(v) == pytest.approx(residue, rel=1e-2)
+        if raises:
+            with pytest.raises(ConsistencyError, match="g2"):
+                _invariants(v)
+        else:
+            _invariants(v)

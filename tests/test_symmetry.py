@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatepower.canonical import WeylPoint, canonical_gate, chamber_mask, mirror_coords, random_chamber_coords
+from gatepower.canonical import WeylPoint, _sort_desc, canonical_gate, chamber_mask, random_chamber_coords
 from gatepower.classify import classify_gate, is_pe_geometric, is_pe_invariant
-from gatepower.epower import ep_closed_form, ep_monte_carlo, ep_operator_exact
-from gatepower.invariants import g1_complex_array, g2_array, invariants_at_point, invariants_from_matrix
+from gatepower.epower import ep_monte_carlo, ep_operator_exact
+from gatepower.invariants import invariants_from_matrix
 from gatepower.linalg import SWAP
 
-from helpers import dress
+from helpers import dress, g1_closed, g2_closed
 
 TOL = 1e-12
 # how closely a fold candidate's closed-form g1 and g2 must match the matrix route of u·SWAP
@@ -44,10 +44,11 @@ def test_exact_actions_match_the_closed_forms_at_the_source_point(seed):
     gen = np.random.default_rng(seed)
     for p in random_chamber_coords(seed, 20).tolist():
         u = np.exp(2j * math.pi * gen.uniform()) * dress(canonical_gate(p), gen)
-        kept = invariants_at_point(WeylPoint(*p))
-        mirrored = invariants_at_point(WeylPoint(*map(float, mirror_coords(*p))))
+        source = classify_gate(WeylPoint(*p))
+        kept = source.invariants
+        mirrored = classify_gate(WeylPoint(*map(float, _sort_desc(math.pi - p[0], p[1], p[2])))).invariants
         assert abs(mirrored.g1 - kept.g1.conjugate()) <= TOL
-        ep = ep_closed_form(WeylPoint(*p))
+        ep = source.ep
         verdicts = set()
         for name, action, mirrors in ACTIONS:
             v = action(u)
@@ -80,8 +81,8 @@ def u_swap_fold(c, v) -> list[np.ndarray]:
     cand = (flipped[:, None, :] + _PI_SHIFTS).reshape(-1, 3)
     cand = cand[chamber_mask(*cand.T)]
     inv = invariants_from_matrix(v)
-    match = (np.abs(g1_complex_array(*cand.T) - inv.g1) <= FOLD_MATCH_TOL) & (
-        np.abs(g2_array(*cand.T) - inv.g2) <= FOLD_MATCH_TOL
+    match = (np.abs(g1_closed(*cand.T) - inv.g1) <= FOLD_MATCH_TOL) & (
+        np.abs(g2_closed(*cand.T) - inv.g2) <= FOLD_MATCH_TOL
     )
     seen: dict[tuple, np.ndarray] = {}
     for q in cand[match]:
@@ -104,16 +105,17 @@ def test_u_swap_folds_to_one_chamber_point_with_the_same_ep_and_verdicts(seed):
         folds = u_swap_fold(p, v)
         assert len(folds) == 1, (p, folds)
         q = WeylPoint(*folds[0].tolist())
+        at_q = classify_gate(q)
         got = invariants_from_matrix(v)
-        assert abs(got.g1 - complex(g1_complex_array(*q))) <= TOL, p
-        assert abs(got.g2 - float(g2_array(*q))) <= TOL, p
-        ep = ep_closed_form(WeylPoint(*p))
-        assert abs(ep_closed_form(q) - ep) <= TOL, p
+        assert abs(got.g1 - at_q.invariants.g1) <= TOL, p
+        assert abs(got.g2 - at_q.invariants.g2) <= TOL, p
+        ep = classify_gate(WeylPoint(*p)).ep
+        assert abs(at_q.ep - ep) <= TOL, p
         assert abs(ep_operator_exact(v) - ep) <= TOL, p
         source = is_pe_geometric(WeylPoint(*p))
         if all(abs(m) > 1e-6 for m in source.margins.values()):
             assert is_pe_geometric(q).is_pe == source.is_pe, p
-        assert classify_gate(v).invariant.is_pe == is_pe_invariant(invariants_at_point(q)).is_pe, p
+        assert classify_gate(v).invariant.is_pe == is_pe_invariant(at_q.invariants).is_pe, p
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -122,5 +124,5 @@ def test_u_swap_monte_carlo_estimate_matches_the_source_closed_form(seed):
     n = 20_000
     for p, u in _dressed_gates(seed, 3):
         est = ep_monte_carlo(u @ SWAP, n, seed)
-        ep = ep_closed_form(WeylPoint(*p))
+        ep = classify_gate(WeylPoint(*p)).ep
         assert abs(est.mean - ep) <= max(3 * est.std_err, 5e-3), (p, est)
