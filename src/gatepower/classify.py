@@ -17,16 +17,18 @@ reports every off-boundary point where the two tests disagree.
 ``verify_route_agreement`` compares the independent e_p and g2 routes on
 random chamber points.
 
-One evaluator, ``_evaluate``, gives every column a point set needs from
-the closed forms over per-coordinate trig values (see invariants).
-``scan --edge`` and verify_route_agreement compute that trig from the
-coordinate arrays. classify_gate computes it as Python floats, with one
-numpy call per trig function over the point's three coordinates
-(``_point_columns``), so the closed forms and the invariant margins are
-float arithmetic; the geometric margins stay numpy scalars. The closed
-forms are the same operations on floats and on arrays, so a point's
-columns have the bits of that point in any array; the invariants and
-entangling power of one point are classify_gate(p).invariants and .ep.
+One evaluator, ``_evaluate``, gives the values every point-set reader
+shares: |g1|, g2 and e_p from the closed forms over per-coordinate trig
+values (see invariants), and both tests' margins, from which each reader
+forms the verdicts it reads. ``scan --edge`` and verify_route_agreement
+compute the trig from the coordinate arrays. classify_gate computes it
+as Python floats, one numpy call per trig function over the point's
+three coordinates (``_point_columns``, which also forms g1), so the
+closed forms and the invariant margins are float arithmetic; the
+geometric margins stay numpy scalars. The closed forms are the same
+operations on floats and on arrays, so a point's columns have the bits
+of that point in any array; the invariants and entangling power of one
+point are classify_gate(p).invariants and .ep.
 ``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber``
 read, evaluates a lattice in blocks of chamber points, each gathering by
 axis index the cos c, sin c and cos 2c computed once per lattice axis
@@ -125,12 +127,12 @@ def _boundary_mask(margins: dict) -> np.ndarray:
 
 
 def _evaluate(coords, trig=None) -> dict:
-    """Every chamber-point column that scan, verify_theorems, verify_route_agreement and classify_gate read.
+    """The chamber-point values that scan, verify_theorems, verify_route_agreement and classify_gate share.
 
     coords is the broadcastable coordinate arrays c1, c2, c3, or three floats. trig(f) returns f(c1),
     f(c2), f(c3) for f = np.cos, np.sin and _cos2; by default it applies f to coords. Columns: g1_abs,
-    g2 and ep; the signed margins of both tests and their verdicts; and boundary, where some
-    margin lies within PE_TOL of zero.
+    g2 and ep, and the signed margins of both tests; each reader forms the verdicts it reads from
+    those margins with pe_mask and _boundary_mask.
     """
     # trig is a callback, not nine arrays, so cos c and sin c are freed once g1_abs is formed, before the
     # margins are built; passing them eagerly raised the sweep workload's peak RSS by 1.1-1.3 MB on a 2-core host
@@ -139,22 +141,19 @@ def _evaluate(coords, trig=None) -> dict:
             return [f(c) for c in coords]
     x = trig(_cos2)  # g2 and ep share one cos 2c per coordinate
     g1a, g2, ep = _g1_abs_trig(trig(np.cos), trig(np.sin)), _g2_trig(x), _ep_trig(x)
-    geo, inv = geometric_margins(*coords), invariant_margins(g1a, g2)
     return {
         "g1_abs": g1a, "g2": g2, "ep": ep,
-        "geo_margins": geo, "inv_margins": inv,
-        "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
-        "boundary": _boundary_mask(geo) | _boundary_mask(inv),
+        "geo_margins": geometric_margins(*coords), "inv_margins": invariant_margins(g1a, g2),
     }
 
 
-def _point_columns(p: WeylPoint) -> tuple[dict, dict]:
-    """_evaluate at one point, and the trig it read with sin 2c added, by function: the values at
-    the three coordinates as Python floats, from one numpy call per function."""
+def _point_columns(p: WeylPoint) -> tuple[dict, complex]:
+    """_evaluate at one point, and its complex g1, from the point's trig as Python floats: the values
+    at the three coordinates, from one numpy call each for cos, sin, cos 2c and sin 2c."""
     coords = tuple(p)
     c = np.array(coords)
     trig = {f: f(c).tolist() for f in (np.cos, np.sin, _cos2, _sin2)}
-    return _evaluate(coords, trig.__getitem__), trig
+    return _evaluate(coords, trig.__getitem__), complex(*_g1_parts_trig(trig[np.cos], trig[np.sin], trig[_sin2]))
 
 
 def _lattice_blocks(grid_n: int, rows: int):
@@ -192,10 +191,10 @@ class PeVerdict:
         return bool(_boundary_mask(self.margins))
 
 
-def _verdict(route: str, margins: dict, is_pe=None) -> PeVerdict:
-    """The PeVerdict of margins; is_pe, when given, is their pe_mask, already formed."""
+def _verdict(route: str, margins: dict) -> PeVerdict:
+    """The PeVerdict of margins, as floats."""
     margins = {k: float(v) for k, v in margins.items()}
-    return PeVerdict(is_pe=bool(pe_mask(margins) if is_pe is None else is_pe), route=route, margins=margins)
+    return PeVerdict(is_pe=pe_mask(margins), route=route, margins=margins)
 
 
 def is_pe_geometric(p: WeylPoint) -> PeVerdict:
@@ -245,10 +244,9 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
-        cols, trig = _point_columns(point)
-        geo = _verdict("geometric", cols["geo_margins"], cols["pe_geometric"])
-        ivd = _verdict("invariant", cols["inv_margins"], cols["pe_invariant"])
-        inv = LocalInvariants(complex(*_g1_parts_trig(trig[np.cos], trig[np.sin], trig[_sin2])), cols["g2"])
+        cols, g1 = _point_columns(point)
+        geo, ivd = _verdict("geometric", cols["geo_margins"]), _verdict("invariant", cols["inv_margins"])
+        inv = LocalInvariants(g1, cols["g2"])
         matrix, ep = canonical_gate(point), cols["ep"]
         tags = _value_tags(inv) | edge_tags(point)
     else:
@@ -320,8 +318,9 @@ def verify_theorems(grid_n: int) -> TheoremReport:
     n_chamber = n_pe = n_boundary_exempt = 0
     violations: dict[str, list[str]] = {}
     for ijk, cols in blocks:
-        g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
-        geo, inv = cols["pe_geometric"], cols["pe_invariant"]
+        g1a, g2, ep = cols["g1_abs"], cols["g2"], cols["ep"]
+        geo_m, inv_m = cols["geo_margins"], cols["inv_margins"]
+        geo, inv, boundary = pe_mask(geo_m), pe_mask(inv_m), _boundary_mask(geo_m) | _boundary_mask(inv_m)
         g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
         n_chamber += ijk.shape[1]
         n_pe += int(np.count_nonzero(geo))

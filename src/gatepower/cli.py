@@ -24,7 +24,7 @@ import numpy as np
 
 from .canonical import EdgeId, WeylPoint, _edge_coords
 from .catalog import catalog_records, named_gate, verify_monte_carlo
-from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, verify_route_agreement, verify_theorems
+from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, pe_mask, verify_route_agreement, verify_theorems
 from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo
 from .errors import ConsistencyError
 
@@ -292,7 +292,7 @@ def cmd_scan(args) -> int:
         fh.write(_CSV_HEADER + "\n")
         for cols, shown in blocks:
             values = _g12_text(np.concatenate([cols["g1_abs"], cols["g2"], cols["ep"]]))
-            verdicts = [_CSV_BOOL_TEXT.take(cols[k].astype(np.intp), axis=0) for k in ("pe_geometric", "pe_invariant")]
+            verdicts = [_CSV_BOOL_TEXT.take(pe_mask(cols[k]).astype(np.intp), axis=0) for k in ("geo_margins", "inv_margins")]
             fh.write(_csv_rows([*shown, *np.split(values, 3), *verdicts]))
     return 0
 

@@ -7,7 +7,7 @@ from gatepower.canonical import WeylPoint, chamber_lattice
 from gatepower.classify import (
     PE_TOL, geometric_margins, invariant_margins, is_pe_geometric, is_pe_invariant, pe_mask,
 )
-from gatepower.invariants import LocalInvariants
+from gatepower.invariants import MAGIC_BASIS, LocalInvariants
 
 # the labels of verify_theorems' claims, in print order
 THEOREM_CLAIMS = ("g2 bound", "g2 converse", "equivalence", "ep range")
@@ -26,6 +26,25 @@ def dress(u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     before = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     after = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
     return after @ u @ before
+
+
+def g2_imag_residue(u) -> float:
+    """|Im g2| of a 4x4 matrix, from the magic-basis formula written out here."""
+    um = MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
+    m = um.T @ um
+    tr = np.trace(m)
+    return abs(((tr * tr - np.trace(m @ m)) / (4.0 * np.linalg.det(um))).imag)
+
+
+def g2_residue_gate(residue: float) -> np.ndarray:
+    """u (I + eps H) for a Haar u and a Hermitian H drawn at seed 0: it leaves an imaginary residue
+    on g2 that grows linearly in eps, and eps is set so that the residue is about residue."""
+    rng = np.random.default_rng(0)
+    u = haar_unitary(4, rng)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h = (g + g.conj().T) / 2
+    per_eps = g2_imag_residue(u @ (np.eye(4) + 1e-6 * h)) / 1e-6
+    return u @ (np.eye(4) + (residue / per_eps) * h)
 
 
 def boundary_exempt_count(grid_n: int) -> int:
@@ -75,14 +94,18 @@ def invariants_closed(p) -> LocalInvariants:
 
 
 def point_columns(c1, c2, c3) -> dict:
-    """The chamber-point columns scan and verify_theorems read, composed from the closed forms
-    above on the coordinates themselves: the reference for the lattice path."""
-    g1a, g2, ep = g1_abs_closed(c1, c2, c3), g2_closed(c1, c2, c3), ep_closed(c1, c2, c3)
-    geo, inv = geometric_margins(c1, c2, c3), invariant_margins(g1a, g2)
-    near = [np.abs(m) <= PE_TOL for m in (*geo.values(), *inv.values())]
+    """The chamber-point columns classify._evaluate returns, composed from the closed forms above
+    on the coordinates themselves: the reference for the lattice path."""
+    g1a, g2 = g1_abs_closed(c1, c2, c3), g2_closed(c1, c2, c3)
     return {
-        "g1_abs": g1a, "g2": g2, "ep": ep,
-        "geo_margins": geo, "inv_margins": inv,
-        "pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv),
-        "boundary": np.logical_or.reduce(near),
+        "g1_abs": g1a, "g2": g2, "ep": ep_closed(c1, c2, c3),
+        "geo_margins": geometric_margins(c1, c2, c3), "inv_margins": invariant_margins(g1a, g2),
     }
+
+
+def point_verdicts(cols: dict) -> dict:
+    """The verdicts scan and verify_theorems form from the margins of an evaluation: each test's
+    pe_mask, and the boundary flag where some margin of either test lies within PE_TOL of zero."""
+    geo, inv = cols["geo_margins"], cols["inv_margins"]
+    near = [np.abs(m) <= PE_TOL for m in (*geo.values(), *inv.values())]
+    return {"pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv), "boundary": np.logical_or.reduce(near)}

@@ -38,7 +38,9 @@ from gatepower.epower import EP_MAX, ep_from_g1_abs
 from gatepower.errors import ConsistencyError, NonUnitaryError
 from gatepower.invariants import LocalInvariants, _invariants
 from gatepower.linalg import SWAP, require_unitary
-from helpers import THEOREM_CLAIMS, boundary_exempt_count, dress, ep_closed, invariants_closed, point_columns
+from helpers import (
+    THEOREM_CLAIMS, boundary_exempt_count, dress, ep_closed, invariants_closed, point_columns, point_verdicts,
+)
 
 PI = math.pi
 
@@ -354,12 +356,20 @@ def test_masks_match_logical_reduce_on_floats_and_arrays(n_margins):
         assert got.dtype == bool and np.array_equal(got, want), fn.__name__
 
 
+def _verdicts(cols: dict) -> dict:
+    """The verdicts scan and verify_theorems form from an evaluation's margins with pe_mask and _boundary_mask."""
+    geo, inv = cols["geo_margins"], cols["inv_margins"]
+    boundary = classify._boundary_mask(geo) | classify._boundary_mask(inv)
+    return {"pe_geometric": pe_mask(geo), "pe_invariant": pe_mask(inv), "boundary": boundary}
+
+
 def _column_rows(evaluations) -> tuple[np.ndarray, np.ndarray]:
-    """The float columns of _evaluate results on one point each, as int64 bits, and their bool columns, one row per point."""
+    """The float columns of _evaluate results on one point each, as int64 bits, and the verdicts formed
+    from their margins, one row per point."""
     floats, bools = [], []
     for cols in evaluations:
         floats.append([cols["g1_abs"], cols["g2"], cols["ep"], *cols["geo_margins"].values(), *cols["inv_margins"].values()])
-        bools.append([cols["pe_geometric"], cols["pe_invariant"], cols["boundary"]])
+        bools.append(list(_verdicts(cols).values()))
     n = len(floats)
     return np.array(floats, dtype=np.float64).reshape(n, -1).view(np.int64), np.array(bools, dtype=bool).reshape(n, -1)
 
@@ -529,8 +539,9 @@ def _reference_verify_theorems(grid_n: int) -> TheoremReport:
     """verify_theorems with one WeylPoint and its repr per reported index, kept as the reference."""
     pts = chamber_lattice(grid_n)
     cols = point_columns(*pts.T)
-    g1a, g2, ep, boundary = cols["g1_abs"], cols["g2"], cols["ep"], cols["boundary"]
-    geo, inv = cols["pe_geometric"], cols["pe_invariant"]
+    g1a, g2, ep = cols["g1_abs"], cols["g2"], cols["ep"]
+    verdicts = point_verdicts(cols)
+    geo, inv, boundary = verdicts["pe_geometric"], verdicts["pe_invariant"], verdicts["boundary"]
     g2_inside = (-1.0 + PE_TOL <= g2) & (g2 <= 1.0 - PE_TOL)
 
     def at(i) -> WeylPoint:
@@ -569,12 +580,16 @@ def test_verify_theorems_matches_per_index_reference():
         assert rep == _reference_verify_theorems(grid_n), grid_n
 
 
-def _flat(cols: dict) -> dict:
-    """Every column of an evaluation by name, each margin as its own column named after its set."""
+_EVALUATE_COLUMNS = ["g1_abs", "g2", "ep", "geo_margins", "inv_margins"]
+
+
+def _flat(cols: dict, verdicts=_verdicts) -> dict:
+    """Every column of an evaluation by name, each margin as its own column named after its set,
+    then the verdicts formed from its margins."""
     flat = {k: v for k, v in cols.items() if not k.endswith("_margins")}
     for key in ("geo_margins", "inv_margins"):
         flat.update({f"{key}.{name}": m for name, m in cols[key].items()})
-    return flat
+    return {**flat, **verdicts(cols)}
 
 
 def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
@@ -584,10 +599,11 @@ def test_lattice_columns_match_the_coordinate_forms_bit_for_bit():
         (ijk, cols), = blocks
         pts = chamber_lattice(grid_n)
         assert np.array_equal(np.column_stack([axis[i] for axis, i in zip(axes, ijk)]), pts)
+        assert list(cols) == _EVALUATE_COLUMNS
         got = _flat(cols)
         assert len(got) == 11
         for lo in range(0, len(pts), 1 << 18):  # the reference in slices bounds the peak at grid 255
-            ref = _flat(point_columns(*pts[lo:lo + (1 << 18)].T))
+            ref = _flat(point_columns(*pts[lo:lo + (1 << 18)].T), point_verdicts)
             for name, want in ref.items():
                 have = got[name][lo:lo + len(want)]
                 if want.dtype == bool:
@@ -604,7 +620,9 @@ def test_sampled_columns_match_the_coordinate_forms_bit_for_bit(seed):
         assert np.array_equal(np.concatenate(passes), random_chamber_coords(seed, n))
         assert len(passes) >= 3 or n < 30_000  # about 180000 attempts, 65536 per pass
         for pts in passes:
-            got, ref = _flat(classify._evaluate(pts.T)), _flat(point_columns(*pts.T))
+            cols = classify._evaluate(pts.T)
+            assert list(cols) == _EVALUATE_COLUMNS
+            got, ref = _flat(cols), _flat(point_columns(*pts.T), point_verdicts)
             assert list(got) == list(ref)
             for name, want in ref.items():
                 have = got[name]

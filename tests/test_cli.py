@@ -27,7 +27,7 @@ from gatepower.cli import (
     matrix_to_json,
 )
 from gatepower.linalg import SWAP
-from helpers import THEOREM_CLAIMS, dress, point_columns
+from helpers import THEOREM_CLAIMS, dress, g2_imag_residue, g2_residue_gate, point_columns, point_verdicts
 
 PI = math.pi
 # the scan row as one printf template, "%.12g" per float, and its verdict labels indexed by a bool
@@ -173,6 +173,20 @@ def test_analyze_non_finite_matrix_exits_2_without_warning(capsys, tmp_path, cel
     assert code == 2
     assert "not unitary" in err and "nan" not in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_analyze_matrix_with_complex_g2_exits_1(capsys, tmp_path, extra):
+    """A matrix that passes the unitarity check but leaves g2 an imaginary residue of twice its 1e-9
+    tolerance raises ConsistencyError, which main reports on stderr with exit code 1."""
+    u = g2_residue_gate(2e-9)
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"matrix": matrix_to_json(u)}))
+    assert np.array_equal(load_matrix_file(str(path))[1], u)  # the file holds u's bits
+    assert g2_imag_residue(u) == pytest.approx(2e-9, rel=1e-2)
+    code, out, err = run(capsys, "analyze", "--matrix", str(path), *extra)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: g2 should be real, got imaginary residue ") and err.count("\n") == 1
 
 
 def test_analyze_missing_matrix_file_exits_3(capsys, tmp_path):
@@ -450,7 +464,8 @@ def _reference_scan_rows(pts) -> str:
     blocks = [_CSV_HEADER + "\n"]
     for block in np.split(pts, range(1024, len(pts), 1024)):
         cols = point_columns(*block.T)
-        geo, inv = (_CSV_BOOL[cols[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
+        verdicts = point_verdicts(cols)
+        geo, inv = (_CSV_BOOL[verdicts[k].astype(np.intp)] for k in ("pe_geometric", "pe_invariant"))
         columns = [*block.T, cols["g1_abs"], cols["g2"], cols["ep"], geo, inv]
         blocks.append("".join(map(_CSV_ROW.__mod__, zip(*(col.tolist() for col in columns)))))
     return "".join(blocks)
@@ -662,6 +677,35 @@ def test_verify_routes_in_chunks_matches_one_shot_report(monkeypatch):
     chunked, one_shot = reports
     assert len(chunked.violations) == 6
     assert chunked == one_shot
+
+
+def _count_calls(patch, module, name) -> list:
+    """Record the margins of every call to module.name made from here on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(margins):
+        calls.append(margins)
+        return fn(margins)
+
+    patch.setattr(module, name, counted)
+    return calls
+
+
+def test_route_agreement_and_scan_form_no_verdict_they_do_not_read(capsys, monkeypatch):
+    """verify routes reads no verdict and scan no boundary flag, so neither forms one. verify_theorems,
+    which reads both, shows that the counters see the calls: one block, two of each."""
+    unpatched = classify.verify_route_agreement(600, 3)
+    boundary = _count_calls(monkeypatch, classify, "_boundary_mask")
+    pe = _count_calls(monkeypatch, classify, "pe_mask")
+    scan_pe = _count_calls(monkeypatch, cli, "pe_mask")
+    assert classify.verify_route_agreement(600, 3) == unpatched
+    assert (len(boundary), len(pe)) == (0, 0)
+    code, out, _ = run(capsys, "scan", "--chamber", "20")
+    assert code == 0 and out.count("\n") == 1 + len(chamber_lattice(20))
+    assert (len(boundary), len(scan_pe)) == (0, 2 * 2)  # 1430 points, two 1024-row blocks
+    verify_theorems(20)
+    assert (len(boundary), len(pe)) == (2, 2)
 
 
 @pytest.mark.parametrize("route, label, field, tol", [

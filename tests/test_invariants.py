@@ -14,7 +14,6 @@ from gatepower.canonical import (
 from gatepower.classify import classify_gate
 from gatepower.errors import ConsistencyError, NonUnitaryError
 from gatepower.invariants import (
-    MAGIC_BASIS,
     LocalInvariants,
     _invariants,
     g2_product_array,
@@ -22,7 +21,7 @@ from gatepower.invariants import (
 )
 from gatepower.linalg import SWAP
 
-from helpers import dress, haar_unitary
+from helpers import dress, g2_imag_residue, g2_residue_gate, haar_unitary
 
 PI = math.pi
 
@@ -250,25 +249,12 @@ def test_g2_imaginary_residue_guard():
         invariants_from_matrix(bad)
 
 
-def _g2_imag_residue(u) -> float:
-    """|Im g2| of a 4x4 matrix, from the magic-basis formula written out here."""
-    um = MAGIC_BASIS.conj().T @ u @ MAGIC_BASIS
-    m = um.T @ um
-    tr = np.trace(m)
-    return abs(((tr * tr - np.trace(m @ m)) / (4.0 * np.linalg.det(um))).imag)
-
-
 def test_g2_imag_tolerance_at_half_and_twice():
     """u (I + eps H), H Hermitian, leaves an imaginary residue on g2 that grows linearly in eps:
     a residue of half the 1e-9 tolerance is accepted, twice it raises."""
-    rng = np.random.default_rng(0)
-    u = haar_unitary(4, rng)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    h = (g + g.conj().T) / 2
-    per_eps = _g2_imag_residue(u @ (np.eye(4) + 1e-6 * h)) / 1e-6
     for residue, raises in ((0.5e-9, False), (2e-9, True)):
-        v = u @ (np.eye(4) + (residue / per_eps) * h)
-        assert _g2_imag_residue(v) == pytest.approx(residue, rel=1e-2)
+        v = g2_residue_gate(residue)
+        assert g2_imag_residue(v) == pytest.approx(residue, rel=1e-2)
         if raises:
             with pytest.raises(ConsistencyError, match="g2"):
                 _invariants(v)
