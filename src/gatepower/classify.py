@@ -18,12 +18,14 @@ reports every off-boundary point where the two tests disagree.
 random chamber points.
 
 One evaluator, ``_evaluate``, gives the values every point-set reader
-shares: |g1|, g2 and e_p from the closed forms over per-coordinate trig
-values (see invariants), and both tests' margins, from which each reader
-forms the verdicts it reads. ``scan --edge`` and verify_route_agreement
-compute the trig from the coordinate arrays. classify_gate computes it
-as Python floats, one numpy call per trig function over the point's
-three coordinates (``_point_columns``, which also forms g1), so the
+shares: |g1|, g2 and e_p from the closed forms, written there and
+nowhere else, over per-coordinate trig values (|g1| from cos c_i and
+sin c_i, g2 and e_p from one shared cos 2c_i), and both tests' margins,
+from which each reader forms the verdicts it reads. ``scan --edge`` and
+verify_route_agreement compute the trig from the coordinate arrays.
+classify_gate computes it as Python floats, one numpy call per trig
+function over the point's three coordinates (``_point_columns``, which
+also forms the complex g1 from the same trig and sin 2c_i), so the
 closed forms and the invariant margins are float arithmetic; the
 geometric margins stay numpy scalars. The closed forms are the same
 operations on floats and on arrays, so a point's columns have the bits
@@ -54,17 +56,8 @@ from .canonical import (
     edge_tags,
     in_weyl_chamber,
 )
-from .epower import EP_MAX, _ep_operator, _ep_trig, ep_from_g1_abs
-from .invariants import (
-    LocalInvariants,
-    _cos2,
-    _g1_abs_trig,
-    _g1_parts_trig,
-    _g2_trig,
-    _invariants,
-    _sin2,
-    g2_product_array,
-)
+from .epower import EP_MAX, _ep_operator, ep_from_g1_abs
+from .invariants import LocalInvariants, _invariants, g2_product_array
 from .linalg import require_unitary
 
 __all__ = [
@@ -126,6 +119,26 @@ def _boundary_mask(margins: dict) -> np.ndarray:
     return functools.reduce(operator.or_, [abs(m) <= PE_TOL for m in margins.values()])
 
 
+def _cos2(c):
+    """cos 2c elementwise, the per-coordinate value g2 and the closed-form e_p are written in."""
+    return np.cos(2 * c)
+
+
+def _sin2(c):
+    """sin 2c elementwise, the per-coordinate value of the imaginary part of g1."""
+    return np.sin(2 * c)
+
+
+def _squared_product(t) -> np.ndarray:
+    """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
+    sines of c1, c2, c3, the two terms of |g1| and of the real part of g1."""
+    t1, t2, t3 = t
+    p = t1 * t2 * t3
+    # p * p, not p ** 2: the product is correctly rounded on floats, numpy scalars and arrays alike,
+    # where ** 2 is libm pow on the first two, which rounds about 1 square in 1000 the other way
+    return p * p
+
+
 def _evaluate(coords, trig=None) -> dict:
     """The chamber-point values that scan, verify_theorems, verify_route_agreement and classify_gate share.
 
@@ -134,13 +147,17 @@ def _evaluate(coords, trig=None) -> dict:
     g2 and ep, and the signed margins of both tests; each reader forms the verdicts it reads from
     those margins with pe_mask and _boundary_mask.
     """
-    # trig is a callback, not nine arrays, so cos c and sin c are freed once g1_abs is formed, before the
-    # margins are built; passing them eagerly raised the sweep workload's peak RSS by 1.1-1.3 MB on a 2-core host
+    # trig is a callback, not nine arrays, so the cosines are freed before the sines are computed, and both
+    # before the margins are built; passing them eagerly raised the sweep workload's peak RSS by 1.1-1.3 MB
+    # on a 2-core host
     if trig is None:
         def trig(f):
             return [f(c) for c in coords]
-    x = trig(_cos2)  # g2 and ep share one cos 2c per coordinate
-    g1a, g2, ep = _g1_abs_trig(trig(np.cos), trig(np.sin)), _g2_trig(x), _ep_trig(x)
+    x1, x2, x3 = trig(_cos2)  # g2 and ep share one cos 2c per coordinate
+    # |g1| = cos^2 c1 cos^2 c2 cos^2 c3 + sin^2 c1 sin^2 c2 sin^2 c3, g2 = x1 + x2 + x3 and
+    # e_p = (1/18)[3 - (x1 x2 + x2 x3 + x3 x1)], with x_i = cos 2c_i
+    g1a = _squared_product(trig(np.cos)) + _squared_product(trig(np.sin))
+    g2, ep = x1 + x2 + x3, (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
     return {
         "g1_abs": g1a, "g2": g2, "ep": ep,
         "geo_margins": geometric_margins(*coords), "inv_margins": invariant_margins(g1a, g2),
@@ -149,11 +166,17 @@ def _evaluate(coords, trig=None) -> dict:
 
 def _point_columns(p: WeylPoint) -> tuple[dict, complex]:
     """_evaluate at one point, and its complex g1, from the point's trig as Python floats: the values
-    at the three coordinates, from one numpy call each for cos, sin, cos 2c and sin 2c."""
+    at the three coordinates, from one numpy call each for cos, sin, cos 2c and sin 2c.
+
+    g1 = cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3 - (i/4) sin 2c1 sin 2c2 sin 2c3,
+    which matches the magic-basis matrix route on canonical gates; its modulus is |g1|.
+    """
     coords = tuple(p)
     c = np.array(coords)
     trig = {f: f(c).tolist() for f in (np.cos, np.sin, _cos2, _sin2)}
-    return _evaluate(coords, trig.__getitem__), complex(*_g1_parts_trig(trig[np.cos], trig[np.sin], trig[_sin2]))
+    s1, s2, s3 = trig[_sin2]
+    g1 = complex(_squared_product(trig[np.cos]) - _squared_product(trig[np.sin]), -0.25 * s1 * s2 * s3)
+    return _evaluate(coords, trig.__getitem__), g1
 
 
 def _lattice_blocks(grid_n: int, rows: int):

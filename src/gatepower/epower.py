@@ -4,9 +4,10 @@ The entangling power of a gate u is the average linear entropy that u
 generates when applied to uniformly random product states. Four
 independent routes are provided:
 
-  * closed form in chamber coordinates, written once over x_i = cos 2c_i
-    (_ep_trig) as g2 is in invariants; classify_gate(p).ep reads it at a
-    point,
+  * the closed form in chamber coordinates,
+    (1/18)[3 - (x1 x2 + x2 x3 + x3 x1)] with x_i = cos 2c_i, which
+    classify's chamber-point evaluator computes with |g1| and g2;
+    classify_gate(p).ep reads it at a point,
   * the affine map from |g1|:  e_p = (2/9)(1 - |g1|),
   * the operator entanglement of u and u·SWAP, from the 4x4 matrix alone,
   * a reproducible Monte-Carlo average over Haar-random product states.
@@ -16,9 +17,10 @@ exactly by the special perfect entanglers (|g1| = 0), and gates in the
 identity or SWAP class give 0, which the Monte-Carlo estimate also
 reports exactly.
 
-The operator route is written once over (..., 4, 4) stacks of matrices;
-ep_operator_exact checks one 4x4 input and evaluates it there, and
-classify.verify_route_agreement evaluates stacks of canonical gates.
+This module keeps the other three: the |g1|, operator and Monte-Carlo
+routes. The operator route is written once over (..., 4, 4) stacks of
+matrices; ep_operator_exact checks one 4x4 input and evaluates it there,
+and classify.verify_route_agreement evaluates stacks of canonical gates.
 """
 from __future__ import annotations
 
@@ -68,15 +70,6 @@ def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
     if not np.all((-_RANGE_TOL <= g1_abs) & (g1_abs <= 1.0 + _RANGE_TOL)):
         raise ValueError(f"|g1| must lie in [0, 1], got {g1_abs!r}")
     return EP_MAX * (1.0 - g1_abs)
-
-
-def _ep_trig(x) -> np.ndarray:
-    """Closed-form entangling power from the iterable x of cos 2c1, cos 2c2, cos 2c3.
-
-    (1/18)[3 - (x1 x2 + x2 x3 + x3 x1)]
-    """
-    x1, x2, x3 = x
-    return (3.0 - (x1 * x2 + x2 * x3 + x3 * x1)) / 18.0
 
 
 # flat indices into a 4x4 matrix m of the entries of its realignment, <i k|R|j l> = <i j|m|k l>, and of the

@@ -1,22 +1,19 @@
 """Local invariants (g1, g2) of two-qubit gates.
 
 A pair of gates is equivalent up to single-qubit operations exactly when
-their invariants match. Both a closed form in chamber coordinates and a
-direct matrix route are provided; they agree on canonical gates.
+their invariants match. The closed forms in chamber coordinates and the
+direct matrix route agree on canonical gates.
 
 Closed forms at a chamber point (c1, c2, c3):
 
     |g1| = cos^2 c1 cos^2 c2 cos^2 c3 + sin^2 c1 sin^2 c2 sin^2 c3
     g2   = cos 2c1 + cos 2c2 + cos 2c3
 
-Each closed form is written once over per-coordinate trig values: |g1|
-from cos c_i and sin c_i, g2 (like the closed-form entangling power in
-epower) from x_i = cos 2c_i. They are the same arithmetic on Python
-floats, numpy scalars and arrays, so a point's values have the same bits
-however it is evaluated. classify evaluates them, at a point through
-classify_gate(p).invariants and over arrays and lattices through its one
-evaluator; g2_product_array is the independent product form of g2 that
-verify_route_agreement checks the sum against.
+classify evaluates them, with the closed-form entangling power, in its
+one chamber-point evaluator; a point's invariants are
+classify_gate(p).invariants. This module keeps two routes independent of
+that evaluator: g2_product_array, the product form of g2 that
+verify_route_agreement checks the sum against, and the matrix route.
 
 The matrix route conjugates the gate into the magic (Bell) basis, where
 local gates become real orthogonal: with u_m = Q† u Q and m = u_mᵀ u_m,
@@ -83,58 +80,16 @@ class LocalInvariants:
             raise ValueError(f"g2 = {self.g2!r} lies outside [-3, 3]")
 
 
-def _cos2(c):
-    """cos 2c elementwise, the per-coordinate value g2 and the closed-form e_p are written in."""
-    return np.cos(2 * c)
-
-
-def _sin2(c):
-    """sin 2c elementwise, the per-coordinate value of the imaginary part of g1."""
-    return np.sin(2 * c)
-
-
-def _squared_product(t) -> np.ndarray:
-    """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
-    sines of c1, c2, c3, the two terms of |g1|."""
-    t1, t2, t3 = t
-    p = t1 * t2 * t3
-    # p * p, not p ** 2: the product is correctly rounded on floats, numpy scalars and arrays alike,
-    # where ** 2 is libm pow on the first two, which rounds about 1 square in 1000 the other way
-    return p * p
-
-
-def _g1_abs_trig(cos, sin) -> np.ndarray:
-    """|g1| from the cosines and from the sines of c1, c2, c3."""
-    return _squared_product(cos) + _squared_product(sin)
-
-
-def _g2_trig(x) -> np.ndarray:
-    """g2 from the iterable x of cos 2c1, cos 2c2, cos 2c3."""
-    x1, x2, x3 = x
-    return x1 + x2 + x3
-
-
-def _g1_parts_trig(cos, sin, sin2) -> tuple:
-    """The real and imaginary parts of g1 from the cosines, the sines and the sin 2c of c1, c2, c3.
-
-    The real part is cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3
-    and the imaginary part -(1/4) sin 2c1 sin 2c2 sin 2c3, matching the
-    magic-basis matrix route on canonical gates; the modulus is |g1|.
-    """
-    s1, s2, s3 = sin2
-    return _squared_product(cos) - _squared_product(sin), -0.25 * s1 * s2 * s3
-
-
 def g2_product_array(c1, c2, c3) -> np.ndarray:
     """Elementwise g2 via the algebraically equivalent product form.
 
     4 cos^2 c1 cos^2 c2 cos^2 c3 - 4 sin^2 c1 sin^2 c2 sin^2 c3
     - cos 2c1 cos 2c2 cos 2c3. Kept separate so tests can compare the
-    two expressions rather than assume the identity.
+    two expressions rather than assume the identity; it shares no helper
+    with classify's evaluator.
     """
-    c = (c1, c2, c3)
-    a, b = _squared_product(map(np.cos, c)), _squared_product(map(np.sin, c))
-    return 4 * a - 4 * b - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
+    a, b = (f(c1) * f(c2) * f(c3) for f in (np.cos, np.sin))
+    return 4 * (a * a) - 4 * (b * b) - np.cos(2 * c1) * np.cos(2 * c2) * np.cos(2 * c3)
 
 
 def _invariants(m4: np.ndarray) -> LocalInvariants:

@@ -139,6 +139,17 @@ def test_analyze_point_exit_code(capsys, point, exit_code, message):
     assert message in (err if code else out)
 
 
+def test_analyze_point_starting_with_a_minus_sign_needs_the_equals_form(capsys):
+    code, out, _ = run(capsys, "analyze", "--point=-0.0,-0.0,-0.0")
+    assert code == 0
+    assert "point: [-0, -0, -0]" in out
+    # with a space, argparse reads the value as a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--point", "-0.0,-0.0,-0.0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --point: expected one argument\n")
+
+
 def test_analyze_sliver_point_json_gives_geometric_verdict(capsys):
     code, out, _ = run(capsys, "analyze", "--point", "2.225295,0.916297,0.719948", "--json")
     assert code == 0
@@ -542,30 +553,30 @@ def test_verify_theorems_passes(capsys):
     assert "equivalence violations: 0" in out
 
 
-def _set_at(fn, i, value):
-    """fn with its value at point i replaced by value."""
-    def wrapped(*args):
-        out = np.array(fn(*args), dtype=float)
-        out[i] = value
-        return out
-    return wrapped
-
-
 # point 32 of the grid-10 chamber lattice, its first perfect entangler off the boundary
 _GRID10_PE = "WeylPoint(c1=1.0471975511965976, c2=0.6981317007977318, c3=0.0)"
 
 
-# the lattice path computes g2 and ep from gathered cos 2c through these trig-level forms
-@pytest.mark.parametrize(("name", "value", "buckets"), [
+# the lattice path reads g2 and ep from classify._evaluate; a wrapper sets one column at row 32
+@pytest.mark.parametrize(("column", "value", "buckets"), [
     # g2 above 1 also fails the invariant box, so the point is an equivalence violation too
-    ("_g2_trig", 1.5, {
+    ("g2", 1.5, {
         "g2 bound": [f"perfect entangler with g2 = 1.5 at {_GRID10_PE}"],
         "equivalence": [f"geometric True vs invariant False at {_GRID10_PE}"],
     }),
-    ("_ep_trig", 0.5, {"ep range": [f"perfect entangler with e_p = 0.5 at {_GRID10_PE}"]}),
+    ("ep", 0.5, {"ep range": [f"perfect entangler with e_p = 0.5 at {_GRID10_PE}"]}),
 ])
-def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, monkeypatch, name, value, buckets):
-    monkeypatch.setattr(classify, name, _set_at(getattr(classify, name), 32, value))
+def test_verify_theorems_reports_a_perfect_entangler_out_of_its_bounds(capsys, monkeypatch, column, value, buckets):
+    evaluate = classify._evaluate
+
+    def wrapped(*args):
+        cols = evaluate(*args)
+        cols[column][32] = value
+        if column == "g2":
+            cols["inv_margins"] = classify.invariant_margins(cols["g1_abs"], cols["g2"])
+        return cols
+
+    monkeypatch.setattr(classify, "_evaluate", wrapped)
     rep = classify.verify_theorems(10)
     assert rep.violations == {label: buckets.get(label, []) for label in THEOREM_CLAIMS}
     assert rep.n_violations == sum(map(len, buckets.values()))
