@@ -118,11 +118,14 @@ def chamber_lattice(grid_n: int) -> np.ndarray:
     return np.column_stack([axis[i] for axis, i in zip(axes, ijk)])
 
 
-def _sort_desc(a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise (a, b, c) sorted descending by a min/max network; each output is one input, bit for bit."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    mid, top = np.minimum(hi, c), np.maximum(hi, c)
-    return top, np.maximum(lo, mid), np.minimum(lo, mid)
+def _sort_desc(a, b, c, lower=np.minimum, upper=np.maximum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise (a, b, c) sorted descending by a min/max network; each output is one input, bit for bit.
+
+    lower and upper are the network's min and max: builtin min and max on floats that are not nan.
+    """
+    lo, hi = lower(a, b), upper(a, b)
+    mid, top = lower(hi, c), upper(hi, c)
+    return top, upper(lo, mid), lower(lo, mid)
 
 
 def _fill_canonical(u, em, cm, sm, cp, sp):

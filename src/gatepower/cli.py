@@ -346,16 +346,34 @@ class _Parser(argparse.ArgumentParser):
     subcommand or suite that does not read it is reported by that parser, not the top level.
     A parser with subcommands names a flag of its own usage it does not take when it comes
     before the subcommand, where argparse would read the flag's value as the subcommand.
+    When the first argument is one of its subcommand names, it hands the rest straight to
+    that subcommand's parser and fills in what argparse's own pass would: the subcommand's
+    dest, and its own set_defaults values where the subcommand's parser left them unset.
+    Every other argument list, empty, -h or an unknown name among them, takes argparse's pass.
     """
 
     _subcommand = None  # the dest of this parser's subcommand, if it has subcommands
+    _children: dict = {}  # the parser of each subcommand name, filled in as add_parser adds them
 
     def add_subparsers(self, **kwargs):
         self._subcommand = kwargs["dest"]
-        return super().add_subparsers(**kwargs)
+        action = super().add_subparsers(**kwargs)
+        self._children = action.choices
+        return action
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
+        if args and args[0] in self._children:
+            # what argparse's pass would do, without classifying the subcommand's arguments twice:
+            # everything after the name goes to its parser, whose values overwrite this parser's defaults
+            child, _ = self._children[args[0]].parse_known_args(args[1:])
+            namespace = argparse.Namespace() if namespace is None else namespace
+            setattr(namespace, self._subcommand, args[0])
+            for key, value in self._defaults.items():
+                if not hasattr(namespace, key):
+                    setattr(namespace, key, value)
+            vars(namespace).update(vars(child))
+            return namespace, []
         if self._subcommand is not None:
             # the parsers with subcommands take no flag with a value, so every argument
             # before the subcommand that starts with "-" is a flag of its own

@@ -67,7 +67,12 @@ _MC_SAMPLES_MAX = 100_000_000
 
 def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
     """Entangling power from the invariant modulus: (2/9)(1 - |g1|), elementwise on arrays."""
-    if not np.all((-_RANGE_TOL <= g1_abs) & (g1_abs <= 1.0 + _RANGE_TOL)):
+    # a float takes one chained comparison, which like the elementwise one is False for nan
+    if type(g1_abs) is float:
+        inside = -_RANGE_TOL <= g1_abs <= 1.0 + _RANGE_TOL
+    else:
+        inside = np.all((-_RANGE_TOL <= g1_abs) & (g1_abs <= 1.0 + _RANGE_TOL))
+    if not inside:
         raise ValueError(f"|g1| must lie in [0, 1], got {g1_abs!r}")
     return EP_MAX * (1.0 - g1_abs)
 

@@ -109,6 +109,33 @@ def test_geometric_margins_are_bit_identical_to_where_fold_reference():
         _assert_same_margin_bits(*c)
 
 
+# points where two inputs of the sort network tie, as (c1, c2, c3): the fold threshold c1 = pi/2,
+# c1 = c2, its mirror pi - c1 = c2, c2 = c3 and c3 = 0, each with zeros of both signs
+_MARGIN_TIE_POINTS = [
+    (PI / 2, 0.0, 0.0), (PI / 2, PI / 4, 0.0), (PI / 2, 1.2, 0.3), (PI / 2, PI / 2, PI / 2), (PI / 2, -0.0, -0.0),
+    (1.0, 1.0, 0.3), (0.5, 0.5, 0.5), (PI / 4, PI / 4, 0.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0),
+    (2.0, PI - 2.0, 0.4), (2.5, PI - 2.5, PI - 2.5), (PI, 0.0, 0.0), (PI, -0.0, 0.0),
+    (2.0, 0.5, 0.5), (1.0, 0.3, 0.3), (2.5, 0.0, 0.0), (2.5, 0.0, -0.0),
+    (1.0, 0.5, 0.0), (2.5, 0.5, 0.0), (1.0, 0.5, -0.0), (2.0, 1.0, -0.0),
+]
+
+
+def test_geometric_margins_on_floats_equal_the_array_margins():
+    pts = np.concatenate([random_chamber_coords(36, 2500), chamber_lattice(40), _MARGIN_TIE_POINTS])
+    arrays = geometric_margins(*pts.T)
+    for row, c in enumerate(pts.tolist()):
+        floats = geometric_margins(*c)
+        assert list(floats) == list(arrays)
+        for key, value in floats.items():
+            assert type(value) is float
+            assert value.hex() == arrays[key][row].item().hex(), (c, key)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 0.5, 0.2), (1.0, math.nan, 0.2), (1.0, 0.5, math.nan)])
+def test_geometric_margins_keep_a_nan_coordinate_on_floats(point):
+    assert all(math.isnan(m) for m in geometric_margins(*point).values())
+
+
 def test_geometric_rejects_outside_chamber():
     with pytest.raises(ValueError):
         is_pe_geometric(WeylPoint(0.1, 0.5, 0.2))

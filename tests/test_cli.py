@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line interface."""
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -492,11 +493,40 @@ def _reference_scan_edge(edge: EdgeId, steps: int) -> str:
     return _reference_scan_rows(_edge_coords(edge, np.linspace(0.0, 1.0, steps)))
 
 
+def _assert_same_text(out: str, expected: str) -> None:
+    """Assert out == expected; on failure report the first differing line and both sha256 digests.
+
+    A plain assert would have pytest diff the whole texts, which took over 10 minutes on the
+    4.4 MB of scan --chamber 64.
+    """
+    if out == expected:
+        return
+    got, want = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+    line = [text[i] if i < len(text) else "<end of text>" for text in (got, want)]
+    digests = [hashlib.sha256(text.encode()).hexdigest() for text in (out, expected)]
+    pytest.fail(f"texts differ first at line {i + 1}: got {line[0]!r}, expected {line[1]!r}; "
+                f"sha256 {digests[0]} against {digests[1]}", pytrace=False)
+
+
+def test_same_text_assertion_reports_the_first_differing_line():
+    _assert_same_text("a\nb\n", "a\nb\n")
+    for out, expected, shown in [
+        ("a\nb\nc\n", "a\nx\nc\n", "line 2: got 'b\\n', expected 'x\\n'"),
+        ("a\n", "a\nb\n", "line 2: got '<end of text>', expected 'b\\n'"),
+        ("a", "a\n", "line 1: got 'a', expected 'a\\n'"),
+    ]:
+        with pytest.raises(pytest.fail.Exception) as exc:
+            _assert_same_text(out, expected)
+        assert shown in str(exc.value)
+        assert hashlib.sha256(expected.encode()).hexdigest() in str(exc.value)
+
+
 @pytest.mark.parametrize("grid_n", [*range(2, 13), 31, 64])
 def test_scan_chamber_matches_per_row_reference(capsys, grid_n):
     code, out, _ = run(capsys, "scan", "--chamber", str(grid_n))
     assert code == 0
-    assert out == _reference_scan_chamber(grid_n)
+    _assert_same_text(out, _reference_scan_chamber(grid_n))
 
 
 @pytest.mark.parametrize("steps", [2, 1025, 4096])
@@ -504,7 +534,7 @@ def test_scan_chamber_matches_per_row_reference(capsys, grid_n):
 def test_scan_edge_matches_per_row_reference(capsys, edge, steps):
     code, out, _ = run(capsys, "scan", "--edge", edge.name, "--steps", str(steps))
     assert code == 0
-    assert out == _reference_scan_edge(edge, steps)
+    _assert_same_text(out, _reference_scan_edge(edge, steps))
 
 
 def _counting_fmt(monkeypatch) -> list[float]:
@@ -911,6 +941,138 @@ def test_repeated_main_calls_share_no_parse_state(capsys):
     assert together == alone
     assert [code for code, _ in together] == [0, 0, 2, 0, 0, 0]
     assert build_parser.cache_info().misses == 1
+
+
+def _short_digest(text: str) -> str:
+    """The first 16 hex digits of the sha256 of text, or "" for no text."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16] if text else ""
+
+
+# exit code, stdout and stderr digests (_short_digest) of main(argv) at COLUMNS=80, recorded
+# from argparse's own nested pass before parsers with subcommands handed a subcommand's
+# arguments straight to its parser: valid forms, help at each level, missing and unknown
+# commands or suites, foreign flags, flags before the command, "--", "--flag=value",
+# abbreviated flags and bad type= values
+_PARSE_OUTPUTS = [
+    (('analyze', '--name', 'SWAP'), 0, 'd4eebfcf985a65fc', ''),
+    (('analyze', '--point', '1.0,0.5,0.2', '--json'), 0, 'e8e016610af6e78d', ''),
+    (('analyze', '--point=45,45,0', '--deg'), 0, '5c4bc9b289f933f2', ''),
+    (('analyze', '--name', 'CNOT_CLASS', '--mc', '2000', '--seed=3'), 0, 'f79646bbe18b4a21', ''),
+    (('analyze', '--na', 'SWAP', '--js'), 0, 'cd6674342036baf1', ''),
+    (('analyze', '--point=-0.0,-0.0,-0.0'), 0, '3c7c85bec14c3a88', ''),
+    (('scan', '--edge', 'QP', '--steps', '5'), 0, '996531bb78461f65', ''),
+    (('scan', '--chamber=3'), 0, 'd4a2e93634214d32', ''),
+    (('verify', 'theorems', '--grid', '4'), 0, 'b58530cc3c18c61a', ''),
+    (('verify', 'theorems', '--gr=4'), 0, 'b58530cc3c18c61a', ''),
+    (('verify', 'routes', '--n', '20', '--seed', '3'), 0, '2693a5f7276c00a7', ''),
+    (('verify', 'routes', '--n', '20', '--seed', '3', '--n', '30'), 0, 'b27418c86505203b', ''),
+    (('verify', 'montecarlo', '--mc', '1000', '--seed', '5'), 0, '4baa87069fd3f4c3', ''),
+    (('catalog',), 0, '308542e1527b28b2', ''),
+    (('catalog', '--'), 2, '', '9571ad62186e9e2b'),
+    (('-h',), 0, 'a4ef60e7c633007b', ''),
+    (('--help',), 0, 'a4ef60e7c633007b', ''),
+    (('--he',), 0, 'a4ef60e7c633007b', ''),
+    (('-h', 'analyze'), 0, 'a4ef60e7c633007b', ''),
+    (('analyze', '-h'), 0, '8e4ab6fd56d9ac70', ''),
+    (('analyze', '--name', 'SWAP', '--help'), 0, '8e4ab6fd56d9ac70', ''),
+    (('scan', '--help'), 0, 'd1ba5e174151d427', ''),
+    (('verify', '-h'), 0, '4f8b56a10a079dbf', ''),
+    (('verify', 'theorems', '-h'), 0, 'f64d6e04e357c7ec', ''),
+    (('verify', 'routes', '--help'), 0, '0b4b20f380177983', ''),
+    (('verify', 'montecarlo', '-h'), 0, '819acb93eb951212', ''),
+    (('catalog', '-h'), 0, '86b7afe01325d869', ''),
+    ((), 2, '', '45f4471a6bbafc83'),
+    (('bogus',), 2, '', '410022b6cee3ccfb'),
+    (('ana', '--name', 'SWAP'), 2, '', '88f1f18f569b8bca'),
+    (('verify',), 2, '', 'a7edf0f023ec4938'),
+    (('verify', 'bogus'), 2, '', '1f9caa3466bcf344'),
+    (('verify', 'theorems', 'extra'), 2, '', '914b68afebdba233'),
+    (('analyze',), 2, '', 'c0cac4064178ecf7'),
+    (('analyze', '--name', 'SWAP', '--point', '1,1,1'), 2, '', 'c06e2a1f63e115dd'),
+    (('analyze', '--name', 'SWAP', '--m', '5'), 2, '', '093513bd3f465e02'),
+    (('analyze', '--point', '-0.1,0,0'), 2, '', 'd14887433d1735e5'),
+    (('analyze', '--name', 'SWAP', '--mc', 'ten'), 2, '', 'badb39985a73b43d'),
+    (('analyze', '--name', 'NOPE'), 2, '', '900b4571ef5580bd'),
+    (('scan', '--chamber', '2.5'), 2, '', '6c51501a2381efb6'),
+    (('scan', '--edge', 'QP', '--steps', '1'), 2, '', 'b28600412e551b7d'),
+    (('verify', 'theorems', '--grid', 'x'), 2, '', 'a2f99f909c47b27f'),
+    (('verify', 'theorems', '--seed', '3'), 2, '', '8f95f29f33e34d5d'),
+    (('verify', '--grid', '10', 'theorems'), 2, '', 'a142f816684b51c7'),
+    (('verify', '--grid=10', 'theorems'), 2, '', 'a142f816684b51c7'),
+    (('--grid', '10', 'verify', 'theorems'), 2, '', '54f302dc873f33bf'),
+    (('-x', 'catalog'), 2, '', 'c4dd6b7b49d3b6da'),
+    (('--version',), 2, '', 'f72b7f820bf339bb'),
+    (('--', 'catalog'), 2, '', '246c3f9adc264e42'),
+    (('catalog', '--', 'x'), 2, '', '1115a15cdd3b5ffa'),
+    (('catalog', '--json'), 2, '', 'ee02249684fa4aac'),
+    (('analyze', '--', '--name', 'SWAP'), 2, '', 'c0cac4064178ecf7'),
+    (('verify', '--', 'theorems'), 2, '', '15b5aed4e98598b2'),
+]
+
+
+def _exit_code_and_digests(capsys, argv) -> tuple:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _short_digest(captured.out), _short_digest(captured.err)
+
+
+@pytest.mark.parametrize(("argv", "code", "out", "err"), _PARSE_OUTPUTS, ids=[" ".join(p[0]) or "no-arguments" for p in _PARSE_OUTPUTS])
+def test_parser_output_matches_argparse_nested_pass(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    assert _exit_code_and_digests(capsys, argv) == (code, out, err)
+
+
+# vars() of the namespace of each valid argv above, in order, with func by name, as argparse's
+# nested pass built it: the subcommand's dest, then the parent's set_defaults, then the child's values
+_PARSE_NAMESPACES = {
+    ('analyze', '--name', 'SWAP'):
+        [('command', 'analyze'), ('name', 'SWAP'), ('point', None), ('matrix', None), ('deg', False), ('json', False), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
+    ('analyze', '--point', '1.0,0.5,0.2', '--json'):
+        [('command', 'analyze'), ('name', None), ('point', '1.0,0.5,0.2'), ('matrix', None), ('deg', False), ('json', True), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
+    ('analyze', '--point=45,45,0', '--deg'):
+        [('command', 'analyze'), ('name', None), ('point', '45,45,0'), ('matrix', None), ('deg', True), ('json', False), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
+    ('analyze', '--name', 'CNOT_CLASS', '--mc', '2000', '--seed=3'):
+        [('command', 'analyze'), ('name', 'CNOT_CLASS'), ('point', None), ('matrix', None), ('deg', False), ('json', False), ('mc', 2000), ('seed', 3), ('func', 'cmd_analyze')],
+    ('analyze', '--na', 'SWAP', '--js'):
+        [('command', 'analyze'), ('name', 'SWAP'), ('point', None), ('matrix', None), ('deg', False), ('json', True), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
+    ('analyze', '--point=-0.0,-0.0,-0.0'):
+        [('command', 'analyze'), ('name', None), ('point', '-0.0,-0.0,-0.0'), ('matrix', None), ('deg', False), ('json', False), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
+    ('scan', '--edge', 'QP', '--steps', '5'):
+        [('command', 'scan'), ('chamber', None), ('edge', 'QP'), ('steps', 5), ('out', None), ('func', 'cmd_scan')],
+    ('scan', '--chamber=3'):
+        [('command', 'scan'), ('chamber', 3), ('edge', None), ('steps', None), ('out', None), ('func', 'cmd_scan')],
+    ('verify', 'theorems', '--grid', '4'):
+        [('command', 'verify'), ('suite', 'theorems'), ('func', 'cmd_verify'), ('grid', 4)],
+    ('verify', 'theorems', '--gr=4'):
+        [('command', 'verify'), ('suite', 'theorems'), ('func', 'cmd_verify'), ('grid', 4)],
+    ('verify', 'routes', '--n', '20', '--seed', '3'):
+        [('command', 'verify'), ('suite', 'routes'), ('func', 'cmd_verify'), ('n', 20), ('seed', 3)],
+    ('verify', 'routes', '--n', '20', '--seed', '3', '--n', '30'):
+        [('command', 'verify'), ('suite', 'routes'), ('func', 'cmd_verify'), ('n', 30), ('seed', 3)],
+    ('verify', 'montecarlo', '--mc', '1000', '--seed', '5'):
+        [('command', 'verify'), ('suite', 'montecarlo'), ('func', 'cmd_verify'), ('mc', 1000), ('seed', 5)],
+    ('catalog',):
+        [('command', 'catalog'), ('func', 'cmd_catalog')],
+}
+
+
+@pytest.mark.parametrize("argv", list(_PARSE_NAMESPACES), ids=" ".join)
+def test_parsed_namespace_matches_argparse_nested_pass(argv):
+    args = build_parser().parse_args(list(argv))
+    assert [(k, v.__name__ if callable(v) else v) for k, v in vars(args).items()] == _PARSE_NAMESPACES[argv]
+
+
+def test_a_leading_subcommand_name_skips_the_parents_argparse_pass(monkeypatch):
+    parsed = []
+    parse = argparse.ArgumentParser._parse_known_args
+    monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args",
+                        lambda self, *a: parsed.append(self.prog) or parse(self, *a))
+    build_parser().parse_args(["verify", "theorems", "--grid", "4"])
+    build_parser().parse_args(["analyze", "--point", "1.0,0.5,0.2", "--json"])
+    assert parsed == ["gatepower verify theorems", "gatepower analyze"]
 
 
 # sha256 of stdout and the exit code, recorded from the reference implementation;

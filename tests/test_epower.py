@@ -17,6 +17,7 @@ from gatepower.epower import (
     ep_operator_exact,
 )
 from gatepower.errors import NonUnitaryError
+from gatepower.invariants import _RANGE_TOL
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 from gatepower.rng import block_key, box_muller, uniform_stream
 
@@ -50,6 +51,21 @@ def test_ep_from_g1_abs_domain():
         ep_from_g1_abs(past(0.5e-9))
         with pytest.raises(ValueError):
             ep_from_g1_abs(past(2e-9))
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.1, -2 * _RANGE_TOL, 1.0 + 2 * _RANGE_TOL, math.nan, math.inf, -math.inf])
+def test_ep_from_g1_abs_refuses_the_same_values_on_floats_and_arrays(value):
+    for g1_abs in (value, np.float64(value), np.array(value), np.array([0.5, value])):
+        with pytest.raises(ValueError) as exc:
+            ep_from_g1_abs(g1_abs)
+        assert str(exc.value) == f"|g1| must lie in [0, 1], got {g1_abs!r}"
+
+
+@pytest.mark.parametrize("value", [-_RANGE_TOL, 0.0, 0.25, 1.0, 1.0 + _RANGE_TOL])
+def test_ep_from_g1_abs_accepts_the_same_values_on_floats_and_arrays(value):
+    ep = ep_from_g1_abs(value)
+    assert type(ep) is float
+    assert ep == ep_from_g1_abs(np.float64(value)) == ep_from_g1_abs(np.array([value]))[0]
 
 
 def test_ep_closed_form_extremes():
