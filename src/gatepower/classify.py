@@ -23,12 +23,13 @@ nowhere else, over per-coordinate trig values (|g1| from cos c_i and
 sin c_i, g2 and e_p from one shared cos 2c_i), and both tests' margins,
 from which each reader forms the verdicts it reads. ``scan --edge`` and
 verify_route_agreement compute the trig from the coordinate arrays.
-classify_gate computes it as Python floats, one numpy call per trig
-function over the point's three coordinates (``_point_columns``, which
-also forms the complex g1 from the same trig and sin 2c_i), so the
-closed forms and both tests' margins are float arithmetic. The closed
-forms and the margins are the same operations on floats and on arrays,
-so a point's columns have the values of that point in any array; the
+classify_gate computes it as Python floats, one numpy call each for cos
+and sin over nine angles of the point (``_point_columns``: c_i, 2c_i and
+the half-angles of the canonical gate, which it also builds, and the
+complex g1 from the same trig), so the closed forms and both tests'
+margins are float arithmetic. The closed forms and the margins are the
+same operations on floats and on arrays, so a point's columns have the
+values of that point in any array; the
 invariants and entangling power of one point are
 classify_gate(p).invariants and .ep.
 ``_lattice_blocks``, which ``verify_theorems`` and ``scan --chamber``
@@ -49,9 +50,9 @@ from .canonical import (
     WeylPoint,
     _HALF_PI,
     _chamber_coord_passes,
+    _fill_canonical,
     _lattice_axes,
     _sort_desc,
-    canonical_gate,
     canonical_gate_array,
     edge_tags,
     in_weyl_chamber,
@@ -128,11 +129,6 @@ def _cos2(c):
     return np.cos(2 * c)
 
 
-def _sin2(c):
-    """sin 2c elementwise, the per-coordinate value of the imaginary part of g1."""
-    return np.sin(2 * c)
-
-
 def _squared_product(t) -> np.ndarray:
     """(t1 t2 t3)^2 elementwise, for t an iterable of three arrays: with the cosines, then the
     sines of c1, c2, c3, the two terms of |g1| and of the real part of g1."""
@@ -168,19 +164,24 @@ def _evaluate(coords, trig=None) -> dict:
     }
 
 
-def _point_columns(p: WeylPoint) -> tuple[dict, complex]:
-    """_evaluate at one point, and its complex g1, from the point's trig as Python floats: the values
-    at the three coordinates, from one numpy call each for cos, sin, cos 2c and sin 2c.
+def _point_columns(p: WeylPoint) -> tuple[dict, complex, np.ndarray]:
+    """_evaluate at one point, its complex g1 and its canonical gate, from one numpy call each for cos
+    and sin over nine angles: c_i, 2c_i, and canonical_gate's half-angles (c1 - c2)/2, (c1 + c2)/2
+    and c3/2, as Python floats.
 
     g1 = cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3 - (i/4) sin 2c1 sin 2c2 sin 2c3,
-    which matches the magic-basis matrix route on canonical gates; its modulus is |g1|.
+    which matches the magic-basis matrix route on canonical gates; its modulus is |g1|. The gate
+    has the bits of canonical_gate(p), which forms the same half-angles.
     """
-    coords = tuple(p)
-    c = np.array(coords)
-    trig = {f: f(c).tolist() for f in (np.cos, np.sin, _cos2, _sin2)}
-    s1, s2, s3 = trig[_sin2]
-    g1 = complex(_squared_product(trig[np.cos]) - _squared_product(trig[np.sin]), -0.25 * s1 * s2 * s3)
-    return _evaluate(coords, trig.__getitem__), g1
+    c1, c2, c3 = coords = tuple(p)
+    angles = np.array([c1, c2, c3, 2 * c1, 2 * c2, 2 * c3, (c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])
+    cs, sn = np.cos(angles).tolist(), np.sin(angles).tolist()
+    trig = {np.cos: cs[:3], np.sin: sn[:3], _cos2: cs[3:6]}
+    s1, s2, s3 = sn[3:6]
+    g1 = complex(_squared_product(cs[:3]) - _squared_product(sn[:3]), -0.25 * s1 * s2 * s3)
+    (cm, cp, ec), (sm, sp, es) = cs[6:], sn[6:]
+    matrix = _fill_canonical(np.zeros((4, 4), dtype=complex), complex(ec, -es), cm, sm, cp, sp)
+    return _evaluate(coords, trig.__getitem__), g1, matrix
 
 
 def _lattice_blocks(grid_n: int, rows: int):
@@ -271,10 +272,9 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
-        cols, g1 = _point_columns(point)
+        cols, g1, matrix = _point_columns(point)
         geo, ivd = _verdict("geometric", cols["geo_margins"]), _verdict("invariant", cols["inv_margins"])
-        inv = LocalInvariants(g1, cols["g2"])
-        matrix, ep = canonical_gate(point), cols["ep"]
+        inv, ep = LocalInvariants(g1, cols["g2"]), cols["ep"]
         tags = _value_tags(inv) | edge_tags(point)
     else:
         matrix, point, geo = require_unitary(target), None, None

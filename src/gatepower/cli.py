@@ -52,13 +52,13 @@ _ASCII_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 _JSON_CELL = "[\n        %r,\n        %r\n      ]"
 _JSON_ROW = "[\n      " + ",\n      ".join([_JSON_CELL] * 4) + "\n    ]"
 _JSON_MATRIX = "[\n    " + ",\n    ".join([_JSON_ROW] * 4) + "\n  ]"
-# how json writes each leaf type of a record; every float a record holds is finite
-_JSON_LEAF = {
-    str: json.encoder.encode_basestring_ascii,
-    float: float.__repr__,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-}
+# json.dumps(v, indent=2) of the other fixed-shape blocks of a record; every float a record holds is
+# a finite builtin float, whose %r is float.__repr__, as json writes it
+_JSON_POINT = "[\n    %r,\n    %r,\n    %r\n  ]"
+_JSON_INVARIANTS = '{\n    "g1": [\n      %r,\n      %r\n    ],\n    "g1_abs": %r,\n    "g2": %r\n  }'
+_JSON_MONTE_CARLO = '{\n      "mean": %r,\n      "std_err": %r,\n      "n_samples": %r,\n      "seed": %r\n    }'
+_JSON_BOOL = {True: "true", False: "false"}
+_json_str = json.encoder.encode_basestring_ascii  # every string of a record goes through it, never a template
 
 
 def _fmt(x: float) -> str:
@@ -154,32 +154,49 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     return name, m
 
 
-def _json_value(v, indent: str) -> str:
-    """json.dumps(v, indent=2) of a dict, list or leaf nested at indent."""
-    kind = type(v)
-    if kind is not dict and kind is not list:
-        return _JSON_LEAF[kind](v)
-    if not v:
-        return "{}" if kind is dict else "[]"
-    inner = indent + "  "
-    if kind is dict:
-        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json_value(x, inner)}" for k, x in v.items()]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return "[\n" + inner + (",\n" + inner).join([_json_value(x, inner) for x in v]) + "\n" + indent + "]"
+def _json_ep(ep: dict) -> str:
+    """The ep block: one float per route, in record order, or the monte_carlo block."""
+    routes = [
+        _json_str(k) + ": " + (_JSON_MONTE_CARLO % (v["mean"], v["std_err"], v["n_samples"], v["seed"])
+                               if k == "monte_carlo" else repr(v))
+        for k, v in ep.items()
+    ]
+    return "{\n    " + ",\n    ".join(routes) + "\n  }"
+
+
+def _json_pe_route(v: dict) -> str:
+    """One pe route: its verdict and its margins, in record order."""
+    margins = ",\n        ".join([_json_str(k) + ": " + repr(x) for k, x in v["margins"].items()])
+    return '{\n      "is_pe": ' + _JSON_BOOL[v["is_pe"]] + ',\n      "margins": {\n        ' + margins + "\n      }\n    }"
+
+
+def _json_pe(pe: dict) -> str:
+    """The pe block: the verdict, then each route, in record order."""
+    routes = [_json_str(k) + ": " + (_JSON_BOOL[v] if k == "verdict" else _json_pe_route(v)) for k, v in pe.items()]
+    return "{\n    " + ",\n    ".join(routes) + "\n  }"
+
+
+# the renderer of each top-level key _record writes, as json.dumps(v, indent=2) writes its value there
+_JSON_BLOCKS = {
+    "name": _json_str,
+    "point": lambda v: _JSON_POINT % tuple(v),
+    "matrix": lambda v: _JSON_MATRIX % tuple([x for row in v for cell in row for x in cell]),
+    "invariants": lambda v: _JSON_INVARIANTS % (*v["g1"], v["g1_abs"], v["g2"]),
+    "ep": _json_ep,
+    "pe": _json_pe,
+    "tags": lambda v: "[\n    " + ",\n    ".join(map(_json_str, v)) + "\n  ]" if v else "[]",
+}
 
 
 def _record_json(out: dict) -> str:
     """An analyze record as json.dumps renders it with indent=2, byte for byte.
 
-    CPython falls back to its pure-Python encoder whenever indent is set; this
-    fills the fixed-shape matrix block from one template and walks the rest.
+    CPython falls back to its pure-Python encoder whenever indent is set; this renders
+    each top-level key of the record with its own fixed-shape renderer from _JSON_BLOCKS,
+    in the record's order, and raises KeyError on a key that has none. Floats and ints
+    fill %r templates; strings are escaped by json's encoder and concatenated.
     """
-    items = [
-        f"  {json.encoder.encode_basestring_ascii(k)}: "
-        + (_JSON_MATRIX % tuple(x for row in v for cell in row for x in cell) if k == "matrix" else _json_value(v, "  "))
-        for k, v in out.items()
-    ]
-    return "{\n" + ",\n".join(items) + "\n}"
+    return "{\n" + ",\n".join(["  " + _json_str(k) + ": " + _JSON_BLOCKS[k](v) for k, v in out.items()]) + "\n}"
 
 
 def _parse_point(text: str, degrees: bool) -> WeylPoint:

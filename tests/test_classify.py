@@ -16,6 +16,7 @@ from gatepower.canonical import (
     canonical_gate,
     chamber_lattice,
     edge_tags,
+    in_weyl_chamber,
     random_chamber_coords,
 )
 from gatepower.catalog import catalog_records
@@ -425,6 +426,26 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
     assert np.array_equal(one_f, arr_f[:3000]) and np.array_equal(one_b, arr_b[:3000])
     for f, b in ((ref_f, ref_b), (arr_f, arr_b)):
         assert np.array_equal(got_f, f) and np.array_equal(got_b, b)
+
+
+def test_point_gate_is_bit_identical_to_canonical_gate():
+    """classify_gate(p) builds its matrix from the trig pass of its columns, with canonical_gate's bits."""
+    c1, c2, c3 = random_chamber_coords(19, 400).T
+    ties = np.concatenate([
+        _MARGIN_TIE_POINTS,
+        np.column_stack([c1, c2, np.zeros(400)]),  # c3 = 0
+        np.column_stack([c2, c2, c3]),  # c1 = c2
+        np.column_stack([c1, c2, c2]),  # c2 = c3
+        np.column_stack([np.full(400, PI / 2), c2, c3]),  # c1 = pi/2; c2 <= pi/2 holds in the chamber
+    ])
+    points = [
+        *(rec.point for rec in catalog_records()),
+        *(WeylPoint(*row) for row in np.concatenate([ties, random_chamber_coords(29, 20000)]).tolist()),
+    ]
+    assert all(map(in_weyl_chamber, points))
+    for p in points:
+        got, want = classify_gate(p).matrix, canonical_gate(p)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64)), p
 
 
 def _reference_matrix_record(u: np.ndarray, name: str | None = None) -> GateRecord:

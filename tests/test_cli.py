@@ -1249,17 +1249,35 @@ def test_g12_text_matches_printf_at_its_range_edges():
     _assert_g12_matches_printf(_ulp_neighbours(np.array([*powers, *-powers, *edges])))
 
 
-def _json_test_record(values, name, tags) -> dict:
-    """An analyze-shaped record whose numbers cycle through values, plus empty and mixed containers."""
+def _record_shapes() -> dict:
+    """A real _record of each shape: a point record (with point, closed_form and geometric) or a
+    matrix record (without them), each with and without monte_carlo. The point lies in the
+    invariant box's sliver, so its two routes' is_pe differ."""
+    point = classify_gate(WeylPoint(2.225295, 0.916297, 0.719948))
+    dressed = np.array([[complex(*cell) for cell in row] for row in _GOLDEN_MATRIX_FILES[1][0]["matrix"]])
+    matrix = classify_gate(dressed)
+    return {
+        (kind, mc): _record(rec, epower.ep_monte_carlo(rec.matrix, 1000, 5) if mc else None)
+        for kind, rec in (("point", point), ("matrix", matrix)) for mc in (False, True)
+    }
+
+
+def _json_test_record(template: dict, values, name, tags) -> dict:
+    """template with its name and tags replaced and its floats cycling through values, in record order."""
     nums = itertools.cycle(values)
+
+    def fill(v):
+        if type(v) is dict:
+            return {k: fill(x) for k, x in v.items()}
+        if type(v) is list:
+            return [fill(x) for x in v]
+        return next(nums) if type(v) is float else v
+
     record = {} if name is None else {"name": name}
-    record["point"] = list(values[:3])
-    record["matrix"] = [[[next(nums), next(nums)] for _ in range(4)] for _ in range(4)]
-    record["invariants"] = {"g1": [next(nums), next(nums)], "g1_abs": next(nums), "g2": next(nums)}
-    record["ep"] = {"operator": next(nums), "monte_carlo": {"mean": next(nums), "n_samples": 10**20, "seed": -3}}
-    record["pe"] = {"verdict": True, "geometric": {"is_pe": False, "margins": {}}, "invariant": {"margins": {"g2_low": next(nums)}}}
+    record |= fill({k: v for k, v in template.items() if k != "name"})
     record["tags"] = tags
-    record["extra"] = [[], {}, [0, -1, True, False, "x"], [[[]]]]
+    if "monte_carlo" in record["ep"]:
+        record["ep"]["monte_carlo"] |= {"n_samples": 10**20, "seed": -3}
     return record
 
 
@@ -1269,12 +1287,22 @@ _JSON_EDGE_VALUES = [-0.0, 5e-324, 1e17, 0.1 + 0.2, -5e-324, 1e16, 1e-5, 2.0**60
 @pytest.mark.parametrize("shift", range(0, len(_JSON_EDGE_VALUES), 3))
 @pytest.mark.parametrize(
     ("name", "tags"),
-    [(None, []), ('a"b\\c \u00e9 \u2713\t\x7f', ["SPE", "EDGE_LN"]), ("", [""]), ("100% %s %% %(x)r %", ["%s", "%%"])],
+    [(None, []), ('a"b\\c \u00e9 \u2713\t\x7f', ["SPE", "EDGE_LN"]), ("", [""]), ("100% %s %% %(x)r {} {0} %", ["%s", "%%"])],
     ids=["bare", "escaped", "empty", "percent"],
 )
 def test_record_json_matches_json_dumps_indent_2(shift, name, tags):
-    record = _json_test_record(_JSON_EDGE_VALUES[shift:] + _JSON_EDGE_VALUES[:shift], name, tags)
-    assert _record_json(record) == json.dumps(record, indent=2)
+    """Every shape _record writes, with edge-case floats, names and tags, renders as json.dumps does."""
+    values = _JSON_EDGE_VALUES[shift:] + _JSON_EDGE_VALUES[:shift]
+    for shape, template in _record_shapes().items():
+        record = _json_test_record(template, values, name, tags)
+        assert _record_json(record) == json.dumps(record, indent=2), shape
+
+
+@pytest.mark.parametrize("key", ["extra", "monte_carlo", "Name"])
+def test_record_json_refuses_a_top_level_key_it_has_no_renderer_for(key):
+    record = _record(classify_gate(WeylPoint(1.0, 0.5, 0.2)), None)
+    with pytest.raises(KeyError, match=key):
+        _record_json(record | {key: 1.0})
 
 
 def _analyze_records() -> dict:

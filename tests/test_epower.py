@@ -218,6 +218,28 @@ def test_operator_route_matches_reference_on_one_gate_and_non_contiguous_stacks(
         assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in want.ravel().tolist()]
 
 
+def _reference_operator_entanglement(m: np.ndarray, realign: np.ndarray = epower._REALIGN) -> np.ndarray:
+    """_operator_entanglement summed with .sum over the last two axes, kept as the reference."""
+    r = m.reshape(m.shape[:-2] + (16,)).take(realign, axis=-1)
+    rr = r @ r.conj().swapaxes(-1, -2)
+    return 1.0 - (rr.real**2 + rr.imag**2).sum(axis=(-2, -1)) / 16.0
+
+
+def test_operator_entanglement_sum_is_bit_identical_to_two_axis_reference():
+    """One reduction over a 16-wide axis sums pairwise in the order of .sum(axis=(-2, -1))."""
+    rng = np.random.default_rng(37)
+    canonical_stack = canonical_gate_array(*random_chamber_coords(41, 3000).T)
+    dressed_stack = np.stack([dress(u, rng) for u in canonical_stack])
+    for realign in (epower._REALIGN, epower._REALIGN_SWAPPED):
+        for us in (canonical_stack, dressed_stack, dressed_stack.reshape(30, 100, 4, 4)):
+            got, want = epower._operator_entanglement(us, realign), _reference_operator_entanglement(us, realign)
+            assert got.shape == us.shape[:-2]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for u in [*canonical_stack[:500], *dressed_stack[:500], SWAP, np.eye(4, dtype=complex)]:
+            got, want = epower._operator_entanglement(u, realign), _reference_operator_entanglement(u, realign)
+            assert np.ndim(got) == 0 and float(got).hex() == float(want).hex()
+
+
 # ------------------------------------------------------------------ monte carlo
 
 
