@@ -6,7 +6,6 @@ perfect-entangler classification over the Weyl chamber.
 from .canonical import (
     EdgeId,
     WeylPoint,
-    canonical_gate,
     canonical_gate_array,
     edge_point,
     in_weyl_chamber,
@@ -50,7 +49,6 @@ __all__ = [
     "SWAP",
     "TheoremReport",
     "WeylPoint",
-    "canonical_gate",
     "canonical_gate_array",
     "catalog_records",
     "classify_gate",

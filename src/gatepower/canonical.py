@@ -15,13 +15,12 @@ M = (3pi/4,pi/4,0) and N = (3pi/4,pi/4,pi/4), with L and A2, end the six
 named edges of EdgeId, whose ends one table holds for edge_point and edge_tags.
 
 canonical_gate_array builds the canonical gates of whole coordinate arrays
-as one (..., 4, 4) stack; canonical_gate is the same formula on one point,
-in Python floats.
+as one (..., 4, 4) stack, or of one point's three floats as one 4x4 matrix
+with the bits of that point's entry in a stack.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,7 +32,6 @@ __all__ = [
     "CHAMBER_TOL",
     "EdgeId",
     "WeylPoint",
-    "canonical_gate",
     "canonical_gate_array",
     "chamber_lattice",
     "chamber_mask",
@@ -163,18 +161,6 @@ def canonical_gate_array(c1, c2, c3) -> np.ndarray:
         np.zeros(c3.shape + (4, 4), dtype=complex),
         em, np.cos((c1 - c2) / 2), np.sin((c1 - c2) / 2), np.cos((c1 + c2) / 2), np.sin((c1 + c2) / 2),
     )
-
-
-def canonical_gate(p: WeylPoint | Sequence[float]) -> np.ndarray:
-    """Canonical 4x4 unitary of the local-equivalence class at p; see canonical_gate_array.
-
-    The same bits as canonical_gate_array on p, with one numpy call per trig function over the
-    three half-angles and the entries formed as Python complex numbers.
-    """
-    c1, c2, c3 = p
-    half = np.array([(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])
-    (cm, cp, ec), (sm, sp, es) = np.cos(half).tolist(), np.sin(half).tolist()
-    return _fill_canonical(np.zeros((4, 4), dtype=complex), complex(ec, -es), cm, sm, cp, sp)
 
 
 class EdgeId(Enum):

@@ -166,12 +166,12 @@ def _evaluate(coords, trig=None) -> dict:
 
 def _point_columns(p: WeylPoint) -> tuple[dict, complex, np.ndarray]:
     """_evaluate at one point, its complex g1 and its canonical gate, from one numpy call each for cos
-    and sin over nine angles: c_i, 2c_i, and canonical_gate's half-angles (c1 - c2)/2, (c1 + c2)/2
+    and sin over nine angles: c_i, 2c_i, and the canonical gate's half-angles (c1 - c2)/2, (c1 + c2)/2
     and c3/2, as Python floats.
 
     g1 = cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3 - (i/4) sin 2c1 sin 2c2 sin 2c3,
     which matches the magic-basis matrix route on canonical gates; its modulus is |g1|. The gate
-    has the bits of canonical_gate(p), which forms the same half-angles.
+    is built here, with the bits of canonical_gate_array(*p), which forms the same half-angles.
     """
     c1, c2, c3 = coords = tuple(p)
     angles = np.array([c1, c2, c3, 2 * c1, 2 * c2, 2 * c3, (c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])

@@ -216,7 +216,7 @@ def _record(rec: GateRecord, mc) -> dict:
     """The analyze record of one gate: what --json prints and what the text view shows.
 
     A point record's ep is the closed form; a matrix record's is the |g1| route.
-    Every record's matrix is unitary: checked on ingest or built by canonical_gate.
+    Every record's matrix is unitary: checked on ingest or built by classify_gate(point).
     """
     out: dict = {}
     if rec.name is not None:

@@ -141,7 +141,7 @@ def _block_states(keys: list[int], count: int) -> np.ndarray:
     """The (len(keys) * count, 4) Haar-random product states of consecutive sample blocks.
 
     Sample s of block b consumes uniforms 8*(s mod BLOCK) .. +7 of the
-    substream keyed by key = block_key(seed, b): four Box-Muller pairs
+    substream keyed by key = value(seed, b): four Box-Muller pairs
     giving the two complex amplitudes of each qubit's Haar-random state.
     Every step is elementwise per sample, so a block's states do not depend
     on the blocks drawn with it.
@@ -219,7 +219,7 @@ def ep_monte_carlo_many(us, n_samples: int, seed: int) -> list[EpEstimate]:
     # one scoring per distinct matrix: inputs whose checked complex128 matrices have the same bytes
     tags = [u_t.tobytes() for u_t in u_ts]
     distinct = dict(zip(tags, u_ts))
-    # block_key(seed, b) of every block b, from one call
+    # the key value(seed, b) of every block b (see the rng module), from one call
     keys = rng.raw_stream(seed, 0, (n_samples + _BLOCK - 1) // _BLOCK).tolist()
     # sum and sum of squares of each distinct gate's output entropies, per block
     block_sums = np.empty((len(distinct), 2, len(keys)))
@@ -243,8 +243,8 @@ def ep_monte_carlo(u, n_samples: int, seed: int) -> EpEstimate:
     Applies u to products of independent Haar-random single-qubit states
     and averages the linear entropy of the output, with the purity written
     elementwise in the output amplitudes. The sample index space is split
-    into fixed blocks of 1024; block b draws from the substream
-    block_key(seed, b) (see the rng module), so the estimate is a pure
+    into fixed blocks of 1024; block b draws from the substream keyed by
+    value(seed, b) (see the rng module), so the estimate is a pure
     function of (u, n_samples, seed) regardless of evaluation order.
     Full blocks are drawn and scored two per numpy call, but each block is
     summed on its own with numpy pairwise summation, so the grouping

@@ -15,12 +15,10 @@ Core generator (splitmix64):
 
 ``value(key, .)`` is the splitmix64 output sequence for ``key``. Because it
 is a pure function of (key, i), any slice of a stream can be produced
-independently. Substreams are derived the same way:
-
-    block_key(seed, b) = value(seed, b)
-
-so block b of a computation draws from ``value(block_key(seed, b), .)``
-without touching any other block's stream.
+independently. Substreams are derived the same way: block b of a
+computation is keyed by value(seed, b), entry b of ``raw_stream(seed, 0, n)``,
+and draws from ``value(value(seed, b), .)`` without touching any other
+block's stream.
 
 Floating-point outputs:
 
@@ -37,7 +35,6 @@ __all__ = [
     "MASK64",
     "raw_stream",
     "uniform_stream",
-    "block_key",
     "box_muller",
 ]
 
@@ -60,11 +57,6 @@ def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
     """float64 uniforms in the open interval (0, 1)."""
     raw = raw_stream(key, start, count)
     return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-
-
-def block_key(seed: int, block: int) -> int:
-    """Key of the independent substream assigned to one block: value(seed, block)."""
-    return int(raw_stream(seed, block, 1)[0])
 
 
 def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

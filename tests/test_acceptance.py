@@ -13,7 +13,7 @@ import pytest
 from gatepower.canonical import (
     EdgeId,
     WeylPoint,
-    canonical_gate,
+    canonical_gate_array,
     edge_point,
     random_chamber_coords,
 )
@@ -48,7 +48,7 @@ def test_criterion_01_extremal_entangling_power():
             abs(rec.ep - expected),
             abs(ep_from_g1_abs(abs(rec.invariants.g1)) - expected),
         )
-        worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - expected))
+        worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate_array(*p)) - expected))
     assert worst_closed <= 1e-12
     assert worst_op <= 1e-10
     _done(1, f"extremal ep via 3 routes, max err {worst_closed:.1e}/{worst_op:.1e}")
@@ -65,7 +65,7 @@ def test_criterion_02_quarter_g1_edges():
                 abs(rec.ep - 1 / 6),
                 abs(abs(rec.invariants.g1) - 0.25),
             )
-            worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate(p)) - 1 / 6))
+            worst_op = max(worst_op, abs(ep_operator_exact(canonical_gate_array(*p)) - 1 / 6))
     assert worst_closed <= 1e-12
     assert worst_op <= 1e-10
     _done(2, f"ep=1/6, |g1|=1/4 on QP/MN/PN, max err {worst_closed:.1e}/{worst_op:.1e}")
@@ -103,7 +103,7 @@ def test_criterion_04_route_identity():
 def test_criterion_05_matrix_route_consistency():
     worst = 0.0
     for p in random_chamber_coords(777, 500).tolist():
-        inv = invariants_from_matrix(canonical_gate(p))
+        inv = invariants_from_matrix(canonical_gate_array(*p))
         closed = classify_gate(WeylPoint(*p)).invariants
         worst = max(
             worst,
@@ -118,7 +118,7 @@ def test_criterion_06_local_and_inverse_invariance():
     rng = np.random.default_rng(123)
     worst_dress = worst_inv = 0.0
     for p in random_chamber_coords(88, 100).tolist():
-        u = canonical_gate(p)
+        u = canonical_gate_array(*p)
         base = invariants_from_matrix(u)
         base_ep = ep_operator_exact(u)
         d = dress(u, rng)
@@ -180,7 +180,7 @@ def test_criterion_08_monte_carlo_agreement():
         assert abs(est.mean - rec.ep) <= max(3 * est.std_err, 5e-3), label
         if label == "IDENTITY":
             assert est.mean == 0.0
-    est = ep_monte_carlo(canonical_gate(p), 200_000, seed=42)
+    est = ep_monte_carlo(canonical_gate_array(*p), 200_000, seed=42)
     assert abs(est.mean - classify_gate(WeylPoint(*p)).ep) <= max(3 * est.std_err, 5e-3)
     _done(8, "monte carlo within max(3 std_err, 5e-3) on 6 gates, identity exact 0")
 

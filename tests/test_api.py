@@ -36,15 +36,15 @@ PUBLIC_NAMES = {
     "gatepower": (
         "CatalogError", "ConsistencyError", "EdgeId", "EpEstimate", "GateRecord", "LocalInvariants",
         "NonUnitaryError", "PeVerdict", "SWAP", "TheoremReport", "WeylPoint",
-        "canonical_gate", "canonical_gate_array", "catalog_records", "classify_gate", "edge_point",
+        "canonical_gate_array", "catalog_records", "classify_gate", "edge_point",
         "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
         "in_weyl_chamber", "invariants_from_matrix", "is_pe_geometric",
         "is_pe_invariant", "named_gate", "verify_monte_carlo", "verify_route_agreement", "verify_theorems",
     ),
     "linalg": ("INGEST_UNITARY_TOL", "SWAP", "require_unitary", "unitarity_defect"),
-    "rng": ("GAMMA", "MASK64", "block_key", "box_muller", "raw_stream", "uniform_stream"),
+    "rng": ("GAMMA", "MASK64", "box_muller", "raw_stream", "uniform_stream"),
     "canonical": (
-        "CHAMBER_TOL", "EdgeId", "WeylPoint", "canonical_gate", "canonical_gate_array", "chamber_lattice",
+        "CHAMBER_TOL", "EdgeId", "WeylPoint", "canonical_gate_array", "chamber_lattice",
         "chamber_mask", "edge_point", "edge_tags", "in_weyl_chamber", "random_chamber_coords",
     ),
     "invariants": (

@@ -12,7 +12,6 @@ from gatepower.canonical import (
     _edge_coords,
     _lattice_axes,
     _sort_desc,
-    canonical_gate,
     canonical_gate_array,
     chamber_mask,
     edge_point,
@@ -41,17 +40,17 @@ def test_weyl_point_requires_finite():
 
 
 def test_canonical_gate_identity():
-    assert_allclose(canonical_gate(WeylPoint(0, 0, 0)), np.eye(4), atol=1e-15)
+    assert_allclose(canonical_gate_array(0, 0, 0), np.eye(4), atol=1e-15)
 
 
 def test_canonical_gate_swap_class():
     # the SWAP-class vertex gives SWAP times the phase e^{-i pi/4}
-    u = canonical_gate(WeylPoint(PI / 2, PI / 2, PI / 2))
+    u = canonical_gate_array(PI / 2, PI / 2, PI / 2)
     assert_allclose(u, np.exp(-1j * PI / 4) * SWAP, atol=1e-15)
 
 
 def test_canonical_gate_cnot_class_structure():
-    u = canonical_gate(WeylPoint(PI / 2, 0, 0))
+    u = canonical_gate_array(PI / 2, 0, 0)
     s = 1 / math.sqrt(2)
     expected = np.array(
         [
@@ -65,7 +64,7 @@ def test_canonical_gate_cnot_class_structure():
 
 
 def test_apply_cnot_class_to_00():
-    u = canonical_gate(WeylPoint(PI / 2, 0, 0))
+    u = canonical_gate_array(PI / 2, 0, 0)
     out = u @ np.array([1, 0, 0, 0], dtype=complex)
     expected = np.array([1, 0, 0, -1j]) / math.sqrt(2)
     assert_allclose(out, expected, atol=1e-15)
@@ -73,7 +72,7 @@ def test_apply_cnot_class_to_00():
 
 def test_canonical_gate_is_unitary_everywhere():
     for p in random_chamber_coords(2024, 1000).tolist():
-        assert unitarity_defect(canonical_gate(p)) < 1e-12
+        assert unitarity_defect(canonical_gate_array(*p)) < 1e-12
 
 
 def test_canonical_gate_matches_exponential_form():
@@ -84,11 +83,11 @@ def test_canonical_gate_matches_exponential_form():
     for p in random_chamber_coords(5, 50).tolist():
         c1, c2, c3 = p
         ref = expm(-0.5j * (c1 * xx + c2 * yy + c3 * zz))
-        assert np.max(np.abs(canonical_gate(p) - ref)) < 1e-12
+        assert np.max(np.abs(canonical_gate_array(*p) - ref)) < 1e-12
 
 
 def test_canonical_gate_array_matches_exponential_form():
-    # an independent reference; canonical_gate has the bits of canonical_gate_array (test below)
+    # an independent reference; one point alone has the bits of its entry in a stack (test below)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     y = np.array([[0, -1j], [1j, 0]], dtype=complex)
     z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -99,9 +98,9 @@ def test_canonical_gate_array_matches_exponential_form():
     assert np.max(np.abs(stack - ref)) < 1e-14
 
 
-def test_canonical_gate_matches_canonical_gate_array_bit_for_bit():
-    """canonical_gate forms one point's entries as Python complex numbers, with the bits of
-    canonical_gate_array on that point, alone and in a stack: the path it replaced."""
+def test_canonical_gate_array_on_one_point_matches_its_stack_entry_bit_for_bit():
+    """canonical_gate_array on one point's three floats gives the bytes of that point's entry in a
+    stack, which verify routes and classify_gate(p).matrix rely on."""
     pts = np.concatenate([
         np.array([tuple(rec.point) for rec in catalog_records()]),
         random_chamber_coords(9, 20000),
@@ -110,9 +109,9 @@ def test_canonical_gate_matches_canonical_gate_array_bit_for_bit():
     ])
     stack = canonical_gate_array(*pts.T)
     for row, want in zip(pts.tolist(), stack):
-        got = canonical_gate(WeylPoint(*row))
+        got = canonical_gate_array(*row)
         assert got.dtype == complex and got.shape == (4, 4)
-        assert got.tobytes() == canonical_gate_array(*row).tobytes() == want.tobytes(), row
+        assert got.tobytes() == want.tobytes(), row
 
 
 def test_canonical_gate_array_shapes():
@@ -123,7 +122,7 @@ def test_canonical_gate_array_shapes():
     c2 = np.linspace(0.0, 0.5, 3)
     grid = canonical_gate_array(c1, c2, 0.25)
     assert grid.shape == (5, 3, 4, 4)
-    assert np.array_equal(grid[4, 2], canonical_gate(WeylPoint(2.0, 0.5, 0.25)))
+    assert np.array_equal(grid[4, 2], canonical_gate_array(2.0, 0.5, 0.25))
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from gatepower.canonical import (
     WeylPoint,
     _chamber_coord_passes,
     _edge_coords,
-    canonical_gate,
+    canonical_gate_array,
     chamber_lattice,
     edge_tags,
     in_weyl_chamber,
@@ -232,7 +232,7 @@ def test_classify_swap_matrix():
 
 
 def test_classify_mn_edge_matrix_is_pe():
-    rec = classify_gate(canonical_gate(WeylPoint(3 * PI / 4, PI / 4, PI / 8)))
+    rec = classify_gate(canonical_gate_array(3 * PI / 4, PI / 4, PI / 8))
     assert rec.pe_verdict
     assert abs(rec.invariants.g1) == pytest.approx(0.25, abs=1e-10)
 
@@ -257,7 +257,7 @@ def test_classify_min_ep_edge_point():
 )
 def test_classify_point_and_matrix_paths_agree(point, expect_pe):
     by_point = classify_gate(point)
-    by_matrix = classify_gate(canonical_gate(point))
+    by_matrix = classify_gate(canonical_gate_array(*point))
     assert by_point.pe_verdict == by_matrix.pe_verdict == expect_pe
     assert by_matrix.invariants.g1 == pytest.approx(by_point.invariants.g1, abs=1e-10)
     assert by_matrix.invariants.g2 == pytest.approx(by_point.invariants.g2, abs=1e-10)
@@ -269,14 +269,14 @@ def test_classify_matrix_checks_unitarity_once(monkeypatch):
     calls = []
     defect = linalg.unitarity_defect
     monkeypatch.setattr(linalg, "unitarity_defect", lambda u: calls.append(1) or defect(u))
-    rec = classify_gate(canonical_gate(WeylPoint(2.0, 1.0, 0.5)))
+    rec = classify_gate(canonical_gate_array(2.0, 1.0, 0.5))
     assert rec.pe_verdict
     assert len(calls) == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_classify_rejects_non_finite_matrix(value):
-    u = canonical_gate(WeylPoint(2.0, 1.0, 0.5))
+    u = canonical_gate_array(2.0, 1.0, 0.5)
     u[1, 2] = value
     with pytest.raises(NonUnitaryError):
         classify_gate(u)
@@ -305,7 +305,7 @@ def _reference_point_record(p: WeylPoint) -> GateRecord:
     ivd = is_pe_invariant(inv)
     return GateRecord(
         name=None,
-        matrix=canonical_gate(p),
+        matrix=canonical_gate_array(*p),
         point=p,
         invariants=inv,
         ep=float(ep_closed(*p)),
@@ -428,8 +428,9 @@ def test_point_float_evaluation_matches_scalar_and_array_paths():
         assert np.array_equal(got_f, f) and np.array_equal(got_b, b)
 
 
-def test_point_gate_is_bit_identical_to_canonical_gate():
-    """classify_gate(p) builds its matrix from the trig pass of its columns, with canonical_gate's bits."""
+def test_point_gate_is_bit_identical_to_canonical_gate_array():
+    """classify_gate(p) builds its matrix from the trig pass of its columns, with the bits of p's entry
+    in one canonical_gate_array stack."""
     c1, c2, c3 = random_chamber_coords(19, 400).T
     ties = np.concatenate([
         _MARGIN_TIE_POINTS,
@@ -437,14 +438,17 @@ def test_point_gate_is_bit_identical_to_canonical_gate():
         np.column_stack([c2, c2, c3]),  # c1 = c2
         np.column_stack([c1, c2, c2]),  # c2 = c3
         np.column_stack([np.full(400, PI / 2), c2, c3]),  # c1 = pi/2; c2 <= pi/2 holds in the chamber
+        *(_edge_coords(edge, np.linspace(0.0, 1.0, 41)) for edge in EdgeId),
+        [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.5, 0.5, -0.0], [PI, 0.0, 0.0], [PI / 2, PI / 2, PI / 2], [3.0, 0.1, 0.1]],
     ])
     points = [
         *(rec.point for rec in catalog_records()),
         *(WeylPoint(*row) for row in np.concatenate([ties, random_chamber_coords(29, 20000)]).tolist()),
     ]
     assert all(map(in_weyl_chamber, points))
-    for p in points:
-        got, want = classify_gate(p).matrix, canonical_gate(p)
+    stack = canonical_gate_array(*np.array([tuple(p) for p in points]).T)
+    for p, want in zip(points, stack):
+        got = classify_gate(p).matrix
         assert got.dtype == want.dtype and np.array_equal(got.view(np.int64), want.view(np.int64)), p
 
 
@@ -481,7 +485,7 @@ def test_matrix_records_match_branch_reference():
     ])
     n_raised = 0
     for i, row in enumerate(coords.tolist()):
-        u = dress(canonical_gate(WeylPoint(*row)), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * PI))
+        u = dress(canonical_gate_array(*row), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * PI))
         if rng.random() < 0.3:
             u = np.round(u, 8)
         name = f"g{i}" if i % 2 else None
@@ -563,7 +567,7 @@ def test_invariant_box_counterexample_pair():
     assert not is_pe_geometric(p_no).is_pe
     assert is_pe_geometric(p_yes).is_pe
     # the box test cannot tell them apart
-    inv_no = classify_gate(canonical_gate(p_no)).invariants
+    inv_no = classify_gate(canonical_gate_array(*p_no)).invariants
     assert is_pe_invariant(inv_no).is_pe
 
 

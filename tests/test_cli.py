@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import gatepower
 from gatepower import canonical, catalog, classify, cli, epower, linalg
 from gatepower.canonical import (
-    EdgeId, WeylPoint, _edge_coords, canonical_gate, chamber_lattice, random_chamber_coords,
+    EdgeId, WeylPoint, _edge_coords, canonical_gate_array, chamber_lattice, random_chamber_coords,
 )
 from gatepower.classify import classify_gate, verify_theorems
 from gatepower.cli import (
@@ -202,8 +202,16 @@ def test_analyze_matrix_with_complex_g2_exits_1(capsys, tmp_path, extra):
 
 
 def test_analyze_missing_matrix_file_exits_3(capsys, tmp_path):
-    code, _, err = run(capsys, "analyze", "--matrix", str(tmp_path / "absent.json"))
-    assert code == 3
+    path = str(tmp_path / "absent.json")
+    assert run(capsys, "analyze", "--matrix", path) == (3, "", f"error: [Errno 2] No such file or directory: {path!r}\n")
+    # a directory in place of the file, through the module's own entry point
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gatepower.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gatepower.cli", "analyze", "--matrix", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_matrix_file_schema_errors(tmp_path):
@@ -221,7 +229,7 @@ def _matrix_to_json_reference(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-_GATE = dress(canonical_gate(WeylPoint(1.0, 0.5, 0.2)), np.random.default_rng(3))
+_GATE = dress(canonical_gate_array(1.0, 0.5, 0.2), np.random.default_rng(3))
 
 
 @pytest.mark.parametrize("m", [
@@ -441,9 +449,11 @@ def test_closed_stdout_pipe_exits_3_without_a_message(argv, lines_read):
 
 
 def test_scan_unwritable_path_exits_3(capsys, tmp_path):
-    code, _, err = run(capsys, "scan", "--edge", "QP", "--out", str(tmp_path / "no" / "dir.csv"))
-    assert code == 3
-    assert "error:" in err
+    # a missing directory, not file permissions, which do not stop root
+    path = str(tmp_path / "no" / "dir.csv")
+    for mode in (("--edge", "QP"), ("--chamber", "4")):
+        got = run(capsys, "scan", *mode, "--out", path)
+        assert got == (3, "", f"error: [Errno 2] No such file or directory: {path!r}\n"), mode
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatepower import epower
-from gatepower.canonical import WeylPoint, canonical_gate, canonical_gate_array, random_chamber_coords
+from gatepower.canonical import WeylPoint, canonical_gate_array, random_chamber_coords
 from gatepower.catalog import catalog_records, verify_monte_carlo
 from gatepower.classify import classify_gate, verify_route_agreement
 from gatepower.epower import (
@@ -19,7 +19,7 @@ from gatepower.epower import (
 from gatepower.errors import NonUnitaryError
 from gatepower.invariants import _RANGE_TOL
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
-from gatepower.rng import block_key, box_muller, uniform_stream
+from gatepower.rng import box_muller, raw_stream, uniform_stream
 
 from helpers import dress, haar_unitary
 
@@ -105,10 +105,10 @@ def test_operator_route_entanglement_of_fixed_gates():
 
 
 def test_operator_route_canonical_examples():
-    assert ep_operator_exact(canonical_gate(WeylPoint(PI / 2, 0, 0))) == pytest.approx(
+    assert ep_operator_exact(canonical_gate_array(PI / 2, 0, 0)) == pytest.approx(
         2 / 9, abs=1e-12
     )
-    assert ep_operator_exact(canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4))) == pytest.approx(
+    assert ep_operator_exact(canonical_gate_array(PI / 4, PI / 4, PI / 4)) == pytest.approx(
         1 / 6, abs=1e-12
     )
 
@@ -118,14 +118,14 @@ def test_three_routes_agree():
         rec = classify_gate(WeylPoint(*p))
         closed = rec.ep
         assert closed == pytest.approx(ep_from_g1_abs(abs(rec.invariants.g1)), abs=1e-12)
-        assert closed == pytest.approx(ep_operator_exact(canonical_gate(p)), abs=1e-10)
+        assert closed == pytest.approx(ep_operator_exact(canonical_gate_array(*p)), abs=1e-10)
         assert -1e-9 <= closed <= EP_MAX + 1e-9
 
 
 def test_operator_route_local_dressing_invariance():
     rng = np.random.default_rng(77)
     for p in random_chamber_coords(21, 20).tolist():
-        u = canonical_gate(p)
+        u = canonical_gate_array(*p)
         assert ep_operator_exact(dress(u, rng)) == pytest.approx(
             ep_operator_exact(u), abs=1e-9
         )
@@ -139,7 +139,7 @@ def test_operator_route_rounded_dressed_gates():
     checked = 0
     for p in random_chamber_coords(29, 200).tolist():
         phase = np.exp(1j * rng.uniform(0, 2 * PI))
-        u = np.round(phase * dress(canonical_gate(p), rng), 8)
+        u = np.round(phase * dress(canonical_gate_array(*p), rng), 8)
         if unitarity_defect(u) > INGEST_UNITARY_TOL:
             continue
         assert ep_operator_exact(u) == pytest.approx(classify_gate(WeylPoint(*p)).ep, abs=1e-6)
@@ -149,7 +149,7 @@ def test_operator_route_rounded_dressed_gates():
 
 def test_operator_route_inverse_invariance():
     for p in random_chamber_coords(37, 25).tolist():
-        u = canonical_gate(p)
+        u = canonical_gate_array(*p)
         assert ep_operator_exact(u.conj().T) == pytest.approx(
             ep_operator_exact(u), abs=1e-10
         )
@@ -178,7 +178,7 @@ def test_operator_route_rejects_stack():
 
 def test_stacked_operator_route_equals_scalar_calls():
     rng = np.random.default_rng(13)
-    us = np.stack([dress(canonical_gate(p), rng) for p in random_chamber_coords(17, 300).tolist()])
+    us = np.stack([dress(canonical_gate_array(*p), rng) for p in random_chamber_coords(17, 300).tolist()])
     stacked = epower._ep_operator(us)
     assert stacked.shape == (300,)
     assert stacked.tolist() == [ep_operator_exact(u) for u in us]
@@ -207,7 +207,7 @@ def test_operator_route_matches_reference_on_one_gate_and_non_contiguous_stacks(
     us = np.stack([haar_unitary(4, rng) for _ in range(300)])
     cases = [
         us[0],
-        canonical_gate(WeylPoint(1.1, 0.6, 0.3)),
+        canonical_gate_array(1.1, 0.6, 0.3),
         us[::3],  # every third gate
         us.swapaxes(-1, -2),  # every gate transposed
         us.reshape(30, 10, 4, 4)[:, ::2],
@@ -292,7 +292,7 @@ def test_snap_flushes_below_half_of_1e_12():
 
 def test_mc_matches_analytic_generic_point():
     p = WeylPoint(2.0, 1.0, 0.5)
-    est = ep_monte_carlo(canonical_gate(p), 20000, seed=7)
+    est = ep_monte_carlo(canonical_gate_array(*p), 20000, seed=7)
     assert abs(est.mean - classify_gate(p).ep) <= max(3 * est.std_err, 5e-3)
 
 
@@ -305,7 +305,7 @@ def _u3(theta, phi, lam):
 
 def _dressed(point, angles):
     a, b, c, d = (_u3(*x) for x in angles)
-    return np.kron(a, b) @ canonical_gate(WeylPoint(*point)) @ np.kron(c, d)
+    return np.kron(a, b) @ canonical_gate_array(*point) @ np.kron(c, d)
 
 
 # canonical gates sandwiched between fixed single-qubit rotations, with
@@ -329,7 +329,7 @@ def test_mc_block_order_independence():
     """The estimate is a pure function of (u, n, seed), not block order."""
     u_t = CNOT.T.copy()
     n = 2500
-    keys = [block_key(17, b) for b in range(3)]
+    keys = raw_stream(17, 0, 3).tolist()
     full, _ = epower._entropy_sums(epower._block_states(keys[:2], 1024), u_t, 2)
     tail, _ = epower._entropy_sums(epower._block_states(keys[2:], 452), u_t, 1)
     pieces = dict(enumerate(full.tolist() + tail.tolist()))
@@ -340,9 +340,10 @@ def test_mc_block_order_independence():
 
 def test_mc_entropy_sums_match_reduced_density_matrix_form():
     """Elementwise purity agrees with tr(rho_A^2) from the batched 2x2 product, block by block."""
+    keys = raw_stream(3, 0, 6).tolist()
     for u in [CNOT, _dressed(*DRESSED_MC_GOLDEN[1][:2])]:
         for blocks, count in [((0, 1), 1024), ((5,), 300)]:
-            psi = epower._block_states([block_key(3, b) for b in blocks], count)
+            psi = epower._block_states([keys[b] for b in blocks], count)
             m = (psi @ u.T).reshape(-1, 2, 2)
             rho = m @ m.conj().swapaxes(1, 2)
             e = 1.0 - np.sum(np.abs(rho) ** 2, axis=(1, 2)).reshape(len(blocks), count)
@@ -373,7 +374,7 @@ def _reference_entropy_sums(psi: np.ndarray, u_t: np.ndarray) -> tuple[float, fl
     return float(np.sum(e)), float(np.sum(e * e))
 
 
-_CATALOG_AND_DRESSED = [canonical_gate(r.point) for r in catalog_records()] + [
+_CATALOG_AND_DRESSED = [canonical_gate_array(*r.point) for r in catalog_records()] + [
     _dressed(point, angles) for point, angles, *_ in DRESSED_MC_GOLDEN
 ]
 
@@ -382,7 +383,7 @@ _CATALOG_AND_DRESSED = [canonical_gate(r.point) for r in catalog_records()] + [
 @pytest.mark.parametrize("seed", [0, 17, -7, 2**64 + 3])
 def test_mc_chunked_block_sums_are_bit_identical_to_one_block_reference(seed, count):
     # chunks of 16 and 64 blocks hold temporaries of 256 KiB or more, which numpy may reuse in place
-    keys = [block_key(seed, b) for b in range(64)]
+    keys = raw_stream(seed, 0, 64).tolist()
     u_ts = [u.T.copy() for u in _CATALOG_AND_DRESSED]
     ref_psi = [_reference_block_states(key, count) for key in keys]
     want = np.array([[_reference_entropy_sums(psi, u_t) for psi in ref_psi] for u_t in u_ts])
@@ -406,8 +407,8 @@ def test_mc_estimates_do_not_depend_on_chunk_width(monkeypatch, chunk):
 
 def _mc_gates():
     rng = np.random.default_rng(31)
-    gates = [CNOT, np.eye(4), SWAP, canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4))]
-    gates += [dress(canonical_gate(p), rng) for p in random_chamber_coords(3, 3).tolist()]
+    gates = [CNOT, np.eye(4), SWAP, canonical_gate_array(PI / 4, PI / 4, PI / 4)]
+    gates += [dress(canonical_gate_array(*p), rng) for p in random_chamber_coords(3, 3).tolist()]
     return gates
 
 

@@ -8,7 +8,7 @@ from gatepower import classify
 from gatepower.canonical import (
     WeylPoint,
     _sort_desc,
-    canonical_gate,
+    canonical_gate_array,
     random_chamber_coords,
 )
 from gatepower.classify import classify_gate
@@ -135,7 +135,7 @@ def test_matrix_route_standard_gates(u, g1, g2):
 
 
 def test_matrix_route_half_cnot_class_point():
-    inv = invariants_from_matrix(canonical_gate(WeylPoint(PI / 2, PI / 4, 0)))
+    inv = invariants_from_matrix(canonical_gate_array(PI / 2, PI / 4, 0))
     assert abs(inv.g1) <= 1e-12
     assert inv.g2 == pytest.approx(0.0, abs=1e-12)
 
@@ -143,7 +143,7 @@ def test_matrix_route_half_cnot_class_point():
 def test_routes_agree_on_random_points():
     """Matrix and closed-form routes match on 1000 sampled chamber points."""
     for p in random_chamber_coords(2024, 1000).tolist():
-        inv = invariants_from_matrix(canonical_gate(p))
+        inv = invariants_from_matrix(canonical_gate_array(*p))
         closed = _point_invariants(*p)
         assert abs(inv.g1) == pytest.approx(float(classify._evaluate(p)["g1_abs"]), abs=1e-10)
         assert inv.g1 == pytest.approx(closed.g1, abs=1e-10)
@@ -151,7 +151,7 @@ def test_routes_agree_on_random_points():
 
 
 def test_global_phase_invariance():
-    u = canonical_gate(WeylPoint(1.2, 0.8, 0.3))
+    u = canonical_gate_array(1.2, 0.8, 0.3)
     base = invariants_from_matrix(u)
     shifted = invariants_from_matrix(np.exp(0.7j) * u)
     assert shifted.g1 == pytest.approx(base.g1, abs=1e-12)
@@ -161,7 +161,7 @@ def test_global_phase_invariance():
 def test_local_dressing_invariance():
     rng = np.random.default_rng(99)
     for p in random_chamber_coords(15, 25).tolist():
-        u = canonical_gate(p)
+        u = canonical_gate_array(*p)
         base = invariants_from_matrix(u)
         dressed = invariants_from_matrix(dress(u, rng))
         assert dressed.g1 == pytest.approx(base.g1, abs=1e-9)
@@ -183,13 +183,13 @@ def test_conjugate_check_swap():
 
 
 def test_conjugate_check_half_swap_class():
-    _assert_inverse_conjugates_g1(canonical_gate(WeylPoint(PI / 4, PI / 4, PI / 4)))
+    _assert_inverse_conjugates_g1(canonical_gate_array(PI / 4, PI / 4, PI / 4))
 
 
 def test_conjugate_check_fuzz():
     rng = np.random.default_rng(4242)
     for p in random_chamber_coords(31, 100).tolist():
-        _assert_inverse_conjugates_g1(dress(canonical_gate(p), rng))
+        _assert_inverse_conjugates_g1(dress(canonical_gate_array(*p), rng))
 
 
 # -------------------------------------------------------------------- guards

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gatepower.canonical import canonical_gate, random_chamber_coords
+from gatepower.canonical import canonical_gate_array, random_chamber_coords
 from gatepower.errors import NonUnitaryError
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, require_unitary, unitarity_defect
 from helpers import dress
@@ -72,7 +72,7 @@ def test_require_unitary_tolerance_at_half_and_twice(defect):
     rng = np.random.default_rng(3)
     # (u D)†(u D) - I = D u†u D - I, and diag(1, 1, 1, 1 + d) squared less I is 2d + d^2 = defect at the last entry
     d = math.sqrt(1.0 + defect) - 1.0
-    m = dress(canonical_gate([1.1, 0.6, 0.3]), rng) @ np.diag([1.0, 1.0, 1.0, 1.0 + d])
+    m = dress(canonical_gate_array(1.1, 0.6, 0.3), rng) @ np.diag([1.0, 1.0, 1.0, 1.0 + d])
     assert unitarity_defect(m) == pytest.approx(defect, rel=1e-6)
     if defect < 1e-8:
         assert require_unitary(m) is not None
@@ -94,7 +94,7 @@ def test_unitarity_defect_matches_eye_reference_bit_for_bit():
     rng = np.random.default_rng(17)
     mats = []
     for row in random_chamber_coords(31, 300).tolist():
-        u = dress(canonical_gate(row), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        u = dress(canonical_gate_array(*row), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
         mats += [u, np.round(u, 8), np.round(u, 4), u + 1e-6 * rng.normal(size=(4, 4))]
     for value in (math.nan, math.inf, -math.inf, complex(0, math.nan), complex(0, -math.inf), 1e300, -1e300j):
         for where in ((0, 0), (1, 2), (3, 3)):

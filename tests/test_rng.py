@@ -54,14 +54,15 @@ def test_uniforms_strictly_inside_unit_interval():
 
 
 def test_block_keys_are_splitmix_outputs():
+    # the keys of blocks 0-9, as ep_monte_carlo_many takes them
     ref = ReferenceSplitMix64(7)
-    for b in range(10):
-        assert rng.block_key(7, b) == ref.next()
+    assert rng.raw_stream(7, 0, 10).tolist() == [ref.next() for _ in range(10)]
 
 
 def test_block_substreams_differ():
-    a = rng.uniform_stream(rng.block_key(5, 0), 0, 16)
-    b = rng.uniform_stream(rng.block_key(5, 1), 0, 16)
+    key0, key1 = rng.raw_stream(5, 0, 2).tolist()
+    a = rng.uniform_stream(key0, 0, 16)
+    b = rng.uniform_stream(key1, 0, 16)
     assert not np.allclose(a, b)
 
 

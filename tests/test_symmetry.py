@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatepower.canonical import WeylPoint, _sort_desc, canonical_gate, chamber_mask, random_chamber_coords
+from gatepower.canonical import WeylPoint, _sort_desc, canonical_gate_array, chamber_mask, random_chamber_coords
 from gatepower.classify import classify_gate, is_pe_geometric, is_pe_invariant
 from gatepower.epower import ep_monte_carlo, ep_operator_exact
 from gatepower.invariants import invariants_from_matrix
@@ -43,7 +43,7 @@ ACTIONS = [
 def test_exact_actions_match_the_closed_forms_at_the_source_point(seed):
     gen = np.random.default_rng(seed)
     for p in random_chamber_coords(seed, 20).tolist():
-        u = np.exp(2j * math.pi * gen.uniform()) * dress(canonical_gate(p), gen)
+        u = np.exp(2j * math.pi * gen.uniform()) * dress(canonical_gate_array(*p), gen)
         source = classify_gate(WeylPoint(*p))
         kept = source.invariants
         mirrored = classify_gate(WeylPoint(*map(float, _sort_desc(math.pi - p[0], p[1], p[2])))).invariants
@@ -94,7 +94,7 @@ def _dressed_gates(seed: int, count: int):
     """count chamber points drawn from seed, each with a dressed, phase-shifted canonical gate."""
     gen = np.random.default_rng(seed)
     for p in random_chamber_coords(seed, count).tolist():
-        yield p, np.exp(2j * math.pi * gen.uniform()) * dress(canonical_gate(p), gen)
+        yield p, np.exp(2j * math.pi * gen.uniform()) * dress(canonical_gate_array(*p), gen)
 
 
 @settings(max_examples=25, deadline=None)
