@@ -157,8 +157,7 @@ def _run_tier1(mutant=None):
             _, path, old, new = mutant
             target = tree / path
             target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        env["PYTHONPATH"] = str(tree / "src")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         start = time.monotonic()
         proc = subprocess.Popen(TIER1, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                                 text=True, start_new_session=True)
