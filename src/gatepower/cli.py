@@ -364,8 +364,8 @@ class _Parser(argparse.ArgumentParser):
     A parser with subcommands names a flag of its own usage it does not take when it comes
     before the subcommand, where argparse would read the flag's value as the subcommand.
     When the first argument is one of its subcommand names, it hands the rest straight to
-    that subcommand's parser and fills in what argparse's own pass would: the subcommand's
-    dest, and its own set_defaults values where the subcommand's parser left them unset.
+    that subcommand's parser and sets the subcommand's dest, as argparse's own pass would;
+    no parser with subcommands holds a default, so the child's namespace is the whole result.
     Every other argument list, empty, -h or an unknown name among them, takes argparse's pass.
     """
 
@@ -382,13 +382,10 @@ class _Parser(argparse.ArgumentParser):
         args = sys.argv[1:] if args is None else list(args)
         if args and args[0] in self._children:
             # what argparse's pass would do, without classifying the subcommand's arguments twice:
-            # everything after the name goes to its parser, whose values overwrite this parser's defaults
+            # everything after the name goes to its parser
             child, _ = self._children[args[0]].parse_known_args(args[1:])
             namespace = argparse.Namespace() if namespace is None else namespace
             setattr(namespace, self._subcommand, args[0])
-            for key, value in self._defaults.items():
-                if not hasattr(namespace, key):
-                    setattr(namespace, key, value)
             vars(namespace).update(vars(child))
             return namespace, []
         if self._subcommand is not None:
@@ -433,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_scan)
 
     v = sub.add_parser("verify", help="run a self-check suite")
-    v.set_defaults(func=cmd_verify)
     # one parser per suite, each taking only the flags its suite reads
     suites = v.add_subparsers(dest="suite", required=True)
     t = suites.add_parser("theorems", help="theorem sweep over a chamber lattice")
@@ -444,6 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--mc", type=int, default=200_000, help="samples per gate for montecarlo (default 200000)")
     for p in (r, m):
         p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
+    for p in (t, r, m):
+        p.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("catalog", help="list named gate classes")
     c.set_defaults(func=cmd_catalog)

@@ -96,9 +96,7 @@ def _operator_entanglement(m: np.ndarray, realign: np.ndarray = _REALIGN) -> np.
     r = m.reshape(m.shape[:-2] + (16,)).take(realign, axis=-1)  # one gather, whatever the stack's shape
     rr = r @ r.conj().swapaxes(-1, -2)
     sq = rr.real**2 + rr.imag**2
-    # one 16-wide axis: the same pairwise sum as .sum(axis=(-2, -1)), bit for bit, without the Python
-    # wrapper of ndarray.sum
-    return 1.0 - np.add.reduce(sq.reshape(sq.shape[:-2] + (16,)), axis=-1) / 16.0
+    return 1.0 - sq.sum(axis=(-2, -1)) / 16.0
 
 
 _E_SWAP = float(_operator_entanglement(SWAP))
