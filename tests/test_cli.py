@@ -1055,15 +1055,15 @@ _PARSE_NAMESPACES = {
     ('scan', '--chamber=3'):
         [('command', 'scan'), ('chamber', 3), ('edge', None), ('steps', None), ('out', None), ('func', 'cmd_scan')],
     ('verify', 'theorems', '--grid', '4'):
-        [('command', 'verify'), ('suite', 'theorems'), ('func', 'cmd_verify'), ('grid', 4)],
+        [('command', 'verify'), ('suite', 'theorems'), ('grid', 4), ('func', 'cmd_verify')],
     ('verify', 'theorems', '--gr=4'):
-        [('command', 'verify'), ('suite', 'theorems'), ('func', 'cmd_verify'), ('grid', 4)],
+        [('command', 'verify'), ('suite', 'theorems'), ('grid', 4), ('func', 'cmd_verify')],
     ('verify', 'routes', '--n', '20', '--seed', '3'):
-        [('command', 'verify'), ('suite', 'routes'), ('func', 'cmd_verify'), ('n', 20), ('seed', 3)],
+        [('command', 'verify'), ('suite', 'routes'), ('n', 20), ('seed', 3), ('func', 'cmd_verify')],
     ('verify', 'routes', '--n', '20', '--seed', '3', '--n', '30'):
-        [('command', 'verify'), ('suite', 'routes'), ('func', 'cmd_verify'), ('n', 30), ('seed', 3)],
+        [('command', 'verify'), ('suite', 'routes'), ('n', 30), ('seed', 3), ('func', 'cmd_verify')],
     ('verify', 'montecarlo', '--mc', '1000', '--seed', '5'):
-        [('command', 'verify'), ('suite', 'montecarlo'), ('func', 'cmd_verify'), ('mc', 1000), ('seed', 5)],
+        [('command', 'verify'), ('suite', 'montecarlo'), ('mc', 1000), ('seed', 5), ('func', 'cmd_verify')],
     ('catalog',):
         [('command', 'catalog'), ('func', 'cmd_catalog')],
 }
