@@ -229,16 +229,22 @@ def _matrix_to_json_reference(m) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
-_GATE = dress(canonical_gate_array(1.0, 0.5, 0.2), np.random.default_rng(3))
+def _dressed_gate() -> np.ndarray:
+    return dress(canonical_gate_array(1.0, 0.5, 0.2), np.random.default_rng(3))
 
 
-@pytest.mark.parametrize("m", [
-    _GATE,
-    _GATE.T,  # not C-contiguous
-    np.array([[complex(-0.0, x) for x in (-0.0, 0.0, 1.0, -1.0)]] * 4),
-    np.full((4, 4), complex(5e-324, -5e-324)),
-], ids=["dressed", "transpose", "negative_zero", "subnormal"])
-def test_matrix_to_json_is_bit_identical_to_comprehension(m):
+# each case's matrix, built in the test so that collection runs no package code
+_JSON_MATRICES = {
+    "dressed": _dressed_gate,
+    "transpose": lambda: _dressed_gate().T,  # not C-contiguous
+    "negative_zero": lambda: np.array([[complex(-0.0, x) for x in (-0.0, 0.0, 1.0, -1.0)]] * 4),
+    "subnormal": lambda: np.full((4, 4), complex(5e-324, -5e-324)),
+}
+
+
+@pytest.mark.parametrize("case", list(_JSON_MATRICES))
+def test_matrix_to_json_is_bit_identical_to_comprehension(case):
+    m = _JSON_MATRICES[case]()
     got = matrix_to_json(m)
     ref = _matrix_to_json_reference(m)
     # json.dumps writes repr of each float, so -0.0 and 5e-324 must survive as they are
@@ -252,36 +258,32 @@ def _with_cell(value) -> list:
     return cells
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        json.dumps({"matrix": _with_cell([True, False])}),  # complex(True, False) is 1+0j
-        json.dumps({"matrix": _with_cell([1, 0, 7])}),
-        json.dumps({"matrix": _with_cell([1])}),
-        json.dumps({"matrix": _with_cell(["1", "0"])}),
-        json.dumps({"matrix": _with_cell(None)}),
-        json.dumps({"matrix": _with_cell(1.0)}),
-        json.dumps({"matrix": _with_cell([10**400, 0])}),  # complex() raises OverflowError
-        json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [matrix_to_json(SWAP)[3][:3]]}),  # ragged rows
-        json.dumps({"matrix": matrix_to_json(SWAP)[:3]}),
-        json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [5]}),
-        json.dumps({"matrix": 5}),
-        json.dumps({"matrix": matrix_to_json(SWAP), "name": 7}),
-        json.dumps({"matrix": matrix_to_json(SWAP), "name": "\ud800"}),  # UTF-8 cannot encode it
-        json.dumps({"matrix": matrix_to_json(SWAP), "name": "a\nb"}),  # would split the gate: line
-        json.dumps([matrix_to_json(SWAP)]),
-        "{not json",
-        '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",  # json.load raises RecursionError
-    ],
-    ids=[
-        "bool-cell", "three-number-cell", "one-number-cell", "string-cell", "null-cell",
-        "bare-number-cell", "oversized-integer-cell", "ragged-rows", "three-rows", "row-not-a-list", "matrix-not-a-list",
-        "name-not-a-string", "name-lone-surrogate", "name-newline", "no-object", "not-json", "deeply-nested",
-    ],
-)
-def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, text):
+# the text of each malformed matrix file, built in the test so that collection runs no package code
+_MALFORMED_MATRIX_FILES = {
+    "bool-cell": lambda: json.dumps({"matrix": _with_cell([True, False])}),  # complex(True, False) is 1+0j
+    "three-number-cell": lambda: json.dumps({"matrix": _with_cell([1, 0, 7])}),
+    "one-number-cell": lambda: json.dumps({"matrix": _with_cell([1])}),
+    "string-cell": lambda: json.dumps({"matrix": _with_cell(["1", "0"])}),
+    "null-cell": lambda: json.dumps({"matrix": _with_cell(None)}),
+    "bare-number-cell": lambda: json.dumps({"matrix": _with_cell(1.0)}),
+    "oversized-integer-cell": lambda: json.dumps({"matrix": _with_cell([10**400, 0])}),  # complex() raises OverflowError
+    "ragged-rows": lambda: json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [matrix_to_json(SWAP)[3][:3]]}),
+    "three-rows": lambda: json.dumps({"matrix": matrix_to_json(SWAP)[:3]}),
+    "row-not-a-list": lambda: json.dumps({"matrix": matrix_to_json(SWAP)[:3] + [5]}),
+    "matrix-not-a-list": lambda: json.dumps({"matrix": 5}),
+    "name-not-a-string": lambda: json.dumps({"matrix": matrix_to_json(SWAP), "name": 7}),
+    "name-lone-surrogate": lambda: json.dumps({"matrix": matrix_to_json(SWAP), "name": "\ud800"}),  # UTF-8 cannot encode it
+    "name-newline": lambda: json.dumps({"matrix": matrix_to_json(SWAP), "name": "a\nb"}),  # would split the gate: line
+    "no-object": lambda: json.dumps([matrix_to_json(SWAP)]),
+    "not-json": lambda: "{not json",
+    "deeply-nested": lambda: '{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}",  # json.load raises RecursionError
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MATRIX_FILES))
+def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, case):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    path.write_text(_MALFORMED_MATRIX_FILES[case]())
     code, out, err = run(capsys, "analyze", "--matrix", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path}: ")
@@ -1036,7 +1038,7 @@ def test_parser_output_matches_argparse_nested_pass(capsys, monkeypatch, argv, c
 
 
 # vars() of the namespace of each valid argv above, in order, with func by name, as argparse's
-# nested pass built it: the subcommand's dest, then the parent's set_defaults, then the child's values
+# nested pass built it: each subcommand's dest, then the leaf parser's values and its set_defaults
 _PARSE_NAMESPACES = {
     ('analyze', '--name', 'SWAP'):
         [('command', 'analyze'), ('name', 'SWAP'), ('point', None), ('matrix', None), ('deg', False), ('json', False), ('mc', None), ('seed', None), ('func', 'cmd_analyze')],
@@ -1073,6 +1075,16 @@ _PARSE_NAMESPACES = {
 def test_parsed_namespace_matches_argparse_nested_pass(argv):
     args = build_parser().parse_args(list(argv))
     assert [(k, v.__name__ if callable(v) else v) for k, v in vars(args).items()] == _PARSE_NAMESPACES[argv]
+
+
+@pytest.mark.parametrize("argv", list(_PARSE_NAMESPACES), ids=" ".join)
+def test_parsed_namespace_equals_a_live_argparse_nested_pass(monkeypatch, argv):
+    parser = build_parser()
+    # the fast path reads no parent's defaults, which holds while no parser with subcommands has one
+    assert parser.get_default("func") is None and parser._children["verify"].get_default("func") is None
+    fast = vars(parser.parse_args(list(argv)))
+    monkeypatch.setattr(cli._Parser, "parse_known_args", argparse.ArgumentParser.parse_known_args)
+    assert list(fast.items()) == list(vars(parser.parse_args(list(argv))).items())
 
 
 def test_a_leading_subcommand_name_skips_the_parents_argparse_pass(monkeypatch):
@@ -1185,7 +1197,7 @@ _GOLDEN_MATRIX_FILES = [
         "3470c1ca1fe97657df339f35d17cf90cb9875ec28d520b4fdb2967b0fde9ac3c",
     ),
     (
-        {"name": 'a"b\\c \u00e9 \u2713', "matrix": matrix_to_json(SWAP)},
+        {"name": 'a"b\\c \u00e9 \u2713', "matrix": SWAP},  # json.dumps writes it with matrix_to_json
         "444bdb9703808938a56c29ba933ea643d3a76246cfdfd66341979670020113f7",
         "4eea6c0fca37990868e44a08ec955b53264ed9d65c82eb40998ce48c79ecfe90",
     ),
@@ -1197,7 +1209,7 @@ _GOLDEN_MATRIX_FILES = [
 )
 def test_analyze_matrix_output_matches_golden_digest(capsys, tmp_path, data, text_digest, json_digest):
     path = tmp_path / "gate.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(data, default=matrix_to_json), encoding="utf-8")
     for extra, digest in (((), text_digest), (("--json",), json_digest)):
         code, out, _ = run(capsys, "analyze", "--matrix", str(path), *extra)
         assert code == 0

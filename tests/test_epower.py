@@ -1,4 +1,5 @@
 """Tests for the entangling power routes."""
+import functools
 import math
 
 import numpy as np
@@ -374,9 +375,12 @@ def _reference_entropy_sums(psi: np.ndarray, u_t: np.ndarray) -> tuple[float, fl
     return float(np.sum(e)), float(np.sum(e * e))
 
 
-_CATALOG_AND_DRESSED = [canonical_gate_array(*r.point) for r in catalog_records()] + [
-    _dressed(point, angles) for point, angles, *_ in DRESSED_MC_GOLDEN
-]
+@functools.cache
+def _catalog_and_dressed() -> tuple:
+    """The catalog's canonical gates and the dressed golden gates, built on first use, not at collection."""
+    return tuple(canonical_gate_array(*r.point) for r in catalog_records()) + tuple(
+        _dressed(point, angles) for point, angles, *_ in DRESSED_MC_GOLDEN
+    )
 
 
 @pytest.mark.parametrize("count", [1024, 452])
@@ -384,7 +388,7 @@ _CATALOG_AND_DRESSED = [canonical_gate_array(*r.point) for r in catalog_records(
 def test_mc_chunked_block_sums_are_bit_identical_to_one_block_reference(seed, count):
     # chunks of 16 and 64 blocks hold temporaries of 256 KiB or more, which numpy may reuse in place
     keys = raw_stream(seed, 0, 64).tolist()
-    u_ts = [u.T.copy() for u in _CATALOG_AND_DRESSED]
+    u_ts = [u.T.copy() for u in _catalog_and_dressed()]
     ref_psi = [_reference_block_states(key, count) for key in keys]
     want = np.array([[_reference_entropy_sums(psi, u_t) for psi in ref_psi] for u_t in u_ts])
     for width in (1, 2, 3, 16, 64):
@@ -397,7 +401,7 @@ def test_mc_chunked_block_sums_are_bit_identical_to_one_block_reference(seed, co
 
 @pytest.mark.parametrize("chunk", [1, 3, 16])
 def test_mc_estimates_do_not_depend_on_chunk_width(monkeypatch, chunk):
-    gates = _CATALOG_AND_DRESSED
+    gates = _catalog_and_dressed()
     ns = (100, 1023, 1025, 20000, 50000, 100001)
     default = {n: ep_monte_carlo_many(gates, n, 5) for n in ns}
     monkeypatch.setattr(epower, "_CHUNK", chunk)
