@@ -23,12 +23,11 @@ class NonUnitaryError(ValueError):
 
 
 class ConsistencyError(RuntimeError):
-    """Two internal computations that must agree did not.
+    """A quantity that is real by construction came out with a large imaginary residue.
 
-    Raised when a quantity that is real by construction carries a large
-    imaginary residue, or when redundant formulas for the same quantity
-    disagree beyond tolerance. Indicates an inconsistent input rather
-    than ordinary floating-point noise.
+    Raised by the matrix route to the local invariants when g2's imaginary
+    residue reaches invariants.G2_IMAG_TOL. Indicates an inconsistent input
+    rather than ordinary floating-point noise.
     """
 
 

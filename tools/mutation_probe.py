@@ -105,18 +105,19 @@ MUTANTS = [
     ("g2_product_a_unsquared", _INVARIANTS, "4 * (a * a)", "4 * a"),
     # the analyze parse and the float margins
     ("margins_nan_guard_dropped", _CLASSIFY, " and not math.isnan(c1 + c2 + c3)", ""),
-    ("parser_defaults_fill_dropped", _CLI, "for key, value in self._defaults.items():", "for key, value in {}.items():"),
+    ("suite_parser_func_dropped", _CLI, "for p in (t, r, m):\n        p.set_defaults", "for p in (r, m):\n        p.set_defaults"),
+    ("verify_router_holds_func", _CLI, "# one parser per suite,", "v.set_defaults(func=cmd_verify)\n    # one parser per suite,"),
     ("g1_abs_range_strict", _EPOWER, "inside = -_RANGE_TOL <= g1_abs <=", "inside = -_RANGE_TOL < g1_abs <="),
     ("sort_desc_builtin_max", _CANONICAL, "return top, upper(lo, mid), lower(lo, mid)", "return top, max(lo, mid), lower(lo, mid)"),
     ("parser_child_value_dropped", _CLI, "vars(namespace).update(vars(child))", "vars(namespace).update(list(vars(child).items())[1:])"),
-    # the analyze renderer, the one-point gate and the operator-route sum
+    # the analyze renderer and the one-point gate
     ("json_invariants_swapped", _CLI, 'v["g1_abs"], v["g2"])', 'v["g2"], v["g1_abs"])'),
     ("json_mc_mean_std_err_swapped", _CLI, '(v["mean"], v["std_err"],', '(v["std_err"], v["mean"],'),
     ("json_pe_routes_comma_dropped", _CLI, 'pe.items()]\n    return "{\\n    " + ",\\n    ".join(routes)',
      'pe.items()]\n    return "{\\n    " + "\\n    ".join(routes)'),
     ("point_gate_sines_from_cosines", _CLASSIFY, "(cm, cp, ec), (sm, sp, es) = cs[6:], sn[6:]", "(cm, cp, ec), (sm, sp, es) = cs[6:], cs[6:]"),
     ("point_gate_half_angle_reversed", _CLASSIFY, "(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])", "(c2 - c1) / 2, (c1 + c2) / 2, c3 / 2])"),
-    ("operator_sum_axis_0", _EPOWER, "(16,)), axis=-1)", "(16,)), axis=0)"),
+    ("operator_sum_last_axis", _EPOWER, "sq.sum(axis=(-2, -1))", "sq.sum(axis=-1)[..., 0]"),
 ]
 
 # mutants that change no result by design
