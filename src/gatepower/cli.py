@@ -364,8 +364,8 @@ class _Parser(argparse.ArgumentParser):
     A parser with subcommands names a flag of its own usage it does not take when it comes
     before the subcommand, where argparse would read the flag's value as the subcommand.
     When the first argument is one of its subcommand names, it hands the rest straight to
-    that subcommand's parser and sets the subcommand's dest, as argparse's own pass would;
-    no parser with subcommands holds a default, so the child's namespace is the whole result.
+    that subcommand's parser and sets the subcommand's dest; no parser with subcommands holds
+    a default, so that is all argparse's own pass would add to the subcommand's namespace.
     Every other argument list, empty, -h or an unknown name among them, takes argparse's pass.
     """
 
