@@ -28,7 +28,7 @@ from .epower import (
     ep_monte_carlo_many,
     ep_operator_exact,
 )
-from .errors import CatalogError, ConsistencyError, NonUnitaryError
+from .errors import CatalogError, NonUnitaryError
 from .invariants import (
     LocalInvariants,
     invariants_from_matrix,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogError",
-    "ConsistencyError",
     "EdgeId",
     "EpEstimate",
     "GateRecord",

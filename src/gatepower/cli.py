@@ -26,7 +26,6 @@ from .canonical import EdgeId, WeylPoint, _edge_coords
 from .catalog import catalog_records, named_gate, verify_monte_carlo
 from .classify import GateRecord, _evaluate, _lattice_blocks, classify_gate, pe_mask, verify_route_agreement, verify_theorems
 from .epower import _ep_operator, ep_from_g1_abs, ep_monte_carlo
-from .errors import ConsistencyError
 
 __all__ = ["main", "entry", "load_matrix_file", "matrix_to_json"]
 
@@ -455,9 +454,6 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a reader that closed the pipe early shows here, not at interpreter exit
         return code
-    except ConsistencyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

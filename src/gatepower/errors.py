@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+NonUnitaryError, raised at the ingest tolerance, is the only precision check on a matrix."""
 from __future__ import annotations
 
 import math
@@ -20,15 +22,6 @@ class NonUnitaryError(ValueError):
         else:
             reason = f"defect {self.defect:.3e} exceeds tolerance {self.tol:.1e}"
         super().__init__(f"matrix is not unitary: {reason}")
-
-
-class ConsistencyError(RuntimeError):
-    """A quantity that is real by construction came out with a large imaginary residue.
-
-    Raised by the matrix route to the local invariants when g2's imaginary
-    residue reaches invariants.G2_IMAG_TOL. Indicates an inconsistent input
-    rather than ordinary floating-point noise.
-    """
 
 
 class CatalogError(ValueError):

@@ -34,7 +34,7 @@ def test_all_names_resolve_once_and_benchmark_names_are_exported():
 # table in the same change
 PUBLIC_NAMES = {
     "gatepower": (
-        "CatalogError", "ConsistencyError", "EdgeId", "EpEstimate", "GateRecord", "LocalInvariants",
+        "CatalogError", "EdgeId", "EpEstimate", "GateRecord", "LocalInvariants",
         "NonUnitaryError", "PeVerdict", "SWAP", "TheoremReport", "WeylPoint",
         "canonical_gate_array", "catalog_records", "classify_gate", "edge_point",
         "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
@@ -47,9 +47,7 @@ PUBLIC_NAMES = {
         "CHAMBER_TOL", "EdgeId", "WeylPoint", "canonical_gate_array", "chamber_lattice",
         "chamber_mask", "edge_point", "edge_tags", "in_weyl_chamber", "random_chamber_coords",
     ),
-    "invariants": (
-        "G2_IMAG_TOL", "LocalInvariants", "MAGIC_BASIS", "g2_product_array", "invariants_from_matrix",
-    ),
+    "invariants": ("LocalInvariants", "MAGIC_BASIS", "g2_product_array", "invariants_from_matrix"),
     "epower": (
         "EP_MAX", "EpEstimate", "ep_from_g1_abs", "ep_monte_carlo", "ep_monte_carlo_many", "ep_operator_exact",
     ),

@@ -11,17 +11,17 @@ from gatepower.canonical import (
     canonical_gate_array,
     random_chamber_coords,
 )
+from gatepower.catalog import named_gate
 from gatepower.classify import classify_gate
-from gatepower.errors import ConsistencyError, NonUnitaryError
+from gatepower.errors import NonUnitaryError
 from gatepower.invariants import (
     LocalInvariants,
-    _invariants,
     g2_product_array,
     invariants_from_matrix,
 )
-from gatepower.linalg import SWAP
+from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
 
-from helpers import dress, g2_imag_residue, g2_residue_gate, haar_unitary
+from helpers import dress, ep_closed, g1_closed, g2_closed
 
 PI = math.pi
 
@@ -238,25 +238,43 @@ def test_wrong_shape_rejected():
         invariants_from_matrix(np.eye(2))
 
 
-def test_g2_imaginary_residue_guard():
-    """A near-unitary within the ingest gate but with complex g2 is flagged."""
-    rng = np.random.default_rng(0)
-    u = haar_unitary(4, rng)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    bad = u + 1e-9 * g
-    # perturbation passes the 1e-8 unitarity gate yet leaves |Im g2| > 1e-9
-    with pytest.raises(ConsistencyError, match="g2"):
-        invariants_from_matrix(bad)
+def test_rounded_gates_follow_the_ingest_tolerance_alone():
+    """Dressed gates with a global phase, rounded to 8 decimals: classify_gate refuses one exactly
+    when its unitarity defect exceeds INGEST_UNITARY_TOL, and otherwise gives the invariants and e_p
+    of its source point to 1e-6, whatever imaginary residue g2 carries."""
+    rng = np.random.default_rng(5)
+    n_refused = 0
+    for p in random_chamber_coords(41, 400).tolist():
+        u = np.round(dress(canonical_gate_array(*p), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * PI)), 8)
+        if unitarity_defect(u) > INGEST_UNITARY_TOL:
+            n_refused += 1
+            with pytest.raises(NonUnitaryError):
+                classify_gate(u)
+            continue
+        rec = classify_gate(u)
+        assert abs(rec.invariants.g1 - g1_closed(*p)) < 1e-6
+        assert abs(rec.invariants.g2 - g2_closed(*p)) < 1e-6
+        assert abs(rec.ep - ep_closed(*p)) < 1e-6
+    assert 0 < n_refused < 400  # both outcomes are exercised
 
 
-def test_g2_imag_tolerance_at_half_and_twice():
-    """u (I + eps H), H Hermitian, leaves an imaginary residue on g2 that grows linearly in eps:
-    a residue of half the 1e-9 tolerance is accepted, twice it raises."""
-    for residue, raises in ((0.5e-9, False), (2e-9, True)):
-        v = g2_residue_gate(residue)
-        assert g2_imag_residue(v) == pytest.approx(residue, rel=1e-2)
-        if raises:
-            with pytest.raises(ConsistencyError, match="g2"):
-                _invariants(v)
-        else:
-            _invariants(v)
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "general"])
+@pytest.mark.parametrize("name", ["IDENTITY", "SWAP"])
+def test_vertex_gates_at_the_ingest_bound_classify(name, hermitian):
+    """u (I + eps A) for dressed gates u of a vertex class, where |g1| = 1 and g2 = +-3 sit at the
+    edges of their ranges, with eps set so that the defect is 0.9e-8: every one is classified, with
+    the vertex's invariants to 1e-7."""
+    p = named_gate(name).point
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        u = dress(canonical_gate_array(*p), rng) * np.exp(1j * rng.uniform(0.0, 2.0 * PI))
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if hermitian:
+            a = (a + a.conj().T) / 2
+        # the defect of u (I + eps A) is linear in eps to first order
+        eps = 0.9e-8 * 1e-6 / unitarity_defect(u @ (np.eye(4) + 1e-6 * a))
+        v = u @ (np.eye(4) + eps * a)
+        assert unitarity_defect(v) == pytest.approx(0.9e-8, rel=1e-3)
+        rec = classify_gate(v)
+        assert abs(rec.invariants.g1 - g1_closed(*p)) < 1e-7
+        assert abs(rec.invariants.g2 - g2_closed(*p)) < 1e-7

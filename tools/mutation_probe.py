@@ -86,8 +86,6 @@ MUTANTS = [
     ("route_tol_g2_3e-13", _CLASSIFY, "d_g2, 1e-12)", "d_g2, 3e-13)"),
     ("snap_decimals_11", _EPOWER, "_SNAP_DECIMALS = 12", "_SNAP_DECIMALS = 11"),
     ("snap_decimals_13", _EPOWER, "_SNAP_DECIMALS = 12", "_SNAP_DECIMALS = 13"),
-    ("g2_imag_tol_3e-9", _INVARIANTS, "G2_IMAG_TOL = 1e-9", "G2_IMAG_TOL = 3e-9"),
-    ("g2_imag_tol_3e-10", _INVARIANTS, "G2_IMAG_TOL = 1e-9", "G2_IMAG_TOL = 3e-10"),
     ("mc_rule_6_std_err", _CATALOG, "max(3.0 * est.std_err, 5e-3)", "max(6.0 * est.std_err, 5e-3)"),
     ("mc_rule_1.4_std_err", _CATALOG, "max(3.0 * est.std_err, 5e-3)", "max(1.4 * est.std_err, 5e-3)"),
     ("mc_rule_floor_1.2e-2", _CATALOG, "max(3.0 * est.std_err, 5e-3)", "max(3.0 * est.std_err, 1.2e-2)"),
@@ -118,6 +116,10 @@ MUTANTS = [
     ("point_gate_sines_from_cosines", _CLASSIFY, "(cm, cp, ec), (sm, sp, es) = cs[6:], sn[6:]", "(cm, cp, ec), (sm, sp, es) = cs[6:], cs[6:]"),
     ("point_gate_half_angle_reversed", _CLASSIFY, "(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])", "(c2 - c1) / 2, (c1 + c2) / 2, c3 / 2])"),
     ("operator_sum_last_axis", _EPOWER, "sq.sum(axis=(-2, -1))", "sq.sum(axis=-1)[..., 0]"),
+    # one input-precision policy for matrices: the ingest tolerance alone
+    ("g2_residue_check_restored", _INVARIANTS, "    return LocalInvariants(g1, g2.real)",
+     '    if abs(g2.imag) >= 1e-9:\n        raise ValueError("g2 residue")\n    return LocalInvariants(g1, g2.real)'),
+    ("g2_imag_added", _INVARIANTS, "LocalInvariants(g1, g2.real)", "LocalInvariants(g1, g2.real + g2.imag)"),
 ]
 
 # mutants that change no result by design
