@@ -1170,7 +1170,8 @@ def test_output_matches_golden_digest(capsys, argv, exit_code, digest):
 
 
 # two dressed gates, the first rounded to 8 decimals and named, the second at full precision;
-# then SWAP under a name that --json must escape
+# then SWAP under a name that --json must escape; then a dressed gate rounded to 8 decimals, defect
+# 8.7e-9, whose g2 carries an imaginary residue of 1.4e-8 that the matrix route drops
 _GOLDEN_MATRIX_FILES = [
     (
         {
@@ -1206,11 +1207,24 @@ _GOLDEN_MATRIX_FILES = [
         "444bdb9703808938a56c29ba933ea643d3a76246cfdfd66341979670020113f7",
         "4eea6c0fca37990868e44a08ec955b53264ed9d65c82eb40998ce48c79ecfe90",
     ),
+    (
+        {
+            "matrix": [
+                [[0.4372339, 0.478239], [-0.69214226, 0.20377985], [-0.19327029, -0.13693392], [-0.04015158, -0.04254863]],
+                [[0.26856703, 0.2061271], [0.20426841, -0.07547268], [0.37998406, -0.12305233], [-0.56702695, 0.59742141]],
+                [[0.20613018, -0.5084542], [-0.14167467, -0.40101985], [-0.30455025, -0.34407601], [-0.48889875, -0.26064324]],
+                [[-0.34086717, -0.21975348], [-0.25297113, 0.43255998], [0.48748525, -0.57929691], [-0.04056861, -0.09768758]],
+            ],
+        },
+        "eb8de7106815e6d27a5521d7c77c23b0a6415f3278c35b52d8e2648db0bff915",
+        "eb5c7cc65f8d2b659c30924d75dd108983fb56e81e82d8f9551d6cf450c709d6",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    ("data", "text_digest", "json_digest"), _GOLDEN_MATRIX_FILES, ids=["rounded_named", "full", "escaped_name"]
+    ("data", "text_digest", "json_digest"), _GOLDEN_MATRIX_FILES,
+    ids=["rounded_named", "full", "escaped_name", "rounded_g2_residue"],
 )
 def test_analyze_matrix_output_matches_golden_digest(capsys, tmp_path, data, text_digest, json_digest):
     path = tmp_path / "gate.json"
