@@ -96,7 +96,7 @@ def _invariants(m4: np.ndarray) -> LocalInvariants:
     tr = complex(np.trace(m))
     g1 = tr * tr / (16.0 * det)
     g2 = (tr * tr - complex(np.trace(m @ m))) / (4.0 * det)
-    return LocalInvariants(g1, g2.real)  # g2 is real on a unitary; Im g2 stays within 3.3x the defect
+    return LocalInvariants(g1, g2.real)  # g2 is real on a unitary: Im g2 is at most about 3x the defect
 
 
 def invariants_from_matrix(u) -> LocalInvariants:
