@@ -41,8 +41,15 @@ __all__ = [
     "random_chamber_coords",
 ]
 
-# slack applied to every chamber inequality
-CHAMBER_TOL = 1e-12
+# slack applied to every chamber inequality, sized so that every point printed with %.12g (scan, the
+# text view) is accepted back. That rounding is monotone, so it keeps c1 >= c2 >= c3 >= 0, but it can
+# push c1 + c2 past pi. On or inside that face, c1 >= pi/2 > 1 prints to a multiple of 1e-11, within
+# 5e-12, and c2 to a multiple of 1e-12 (of 1e-11 from 1 on), within 5e-13 (5e-12). pi =
+# 3141592653589.793e-12 lies 0.207e-12 below a multiple of 1e-12 and of 1e-11, so the printed sum
+# exceeds pi by at most 5.207e-12 (0.207e-12 where c2 >= 1). Parsing each coordinate, the float sum and
+# pi + CHAMBER_TOL round by at most 2.2e-16 each, half an ulp at pi, so 1e-11 holds with 4.7e-12 to
+# spare. It changes the chamber-point count of no lattice, grids 2 to 256.
+CHAMBER_TOL = 1e-11
 _EDGE_TAG_TOL = 1e-9  # slack on each coordinate of a point's offset from a named edge; see edge_tags
 # _lattice_axes keeps each axis index in a uint8, which holds grid_n <= 256; at 256 (2812544 chamber
 # points) verify theorems, 65536 points at a time, peaked at 94 MB ru_maxrss, 35 MB of it its 204644

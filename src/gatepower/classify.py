@@ -211,7 +211,6 @@ class PeVerdict:
     """
 
     is_pe: bool
-    route: str
     margins: dict[str, float]
 
     @property
@@ -219,37 +218,44 @@ class PeVerdict:
         return bool(_boundary_mask(self.margins))
 
 
-def _verdict(route: str, margins: dict) -> PeVerdict:
+def _verdict(margins: dict) -> PeVerdict:
     """The PeVerdict of margins, as floats."""
     margins = {k: float(v) for k, v in margins.items()}
-    return PeVerdict(is_pe=pe_mask(margins), route=route, margins=margins)
+    return PeVerdict(is_pe=pe_mask(margins), margins=margins)
 
 
 def is_pe_geometric(p: WeylPoint) -> PeVerdict:
     """Geometric perfect-entangler test at a chamber point."""
     if not in_weyl_chamber(p):
         raise ValueError(f"point outside the Weyl chamber: {p}")
-    return _verdict("geometric", geometric_margins(p.c1, p.c2, p.c3))
+    return _verdict(geometric_margins(p.c1, p.c2, p.c3))
 
 
 def is_pe_invariant(inv: LocalInvariants) -> PeVerdict:
     """Invariant-only perfect-entangler test."""
-    return _verdict("invariant", invariant_margins(abs(inv.g1), inv.g2))
+    return _verdict(invariant_margins(abs(inv.g1), inv.g2))
 
 
 @dataclass(frozen=True)
 class GateRecord:
-    """Full characterization of one gate or local class."""
+    """Full characterization of one gate or local class.
+
+    routes maps the name of each perfect-entangler test that applies to its PeVerdict, in print
+    order: geometric, then invariant for a point; invariant alone for a matrix.
+    """
 
     name: str | None
     matrix: np.ndarray
     point: WeylPoint | None
     invariants: LocalInvariants
     ep: float
-    pe_verdict: bool
     tags: frozenset[str]
-    geometric: PeVerdict | None
-    invariant: PeVerdict
+    routes: dict[str, PeVerdict]
+
+    @property
+    def pe_verdict(self) -> bool:
+        """The verdict of the first route."""
+        return next(iter(self.routes.values())).is_pe
 
 
 def _value_tags(inv: LocalInvariants) -> set[str]:
@@ -262,35 +268,26 @@ def classify_gate(target, name: str | None = None) -> GateRecord:
     """Classify a chamber point or an explicit 4x4 unitary.
 
     For a WeylPoint the invariants and entangling power come from the
-    closed forms, both perfect-entangler routes are recorded and the verdict
-    is the exact geometric one; in a thin sliver off the boundary the
-    invariant box over-admits, and there invariant.is_pe reads True while
-    pe_verdict is False. For a matrix only the invariant route applies,
-    and ep is the |g1| route; the matrix is checked for unitarity once, here.
+    closed forms, and both perfect-entangler routes are recorded, the exact
+    geometric one first, so it gives pe_verdict; in a thin sliver off the
+    boundary the invariant box over-admits, and there routes["invariant"].is_pe
+    reads True while pe_verdict is False. For a matrix only the invariant
+    route applies, and ep is the |g1| route; the matrix is checked for
+    unitarity once, here.
     """
     if isinstance(target, WeylPoint):
         point = target
         if not in_weyl_chamber(point):
             raise ValueError(f"point outside the Weyl chamber: {point}")
         cols, g1, matrix = _point_columns(point)
-        geo, ivd = _verdict("geometric", cols["geo_margins"]), _verdict("invariant", cols["inv_margins"])
+        routes = {"geometric": _verdict(cols["geo_margins"]), "invariant": _verdict(cols["inv_margins"])}
         inv, ep = LocalInvariants(g1, cols["g2"]), cols["ep"]
         tags = _value_tags(inv) | edge_tags(point)
     else:
-        matrix, point, geo = require_unitary(target), None, None
+        matrix, point = require_unitary(target), None
         inv = _invariants(matrix)
-        ivd, ep, tags = is_pe_invariant(inv), ep_from_g1_abs(abs(inv.g1)), _value_tags(inv)
-    return GateRecord(
-        name=name,
-        matrix=matrix,
-        point=point,
-        invariants=inv,
-        ep=ep,
-        pe_verdict=(ivd if geo is None else geo).is_pe,
-        tags=frozenset(tags),
-        geometric=geo,
-        invariant=ivd,
-    )
+        routes, ep, tags = {"invariant": is_pe_invariant(inv)}, ep_from_g1_abs(abs(inv.g1)), _value_tags(inv)
+    return GateRecord(name=name, matrix=matrix, point=point, invariants=inv, ep=ep, tags=frozenset(tags), routes=routes)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,8 @@ def _parse_point(text: str, degrees: bool) -> WeylPoint:
 def _record(rec: GateRecord, mc) -> dict:
     """The analyze record of one gate: what --json prints and what the text view shows.
 
-    A point record's ep is the closed form; a matrix record's is the |g1| route.
+    A point record's ep is the closed form; a matrix record's is the |g1| route. Its pe holds the
+    verdict, then each of rec.routes in the mapping's order.
     Every record's matrix is unitary: checked on ingest or built by classify_gate(point).
     """
     out: dict = {}
@@ -231,9 +232,8 @@ def _record(rec: GateRecord, mc) -> dict:
     if mc is not None:
         ep["monte_carlo"] = {"mean": mc.mean, "std_err": mc.std_err, "n_samples": mc.n_samples, "seed": mc.seed}
     out["pe"] = {"verdict": rec.pe_verdict}
-    for v in (rec.geometric, rec.invariant):
-        if v is not None:
-            out["pe"][v.route] = {"is_pe": v.is_pe, "margins": v.margins}
+    for route, v in rec.routes.items():
+        out["pe"][route] = {"is_pe": v.is_pe, "margins": v.margins}
     out["tags"] = sorted(rec.tags)
     return out
 

@@ -146,7 +146,7 @@ def test_in_weyl_chamber_tolerance():
     # violations below the slack are accepted
     assert in_weyl_chamber(WeylPoint(0.5, 0.5 + 1e-13, 0.0))
     assert in_weyl_chamber(WeylPoint(0.5, 0.4, -1e-13))
-    # d past each of c1 >= c2, c2 >= c3, c3 >= 0 and c1 + c2 <= pi: half the 1e-12 slack is
+    # d past each of c1 >= c2, c2 >= c3, c3 >= 0 and c1 + c2 <= pi: half the 1e-11 slack is
     # accepted, twice it is refused
     faces = (
         lambda d: (0.5, 0.5 + d, 0.4),
@@ -155,8 +155,8 @@ def test_in_weyl_chamber_tolerance():
         lambda d: (PI - 1.0 + d, 1.0, 0.5),
     )
     for past in faces:
-        assert in_weyl_chamber(WeylPoint(*past(0.5e-12)))
-        assert not in_weyl_chamber(WeylPoint(*past(2e-12)))
+        assert in_weyl_chamber(WeylPoint(*past(0.5e-11)))
+        assert not in_weyl_chamber(WeylPoint(*past(2e-11)))
 
 
 def test_mirror_example():

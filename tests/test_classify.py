@@ -52,7 +52,6 @@ PI = math.pi
 def test_geometric_qp_endpoint_is_pe():
     v = is_pe_geometric(WeylPoint(PI / 4, PI / 4, 0))
     assert v.is_pe
-    assert v.route == "geometric"
     assert v.margins["c1_plus_c2"] == pytest.approx(0.0, abs=1e-12)
     assert v.margins["c2_plus_c3"] == pytest.approx(PI / 4, abs=1e-12)
     assert v.on_boundary
@@ -154,7 +153,6 @@ def test_geometric_cnot_class_interior_pe():
 def test_invariant_lq_boundary_is_pe():
     v = is_pe_invariant(LocalInvariants(0j, 1.0))
     assert v.is_pe
-    assert v.route == "invariant"
     assert v.on_boundary
     assert v.margins["g2_high"] == pytest.approx(0.0, abs=1e-12)
 
@@ -217,8 +215,8 @@ def test_classify_spe_point():
     assert "SPE" in rec.tags
     assert rec.name == "spe"
     assert rec.point == WeylPoint(PI / 2, PI / 4, 0)
-    assert rec.geometric is not None and rec.geometric.is_pe
-    assert rec.invariant.is_pe
+    assert rec.routes["geometric"].is_pe
+    assert rec.routes["invariant"].is_pe
 
 
 def test_classify_swap_matrix():
@@ -228,7 +226,7 @@ def test_classify_swap_matrix():
     assert abs(rec.invariants.g1) == pytest.approx(1.0, abs=1e-12)
     assert "ZERO_EP" in rec.tags
     assert rec.point is None
-    assert rec.geometric is None
+    assert list(rec.routes) == ["invariant"]
 
 
 def test_classify_mn_edge_matrix_is_pe():
@@ -246,7 +244,7 @@ def test_classify_edge_point_carries_edge_tag():
 def test_classify_min_ep_edge_point():
     rec = classify_gate(WeylPoint(PI / 4, PI / 4, PI / 4))
     assert rec.pe_verdict
-    assert rec.geometric.is_pe and rec.invariant.is_pe
+    assert rec.routes["geometric"].is_pe and rec.routes["invariant"].is_pe
     assert rec.ep == pytest.approx(1 / 6, abs=1e-12)
 
 
@@ -292,10 +290,22 @@ def test_classify_sliver_point_gets_geometric_verdict():
     # routes and its verdict is the exact geometric one
     rec = classify_gate(WeylPoint(17 * PI / 24, 7 * PI / 24, 11 * PI / 48))
     assert rec.pe_verdict is False
-    assert rec.geometric.is_pe is False
-    assert rec.invariant.is_pe is True
-    assert not rec.geometric.on_boundary
-    assert not rec.invariant.on_boundary
+    assert rec.routes["geometric"].is_pe is False
+    assert rec.routes["invariant"].is_pe is True
+    assert not rec.routes["geometric"].on_boundary
+    assert not rec.routes["invariant"].on_boundary
+
+
+def test_record_routes_keep_print_order_and_the_first_decides():
+    # the sliver point of analyze's golden outputs, where the two routes disagree
+    p = WeylPoint(2.225295, 0.916297, 0.719948)
+    by_point, by_matrix = classify_gate(p), classify_gate(canonical_gate_array(*p))
+    assert list(by_point.routes) == ["geometric", "invariant"]
+    assert list(by_matrix.routes) == ["invariant"]
+    assert (by_point.routes["geometric"].is_pe, by_point.routes["invariant"].is_pe) == (False, True)
+    assert by_point.pe_verdict is False
+    assert by_matrix.pe_verdict is True  # the box's verdict: a matrix has the invariant route alone
+    assert [f.name for f in dataclasses.fields(PeVerdict)] == ["is_pe", "margins"]
 
 
 def _reference_point_record(p: WeylPoint) -> GateRecord:
@@ -309,10 +319,8 @@ def _reference_point_record(p: WeylPoint) -> GateRecord:
         point=p,
         invariants=inv,
         ep=float(ep_closed(*p)),
-        pe_verdict=geo.is_pe,
         tags=frozenset(_value_tags(inv) | edge_tags(p)),
-        geometric=geo,
-        invariant=ivd,
+        routes={"geometric": geo, "invariant": ivd},
     )
 
 
@@ -338,20 +346,22 @@ def test_point_records_match_scalar_reference():
     n_split = 0
     for p in (WeylPoint(*row) for row in np.concatenate(coords).tolist()):
         got, ref = classify_gate(p), _reference_point_record(p)
-        n_split += ref.geometric.is_pe != ref.invariant.is_pe and not (
-            ref.geometric.on_boundary or ref.invariant.on_boundary
-        )
+        geo, ivd = ref.routes["geometric"], ref.routes["invariant"]
+        n_split += geo.is_pe != ivd.is_pe and not (geo.on_boundary or ivd.on_boundary)
         for f in dataclasses.fields(GateRecord):
-            if f.name not in ("matrix", "invariant"):
+            if f.name not in ("matrix", "routes"):
                 assert getattr(got, f.name) == getattr(ref, f.name), f.name
+        assert got.pe_verdict == ref.pe_verdict
+        assert list(got.routes) == list(ref.routes)
+        assert got.routes["geometric"] == geo
         # bit for bit: the record's g1 comes from the trig of its point evaluation, the reference's from helpers.g1_closed
         assert [x.hex() for x in (got.invariants.g1.real, got.invariants.g1.imag, got.invariants.g2)] == [
             x.hex() for x in (ref.invariants.g1.real, ref.invariants.g1.imag, ref.invariants.g2)
         ]
         assert np.array_equal(got.matrix, ref.matrix)
-        assert (got.invariant.is_pe, got.invariant.route) == (ref.invariant.is_pe, ref.invariant.route)
-        assert got.invariant.on_boundary == ref.invariant.on_boundary
-        _assert_same_invariant_margins(got.invariant.margins, ref.invariant.margins)
+        assert got.routes["invariant"].is_pe == ivd.is_pe
+        assert got.routes["invariant"].on_boundary == ivd.on_boundary
+        _assert_same_invariant_margins(got.routes["invariant"].margins, ivd.margins)
     assert n_split > 0  # the sample covers the sliver
 
 
@@ -463,10 +473,8 @@ def _reference_matrix_record(u: np.ndarray, name: str | None = None) -> GateReco
         point=None,
         invariants=inv,
         ep=ep_from_g1_abs(abs(inv.g1)),
-        pe_verdict=ivd.is_pe,
         tags=frozenset(_value_tags(inv)),
-        geometric=None,
-        invariant=ivd,
+        routes={"invariant": ivd},
     )
 
 
@@ -498,6 +506,7 @@ def test_matrix_records_match_branch_reference():
         for f in dataclasses.fields(GateRecord):
             if f.name != "matrix":
                 assert getattr(got, f.name) == getattr(ref, f.name), f.name
+        assert got.pe_verdict == ref.pe_verdict
         assert np.array_equal(got.matrix, ref.matrix)
     assert n_raised > 0
 

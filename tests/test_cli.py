@@ -24,8 +24,8 @@ from gatepower.canonical import (
 )
 from gatepower.classify import classify_gate, verify_theorems
 from gatepower.cli import (
-    _CSV_BOOL_TEXT, _CSV_HEADER, _csv_rows, _g12_text, _record, _record_json, build_parser, load_matrix_file, main,
-    matrix_to_json,
+    _CSV_BOOL_TEXT, _CSV_HEADER, _csv_rows, _g12_text, _parse_point, _record, _record_json, build_parser,
+    load_matrix_file, main, matrix_to_json,
 )
 from gatepower.invariants import _invariants
 from gatepower.linalg import SWAP
@@ -482,10 +482,25 @@ def test_scan_verdicts_match_classify_gate(capsys, argv):
         assert fields[:3] == [format(x, ".12g") for x in c]
         geo, inv = (f == "true" for f in fields[6:])
         rec = classify_gate(WeylPoint(*c))
-        assert (geo, inv) == (rec.geometric.is_pe, rec.invariant.is_pe)
+        assert (geo, inv) == (rec.routes["geometric"].is_pe, rec.routes["invariant"].is_pe)
         # off the boundary the columns disagree only where the box over-admits
-        if geo != inv and not (rec.geometric.on_boundary or rec.invariant.on_boundary):
+        if geo != inv and not any(v.on_boundary for v in rec.routes.values()):
             assert (geo, inv) == (False, True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("scan", "--chamber", "40")] + [("scan", "--edge", e.name, "--steps", "101") for e in EdgeId],
+    ids=lambda argv: " ".join(argv),
+)
+def test_every_scanned_point_is_accepted_back(capsys, argv):
+    # %.12g pushes 67 of the grid-40 rows on the c1 + c2 = pi face up to 4.6e-12 past it, which
+    # CHAMBER_TOL must absorb
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        point = ",".join(row.split(",")[:3])
+        assert classify_gate(_parse_point(point, False)).point is not None, point
 
 
 def _reference_scan_rows(pts) -> str:

@@ -115,7 +115,7 @@ def test_u_swap_folds_to_one_chamber_point_with_the_same_ep_and_verdicts(seed):
         source = is_pe_geometric(WeylPoint(*p))
         if all(abs(m) > 1e-6 for m in source.margins.values()):
             assert is_pe_geometric(q).is_pe == source.is_pe, p
-        assert classify_gate(v).invariant.is_pe == is_pe_invariant(at_q.invariants).is_pe, p
+        assert classify_gate(v).routes["invariant"].is_pe == is_pe_invariant(at_q.invariants).is_pe, p
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -63,9 +63,10 @@ MUTANTS = [
     ("estimates_in_distinct_order", _EPOWER, "return [estimates[tag] for tag in tags]", "return list(estimates.values())"),
     # one outcome per chamber point
     ("point_raise_on_disagreement", _CLASSIFY, 'inv, ep = LocalInvariants(g1, cols["g2"]), cols["ep"]',
-     'inv, ep = LocalInvariants(g1, cols["g2"]), cols["ep"] if geo.is_pe == ivd.is_pe or geo.on_boundary or ivd.on_boundary else 1 / 0'),
+     'inv, ep = LocalInvariants(g1, cols["g2"]), cols["ep"] if len({v.is_pe for v in routes.values()}) == 1 '
+     'or any(v.on_boundary for v in routes.values()) else 1 / 0'),
     ("scan_test_off_boundary_inverted", "tests/test_cli.py", "assert (geo, inv) == (False, True)", "assert (geo, inv) == (True, False)"),
-    ("chamber_tol_1e-11", _CANONICAL, "CHAMBER_TOL = 1e-12", "CHAMBER_TOL = 1e-11"),
+    ("chamber_tol_1e-12", _CANONICAL, "CHAMBER_TOL = 1e-11", "CHAMBER_TOL = 1e-12"),
     ("range_tol_1e-8", _INVARIANTS, "_RANGE_TOL = 1e-9", "_RANGE_TOL = 1e-8"),
     # matrix ingest, operator route, masks and the point path
     ("ingest_tol_1e-7", _LINALG, "INGEST_UNITARY_TOL = 1e-8", "INGEST_UNITARY_TOL = 1e-7"),
@@ -74,7 +75,7 @@ MUTANTS = [
     ("realign_swapped_axes", _EPOWER, "(0, 3, 1, 2))", "(0, 3, 2, 1))"),
     ("pe_mask_or", _CLASSIFY, "functools.reduce(operator.and_,", "functools.reduce(operator.or_,"),
     ("boundary_mask_and", _CLASSIFY, "functools.reduce(operator.or_, [abs(m)", "functools.reduce(operator.and_, [abs(m)"),
-    ("point_verdict_from_invariant", _CLASSIFY, "pe_verdict=(ivd if geo is None else geo).is_pe", "pe_verdict=ivd.is_pe"),
+    ("point_verdict_from_invariant", _CLI, '{"verdict": rec.pe_verdict}', '{"verdict": rec.routes["invariant"].is_pe}'),
     ("squared_product_pow", _CLASSIFY, "    return p * p\n", "    return p ** 2\n"),
     ("gate_phase_sum_for_complex", _CLASSIFY, "complex(ec, -es)", "ec - 1j * es"),
     ("point_trig_math_module", _CLASSIFY, "cs, sn = np.cos(angles).tolist(), np.sin(angles).tolist()",
@@ -120,6 +121,11 @@ MUTANTS = [
     ("g2_residue_check_restored", _INVARIANTS, "    return LocalInvariants(g1, g2.real)",
      '    if abs(g2.imag) >= 1e-9:\n        raise ValueError("g2 residue")\n    return LocalInvariants(g1, g2.real)'),
     ("g2_imag_added", _INVARIANTS, "LocalInvariants(g1, g2.real)", "LocalInvariants(g1, g2.real + g2.imag)"),
+    # a record's routes: one ordered mapping, whose first route decides
+    ("pe_verdict_from_last_route", _CLASSIFY, "return next(iter(self.routes.values())).is_pe",
+     "return list(self.routes.values())[-1].is_pe"),
+    ("point_invariant_route_dropped", _CLASSIFY, ', "invariant": _verdict(cols["inv_margins"])}', "}"),
+    ("record_routes_reversed", _CLI, "for route, v in rec.routes.items():", "for route, v in reversed(rec.routes.items()):"),
 ]
 
 # mutants that change no result by design
