@@ -139,13 +139,18 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
     raw = data["matrix"]
     if not (isinstance(raw, list) and len(raw) == 4 and all(isinstance(r, list) and len(r) == 4 for r in raw)):
         raise ValueError(f"{path}: matrix must be a 4x4 array of [re, im] pairs")
-    for i, cell in enumerate(cell for row in raw for cell in row):
-        # type(), not isinstance(): JSON true and false load as bool, a subclass of int;
-        # complex() raises OverflowError on an int beyond the largest float
-        if not (isinstance(cell, list) and len(cell) == 2
-                and all(type(x) is float or type(x) is int and abs(x) <= sys.float_info.max for x in cell)):
-            raise ValueError(f"{path}: matrix[{i // 4}][{i % 4}] must be an [re, im] pair of numbers, got {json.dumps(cell)}")
-    m = np.array([[complex(re, im) for re, im in row] for row in raw], dtype=complex)
+    # re and im cell by cell; when all 32 are floats, as json.dump writes a float matrix, they are
+    # the complex matrix's float64 pairs as they stand
+    flat = [x for row in raw for cell in row if isinstance(cell, list) and len(cell) == 2 for x in cell]
+    if len(flat) != 32 or not all(type(x) is float for x in flat):
+        for i, cell in enumerate(cell for row in raw for cell in row):
+            # type(), not isinstance(): JSON true and false load as bool, a subclass of int;
+            # float() raises OverflowError on an int beyond the largest float
+            if not (isinstance(cell, list) and len(cell) == 2
+                    and all(type(x) is float or type(x) is int and abs(x) <= sys.float_info.max for x in cell)):
+                raise ValueError(f"{path}: matrix[{i // 4}][{i % 4}] must be an [re, im] pair of numbers, got {json.dumps(cell)}")
+        flat = [float(x) for x in flat]  # an int rounds as complex(re, im) rounds it
+    m = np.array(flat).view(complex).reshape(4, 4)
     name = data.get("name")
     # the text view prints the name on its one-line gate: field, encoded as UTF-8
     if name is not None and not (isinstance(name, str) and name.isprintable()):
@@ -365,7 +370,9 @@ class _Parser(argparse.ArgumentParser):
     When the first argument is one of its subcommand names, it hands the rest straight to
     that subcommand's parser and sets the subcommand's dest; no parser with subcommands holds
     a default, so that is all argparse's own pass would add to the subcommand's namespace.
-    Every other argument list, empty, -h or an unknown name among them, takes argparse's pass.
+    A parser without subcommands reads a well-formed argument list straight from its own
+    action table (_direct_pass). Every other argument list, empty, -h, an abbreviation or an
+    unknown name among them, takes argparse's pass, which writes every usage, help and error.
     """
 
     _subcommand = None  # the dest of this parser's subcommand, if it has subcommands
@@ -394,10 +401,58 @@ class _Parser(argparse.ArgumentParser):
                 name = arg.split("=", 1)[0]
                 if not any(known.startswith(name) for known in self._option_string_actions):
                     self.error(f"unrecognized arguments: {name}; a {self._subcommand}'s flags come after its name")
+        elif namespace is None:
+            namespace = self._direct_pass(args)
+            if namespace is not None:
+                return namespace, []
         namespace, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
         return namespace, extras
+
+    def _direct_pass(self, args):
+        """The namespace argparse's own pass builds from args, or None when args take another form.
+
+        It takes only exact option strings, each of a store_true action or of a store action with
+        one value and no choices, whose value follows it, does not start with "-" and converts with
+        the action's type. The required and mutually exclusive rules must hold, an action counting
+        toward its group only when a value it was given is not its default, as in argparse.
+        """
+        values = {}
+        seen = {}  # each action given, and whether any value it was given is not its default
+        tokens = iter(args)
+        for token in tokens:
+            action = self._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                values[action.dest] = action.const
+                seen[action] = True  # argparse compares an empty value list with the default
+                continue
+            if type(action) is not argparse._StoreAction or action.nargs is not None or action.choices is not None:
+                return None
+            value = next(tokens, "-")  # a missing value is declined as one that starts with "-"
+            if value.startswith("-"):
+                return None
+            try:
+                value = self._registry_get("type", action.type, action.type)(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            values[action.dest] = value
+            seen[action] = seen.get(action, False) or value is not action.default
+        if any(a.required and a not in seen for a in self._actions):
+            return None
+        for group in self._mutually_exclusive_groups:
+            n = sum(seen.get(a, False) for a in group._group_actions)
+            if n > 1 or group.required and n == 0:
+                return None
+        # argparse's namespace: each action's default, then the parser's defaults, then the values
+        built = {}
+        for action in self._actions:
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+                built.setdefault(action.dest, action.default)
+        for dest, default in self._defaults.items():
+            built.setdefault(dest, default)
+        built.update(values)
+        return argparse.Namespace(**built)
 
 
 @functools.cache

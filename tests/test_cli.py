@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -308,6 +310,21 @@ def test_matrix_file_accepts_integer_cells(tmp_path):
     _, m = load_matrix_file(str(path))
     assert m.dtype == complex
     assert np.array_equal(m, SWAP)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [[0.1, -0.0], [5e-324, -1.5], [0, 1], [2**53 + 1, -(2**60) - 3], [10**300, 0.25], [-0.0, 7]],
+    ids=["floats", "subnormal", "ints", "ints-that-round", "large-int", "mixed"],
+)
+def test_matrix_file_cells_keep_the_bits_complex_gives_them(tmp_path, cell):
+    cells = _with_cell(cell)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": cells}))
+    _, m = load_matrix_file(str(path))
+    ref = np.array([[complex(re, im) for re, im in row] for row in cells], dtype=complex)
+    assert (m.dtype, m.shape) == (ref.dtype, ref.shape)
+    assert m.tobytes() == ref.tobytes()
 
 
 def test_matrix_file_parses_swap(tmp_path):
@@ -1112,9 +1129,61 @@ def test_a_leading_subcommand_name_skips_the_parents_argparse_pass(monkeypatch):
     parse = argparse.ArgumentParser._parse_known_args
     monkeypatch.setattr(argparse.ArgumentParser, "_parse_known_args",
                         lambda self, *a: parsed.append(self.prog) or parse(self, *a))
+    # a well-formed leaf argument list takes the leaf's direct pass, and no argparse pass at all
     build_parser().parse_args(["verify", "theorems", "--grid", "4"])
     build_parser().parse_args(["analyze", "--point", "1.0,0.5,0.2", "--json"])
-    assert parsed == ["gatepower verify theorems", "gatepower analyze"]
+    assert parsed == []
+    # one the direct pass declines, an abbreviation or a value that starts with "-", takes the leaf's only
+    build_parser().parse_args(["analyze", "--poi", "1,0,0"])
+    build_parser().parse_args(["verify", "routes", "--seed", "-1"])
+    assert parsed == ["gatepower analyze", "gatepower verify routes"]
+
+
+_LEAVES = [("analyze",), ("scan",), ("catalog",), ("verify", "theorems"), ("verify", "routes"), ("verify", "montecarlo")]
+_ODD_VALUES = ["", "-1", "-x", "--", "7", "abc"]
+
+
+@st.composite
+def _leaf_argv(draw, parser) -> list:
+    """Argument lists from a leaf's option strings: options other than help, each followed by a
+    value if its action takes one, any of them repeated, and at most one odd word among them: an
+    option with or without a value, a prefix with a value, --flag=value, -h or a bare value."""
+    actions = parser._option_string_actions
+    own = [o for o in actions if o not in ("-h", "--help")]
+    value = st.sampled_from(_ODD_VALUES)
+    # "7" converts with every type these leaves use: half the values an option takes are "7"
+    usual = st.sampled_from(own).flatmap(
+        lambda o: st.tuples(st.just(o), st.just("7") | value) if actions[o].nargs != 0 else st.just((o,)))
+    option = st.sampled_from(list(actions))
+    prefix = option.flatmap(lambda o: st.sampled_from([o[:k] for k in range(1, len(o))]))
+    odd = st.one_of(
+        st.tuples(option), st.tuples(option, value), st.tuples(prefix, value),
+        st.builds(lambda o, v: (f"{o}={v}",), option, value), st.just(("-h",)), st.tuples(value),
+    )
+    words = draw(st.lists(usual, max_size=5)) if own else []
+    if draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), draw(odd))
+    return [token for w in words for token in w]
+
+
+@pytest.mark.parametrize("leaf", _LEAVES, ids=" ".join)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_direct_pass_matches_argparse_on_every_list_it_accepts(leaf, data):
+    parser = build_parser()
+    for name in leaf:
+        parser = parser._children[name]
+    argv = data.draw(_leaf_argv(parser))
+    direct = parser._direct_pass(argv)
+    if direct is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            namespace, extras = argparse.ArgumentParser.parse_known_args(parser, argv)
+    except SystemExit:
+        pytest.fail(f"direct pass accepted {argv}, argparse refused it: {err.getvalue()}")
+    assert extras == []
+    assert list(vars(direct).items()) == list(vars(namespace).items())
 
 
 # sha256 of stdout and the exit code, recorded from the reference implementation;

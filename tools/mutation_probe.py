@@ -126,6 +126,11 @@ MUTANTS = [
      "return list(self.routes.values())[-1].is_pe"),
     ("point_invariant_route_dropped", _CLASSIFY, ', "invariant": _verdict(cols["inv_margins"])}', "}"),
     ("record_routes_reversed", _CLI, "for route, v in rec.routes.items():", "for route, v in reversed(rec.routes.items()):"),
+    # the leaf parsers' direct pass
+    ("direct_pass_dash_value_taken", _CLI, 'if value.startswith("-"):', "if False:"),
+    ("direct_pass_group_of_three", _CLI, "if n > 1 or group.required", "if n > 2 or group.required"),
+    ("direct_pass_required_group_dropped", _CLI, " or group.required and n == 0:", ":"),
+    ("direct_pass_type_skipped", _CLI, 'value = self._registry_get("type", action.type, action.type)(value)', "value = value"),
 ]
 
 # mutants that change no result by design
