@@ -33,17 +33,27 @@ _CSV_HEADER = "c1,c2,c3,g1_abs,g2,ep,pe_geometric,pe_invariant"
 # the text of a verdict column, NUL-padded to one width; a bool mask cast to intp indexes it
 _CSV_BOOL_TEXT = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)
 # the cap bounds run time and the CSV (99 MB); an edge sweep keeps its 8 MB of parameters and builds one
-# block's points at a time: scan --edge LN --steps 1000000 --out peaked at 39 MB
+# block's points at a time: scan --edge LN --steps 1000000 --out peaked at 40 MB
 _STEPS_MAX = 1_000_000
-_SCAN_BLOCK = 1024  # rows scan evaluates and writes at a time
+# rows scan evaluates and writes at a time. In-process scan --chamber 48 took 12.3, 10.4, 10.3 and
+# 12.8 ms at 1024, 2048, 4096 and 8192 rows (best of 30 interleaved runs after one verify theorems,
+# 2-core host), scan --edge LN --steps 100000 76.7, 64.5, 66.3 and 74.5 ms; scan --chamber 48 peaked
+# at 31.6, 32.2, 33.7 and 37.1 MB ru_maxrss in a fresh process. At 2048 a block's three value columns
+# are 6144 floats for _g12_text, below the 8192 past which its time per value rose by half
+_SCAN_BLOCK = 2048
+_G12_WIDTH = 19  # the longest _fmt text, as in "-1.23456789012e-308"
 # the four ASCII digits of each d < 10000 as one uint32: the digit pair of d // 100, then that of
 # d % 100. Built by arithmetic it adds about 0.2 ms to importing this module, a 10000-string list 5 ms
 _PAIRS = (np.arange(100)[:, None] // [10, 1] % 10 + ord("0")).astype(np.uint8)
 _DIGITS4 = np.hstack([np.repeat(_PAIRS, 100, axis=0), np.tile(_PAIRS, (100, 1))]).view("<u4").ravel()
+_DIGITS8 = _DIGITS4 << np.array([[0], [32]], dtype=np.uint64)  # as the low, then the high half of a uint64
 _POW10 = 10.0 ** np.arange(16)  # 10^k is a float with no rounding for k <= 22
+_SCALE = 10 ** np.arange(5, dtype=np.int64)  # 10^k for k = e + 4 on the fast path
 _DECADES = np.array([1e-3, 1e-2, 0.1, 1.0])  # 1e-4 <= |v| < 10 has e = (how many are <= |v|) - 4
-# row j masks the first j + 1 bytes of sixteen, as two little-endian uint64 words
-_KEEP = np.where(np.arange(16) <= np.arange(16)[:, None], 0xFF, 0).astype(np.uint8).view("<u8")
+# a fast-path text as three little-endian words ends before the point when it shows no fraction
+# digit, else after its last one: entry j of row i masks word i of a text that shows j of them
+_KEEP = np.where(np.arange(24) < np.r_[7, 9:25][:, None], 0xFF, 0).astype(np.uint8).view("<u8").T.copy()
+_HEAD = np.uint64(ord("0") << 48 | ord(".") << 56)  # the units digit's "0" and the point, in the first word
 _ASCII_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 
 # json.dumps(m, indent=2) of a 4x4 [re, im] block as the value of a top-level key: one %r
@@ -65,8 +75,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
+def _digit_words(scaled: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each int64 0 <= s < 1e16 read as a units digit and fifteen fraction digits: the units
+    digits, and the fraction digits and a trailing "0" in ASCII as two uint64 words, digit i in byte i."""
+    units = scaled // 10**15
+    # the fraction digits and the trailing 0 as one integer, in four groups of four digits: its
+    # quotients by 1e12, 1e8 and 1e4, and itself, each less 1e4 times the one before
+    frac = (scaled - units * 10**15) * 10
+    q = [frac // d for d in (10**12, 10**8, 10**4)]
+    groups = [q[0], q[1] - q[0] * 10**4, q[2] - q[1] * 10**4, frac - q[2] * 10**4]
+    return units, [_DIGITS8[0].take(hi) | _DIGITS8[1].take(lo) for hi, lo in (groups[:2], groups[2:])]
+
+
 def _g12_text(x) -> np.ndarray:
-    """The _fmt text of each float in the 1-D x as the rows of an (n, w) uint8 array, NUL-padded.
+    """The _fmt text of each float in x as the NUL-padded rows of a uint8 array of shape
+    x.shape + (w,), w the length of the longest text; each row is contiguous, the array not.
 
     Values with 1e-4 <= |v| < 10, and +-0.0, take the fast path. With e = floor(log10 |v|),
     y = |v| 10^(11-e) is one rounding (at most 2^-14) off the exact product, as 10^(11-e) is
@@ -76,45 +99,46 @@ def _g12_text(x) -> np.ndarray:
     are dropped. Every other value, nan and +-inf among them, is rendered by _fmt.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    a = np.abs(x)
+    v = x.ravel()
+    a = np.abs(v)
     span = (a >= 1e-4) & (a < 10.0)
-    k = np.searchsorted(_DECADES, a, side="right")  # e + 4 on span
-    y = np.where(span, a, 0.0) * _POW10[15 - k]  # 0 off span, so that inf and nan give 0
+    k = sum((a >= d).view(np.int8) for d in _DECADES)  # e + 4 on span
+    y = np.where(span, a, 0.0) * _POW10.take(15 - k)  # 0 off span, so that inf and nan give 0
     m = np.rint(y)
     fast = span & (m < 1e12) & (np.abs(y - m) < 0.499) | (a == 0.0)
-    # the sixteen digits of m 10^k in four groups below 1e4, most significant first
-    scaled = np.where(fast, m, 0.0).astype(np.int64) * 10**k
-    halves = np.stack(np.divmod(scaled, 10**8), axis=1)
-    groups = np.stack(np.divmod(halves, 10**4), axis=2).reshape(n, 4)
-    words = _DIGITS4.take(groups).view("<u8")  # digit i is byte i of the row
-    # the last nonzero digit is the top nonzero byte of words ^ "00000000", read off the float
-    # exponent; each such byte is at most 9, so the conversion cannot round into the next byte
-    nz = words ^ _ASCII_ZEROS
-    top = (np.frexp(nz.astype(np.float64))[1] - 1) >> 3
-    last = np.maximum(np.where(nz[:, 1] != 0, top[:, 1] + 8, top[:, 0]), 0)
-    words &= _KEEP.take(last, axis=0)
-    digits = words.view(np.uint8)
+    units, words = _digit_words(np.where(fast, m, 0.0).astype(np.int64) * _SCALE.take(k))
+    # the last nonzero fraction digit is the top nonzero byte of the words ^ "00000000" as one
+    # 128-bit number, read off its float exponent: each byte is at most 9, so neither the
+    # conversions nor the sum can round into the next byte
+    nz = [(w ^ _ASCII_ZEROS).astype(np.float64) for w in words]
+    exponent = (nz[0] + nz[1] * 2.0**64).view(np.int64) >> 52  # 1023 + the top bit's index; 0 if none
+    shown_digits = np.maximum((exponent - 1015) >> 3, 0)  # how many fraction digits are shown
+    # each text is the last 19 bytes of three little-endian words: 5 NULs, the sign, the units
+    # digit and the point, then the fraction digits; _KEEP clears every byte after the text
+    text = np.empty((len(v), 3), dtype=np.uint64)
+    head = (v.view(np.uint64) >> 63) * (ord("-") << 40) | units.view(np.uint64) << 48 | _HEAD
+    for j, (word, keep) in enumerate(zip([head, *words], _KEEP)):
+        np.bitwise_and(word, keep.take(shown_digits), out=text[:, j])
+    rows = text.view(np.uint8)[:, 24 - _G12_WIDTH:]  # the text of each value
     slow = np.flatnonzero(~fast)
-    shown = [_fmt(v) for v in x[slow].tolist()]
-    # a fast row's text ends at column 2 + last; the array is as wide as the longest text
-    width = max([3 + last.max(initial=0), *map(len, shown)])
-    out = np.zeros((n, max(width, 18)), dtype=np.uint8)
-    out[:, 0] = np.where(np.signbit(x), ord("-"), 0)
-    out[:, 1] = digits[:, 0]
-    out[:, 2] = np.where(last > 0, ord("."), 0)
-    out[:, 3:18] = digits[:, 1:]
-    out[slow, :width] = np.array(shown, dtype=f"S{width}").view(np.uint8).reshape(len(slow), width)
-    return out[:, :width]
+    shown = [_fmt(value) for value in v[slow].tolist()]
+    rows[slow] = np.array(shown, dtype=f"S{_G12_WIDTH}").view(np.uint8).reshape(len(slow), _G12_WIDTH)
+    width = max([3 + shown_digits.max(initial=0), *map(len, shown)])
+    return rows[:, :width].reshape(*x.shape, width)
 
 
 def _csv_rows(fields: list[np.ndarray]) -> str:
-    """CSV lines whose fields are the rows of NUL-padded uint8 text arrays, one array per column."""
-    mat = np.full((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), ord(","), dtype=np.uint8)
+    """CSV lines whose fields are the rows of NUL-padded uint8 text arrays, one array per column.
+
+    Each field's rows go straight into their columns of one byte matrix filled with commas, one
+    item per row, and the NULs are dropped from the matrix's bytes.
+    """
+    widths = [f.shape[1] for f in fields]
+    mat = np.full((len(fields[0]), sum(widths) + len(widths)), ord(","), dtype=np.uint8)
     col = 0
-    for f in fields:
-        mat[:, col:col + f.shape[1]] = f
-        col += f.shape[1] + 1
+    for f, w in zip(fields, widths):
+        mat[:, col:col + w].view(f"V{w}")[:, 0] = f.view(f"V{w}")[:, 0]
+        col += w + 1
     mat[:, -1] = ord("\n")
     return mat.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -301,20 +325,20 @@ def cmd_scan(args) -> int:
         t = np.linspace(0.0, 1.0, steps)
         # an edge repeats no coordinate: each block builds, evaluates and renders its own three columns
         coords = (_edge_coords(edge, t[lo:lo + _SCAN_BLOCK]).T for lo in range(0, steps, _SCAN_BLOCK))
-        blocks = ((_evaluate(b), np.split(_g12_text(b.ravel()), 3)) for b in coords)
+        blocks = ((_evaluate(b), list(_g12_text(b))) for b in coords)
     else:
         axes, lattice = _lattice_blocks(args.chamber, _SCAN_BLOCK)
         # a lattice has grid_n values per axis: each is rendered once, and a row takes its
         # coordinate text from these tables by its axis indices, as _lattice_blocks takes its trig
-        texts = [_g12_text(axis) for axis in axes]
+        texts = list(_g12_text(np.stack(axes)))
         blocks = ((cols, [text.take(i, axis=0) for text, i in zip(texts, b)]) for b, cols in lattice)
     # one block at a time: peak memory holds one block's columns and text, not the CSV
     with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for cols, shown in blocks:
-            values = _g12_text(np.concatenate([cols["g1_abs"], cols["g2"], cols["ep"]]))
+            values = _g12_text(np.stack([cols["g1_abs"], cols["g2"], cols["ep"]]))
             verdicts = [_CSV_BOOL_TEXT.take(pe_mask(cols[k]).astype(np.intp), axis=0) for k in ("geo_margins", "inv_margins")]
-            fh.write(_csv_rows([*shown, *np.split(values, 3), *verdicts]))
+            fh.write(_csv_rows([*shown, *values, *verdicts]))
     return 0
 
 

@@ -401,7 +401,8 @@ def test_sweep_size_limits_exit_2(capsys, argv, message):
     "argv",
     [
         ("scan", "--edge", "PN", "--steps", "7"),
-        ("scan", "--chamber", "25"),  # 2769 rows: three blocks of at most 1024
+        ("scan", "--chamber", "25"),  # 2769 rows
+        ("scan", "--chamber", "48"),  # 19000 rows: blocks of at most cli._SCAN_BLOCK
         ("scan", "--edge", "LN", "--steps", "4096"),
     ],
     ids=lambda argv: " ".join(argv),
@@ -420,10 +421,23 @@ def test_scan_out_file_matches_stdout(capsys, tmp_path, argv):
 def test_scan_writes_one_block_at_a_time(monkeypatch):
     writes: list[str] = []  # the argument of every sys.stdout.write
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main(["scan", "--chamber", "25"]) == 0
-    digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "25"))
+    assert main(["scan", "--chamber", "48"]) == 0
+    digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "48"))
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
-    assert max(text.count("\n") for text in writes) <= 1024
+    # the header, then one write per block: 19000 rows take more than one
+    assert len(writes) == 1 + math.ceil(len(chamber_lattice(48)) / cli._SCAN_BLOCK) > 2
+    assert max(text.count("\n") for text in writes) <= cli._SCAN_BLOCK
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024, 4096, 1 << 16])
+def test_scan_csv_does_not_depend_on_the_block_size(monkeypatch, block):
+    monkeypatch.setattr(cli, "_SCAN_BLOCK", block)
+    for argv in [("scan", "--chamber", "25"), ("scan", "--edge", "LN", "--steps", "4096")]:
+        writes: list[str] = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
+        assert main(list(argv)) == 0
+        digest = next(d for a, _, d in GOLDEN_OUTPUTS if a == argv)
+        assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest, argv
 
 
 def test_scan_edge_builds_its_points_one_block_at_a_time(monkeypatch):
@@ -793,7 +807,7 @@ def test_route_agreement_and_scan_form_no_verdict_they_do_not_read(capsys, monke
     assert (len(boundary), len(pe)) == (0, 0)
     code, out, _ = run(capsys, "scan", "--chamber", "20")
     assert code == 0 and out.count("\n") == 1 + len(chamber_lattice(20))
-    assert (len(boundary), len(scan_pe)) == (0, 2 * 2)  # 1430 points, two 1024-row blocks
+    assert (len(boundary), len(scan_pe)) == (0, 2 * math.ceil(1430 / cli._SCAN_BLOCK))  # 1430 points: two per block
     verify_theorems(20)
     assert (len(boundary), len(pe)) == (2, 2)
 
@@ -1372,6 +1386,36 @@ def test_g12_text_matches_printf_at_its_range_edges():
     powers = 10.0 ** np.arange(-6, 3)
     edges = [0.0, -0.0, 5e-324, -5e-324, 9.999999999995, 0.000099999999999995, 9.9999999999990e-05]
     _assert_g12_matches_printf(_ulp_neighbours(np.array([*powers, *-powers, *edges])))
+
+
+def _reference_digit_groups(scaled: np.ndarray) -> np.ndarray:
+    """The sixteen digits of each int64 0 <= s < 1e16 in four groups below 1e4, most significant
+    first, by np.divmod and np.stack: the formula _g12_text used before _digit_words, kept as the
+    reference."""
+    halves = np.stack(np.divmod(scaled, 10**8), axis=1)
+    return np.stack(np.divmod(halves, 10**4), axis=2).reshape(len(scaled), 4)
+
+
+def _assert_digit_words_match_reference(scaled: np.ndarray) -> None:
+    digits = cli._DIGITS4.take(_reference_digit_groups(scaled)).view(np.uint8)  # (n, 16) ASCII digits
+    units, words = cli._digit_words(scaled)
+    fraction = np.stack(words, axis=1).view(np.uint8)
+    assert np.array_equal(units + ord("0"), digits[:, 0])
+    assert np.array_equal(fraction[:, :15], digits[:, 1:])
+    assert (fraction[:, 15] == ord("0")).all()
+
+
+def test_digit_words_match_the_divmod_reference_on_random_integers():
+    _assert_digit_words_match_reference(np.random.default_rng(43).integers(0, 10**16, 200_000))
+
+
+def test_digit_words_match_the_divmod_reference_at_their_edges():
+    """0, each power of ten below 1e16, each run of nines and each 9 followed by zeros, and the
+    integers m 10^k that the fast path of _g12_text forms from 12-digit mantissas m."""
+    powers = 10 ** np.arange(16, dtype=np.int64)
+    m = np.array([10**11, 10**11 + 1, 10**12 - 1, 555555555555, 123456789012], dtype=np.int64)
+    formed = (m * powers[:5, None]).ravel()  # k = e + 4 runs over 0..4
+    _assert_digit_words_match_reference(np.concatenate([[0], powers, 10 * powers - 1, 9 * powers, formed]))
 
 
 def _record_shapes() -> dict:

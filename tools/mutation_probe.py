@@ -131,6 +131,12 @@ MUTANTS = [
     ("direct_pass_group_of_three", _CLI, "if n > 1 or group.required", "if n > 2 or group.required"),
     ("direct_pass_required_group_dropped", _CLI, " or group.required and n == 0:", ":"),
     ("direct_pass_type_skipped", _CLI, 'value = self._registry_get("type", action.type, action.type)(value)', "value = value"),
+    # scan's text kernel: digit groups without divmod, each text as three words
+    ("digit_split_1e7", _CLI, "for d in (10**12, 10**8, 10**4)]", "for d in (10**12, 10**7, 10**4)]"),
+    ("digit_groups_swapped", _CLI, "for hi, lo in (groups[:2], groups[2:])]", "for hi, lo in (groups[1::-1], groups[2:])]"),
+    ("digit_remainder_wrong_quotient", _CLI, "q[2] - q[1] * 10**4", "q[2] - q[0] * 10**4"),
+    ("shown_digits_one_more", _CLI, "(exponent - 1015) >> 3", "(exponent - 1007) >> 3"),
+    ("point_kept_without_fraction", _CLI, "np.r_[7, 9:25]", "np.r_[8, 9:25]"),
 ]
 
 # mutants that change no result by design
