@@ -424,8 +424,8 @@ def test_scan_writes_one_block_at_a_time(monkeypatch):
     assert main(["scan", "--chamber", "48"]) == 0
     digest = next(d for argv, _, d in GOLDEN_OUTPUTS if argv == ("scan", "--chamber", "48"))
     assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
-    # the header, then one write per block: 19000 rows take more than one
-    assert len(writes) == 1 + math.ceil(len(chamber_lattice(48)) / cli._SCAN_BLOCK) > 2
+    blocks = math.ceil(len(chamber_lattice(48)) / cli._SCAN_BLOCK)
+    assert blocks > 1 and len(writes) == 1 + blocks  # the header, then one write per block
     assert max(text.count("\n") for text in writes) <= cli._SCAN_BLOCK
 
 
