@@ -56,8 +56,12 @@ _EDGE_TAG_TOL = 1e-9  # slack on each coordinate of a point's offset from a name
 # report lines, and scan --chamber, 1024 rows at a time, at 42 MB, both in a fresh process on a 2-core
 # host
 _GRID_MAX = 256
-# attempts per _chamber_coord_passes pass: 1.5 MB of coordinates
-_PASS_MAX = 1 << 16
+# attempts per _chamber_coord_passes pass: 0.75 MB of coordinates. verify routes --n 1000000 --seed 3 in
+# alternating fresh-process rounds on a 2-core host, same output at every value: at 2^13 517k minor
+# faults and a 2.23 s median wall time (6 rounds); at 2^14 381k, 2.19-2.33 s and 35 MB ru_maxrss; at 2^15
+# 381k, 2.16-2.29 s and 40 MB; at 2^16 392k, 2.29-2.44 s and 48 MB (medians of a 6- and a 10-round set).
+# sweep's verify routes draws at most 4200 attempts, one pass at any of these values
+_PASS_MAX = 1 << 15
 
 _HALF_PI = math.pi / 2
 

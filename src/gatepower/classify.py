@@ -23,11 +23,11 @@ nowhere else, over per-coordinate trig values (|g1| from cos c_i and
 sin c_i, g2 and e_p from one shared cos 2c_i), and both tests' margins,
 from which each reader forms the verdicts it reads. ``scan --edge`` and
 verify_route_agreement compute the trig from the coordinate arrays.
-classify_gate computes it as Python floats, one numpy call each for cos
-and sin over nine angles of the point (``_point_columns``: c_i, 2c_i and
-the half-angles of the canonical gate, which it also builds, and the
-complex g1 from the same trig), so the closed forms and both tests'
-margins are float arithmetic. The closed forms and the margins are the
+classify_gate computes it as Python floats, math.cos and math.sin of nine
+angles of the point (``_point_columns``: c_i, 2c_i and the half-angles of
+the canonical gate, which it also builds, and the complex g1 from the same
+trig), the bits np.cos and np.sin give them, so the closed forms and both
+tests' margins are float arithmetic. The closed forms and the margins are the
 same operations on floats and on arrays, so a point's columns have the
 values of that point in any array; the
 invariants and entangling power of one point are
@@ -87,7 +87,7 @@ PE_EP_MIN = 1.0 / 6.0
 # chamber points verify_theorems evaluates at a time: one block up to grid 72 (62196 points)
 _THEOREM_BLOCK = 1 << 16
 # verify_route_agreement holds one sampler pass at a time, so its memory does not grow with n_points;
-# the cap bounds run time: verify routes --n 1000000 took 4.8-4.9 s and peaked at 54 MB ru_maxrss in a
+# the cap bounds run time: verify routes --n 1000000 took 2.2-2.4 s and peaked at 40 MB ru_maxrss in a
 # fresh process on a 2-core host
 _ROUTE_POINTS_MAX = 1_000_000
 
@@ -165,17 +165,17 @@ def _evaluate(coords, trig=None) -> dict:
 
 
 def _point_columns(p: WeylPoint) -> tuple[dict, complex, np.ndarray]:
-    """_evaluate at one point, its complex g1 and its canonical gate, from one numpy call each for cos
-    and sin over nine angles: c_i, 2c_i, and the canonical gate's half-angles (c1 - c2)/2, (c1 + c2)/2
-    and c3/2, as Python floats.
+    """_evaluate at one point, its complex g1 and its canonical gate, from math.cos and math.sin of
+    nine angles as Python floats: c_i, 2c_i, and the canonical gate's half-angles (c1 - c2)/2,
+    (c1 + c2)/2 and c3/2. They are the bits np.cos and np.sin give those angles, with no array.
 
     g1 = cos^2 c1 cos^2 c2 cos^2 c3 - sin^2 c1 sin^2 c2 sin^2 c3 - (i/4) sin 2c1 sin 2c2 sin 2c3,
     which matches the magic-basis matrix route on canonical gates; its modulus is |g1|. The gate
     is built here, with the bits of canonical_gate_array(*p), which forms the same half-angles.
     """
     c1, c2, c3 = coords = tuple(p)
-    angles = np.array([c1, c2, c3, 2 * c1, 2 * c2, 2 * c3, (c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])
-    cs, sn = np.cos(angles).tolist(), np.sin(angles).tolist()
+    angles = (c1, c2, c3, 2 * c1, 2 * c2, 2 * c3, (c1 - c2) / 2, (c1 + c2) / 2, c3 / 2)
+    cs, sn = list(map(math.cos, angles)), list(map(math.sin, angles))
     trig = {np.cos: cs[:3], np.sin: sn[:3], _cos2: cs[3:6]}
     s1, s2, s3 = sn[3:6]
     g1 = complex(_squared_product(cs[:3]) - _squared_product(sn[:3]), -0.25 * s1 * s2 * s3)

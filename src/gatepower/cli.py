@@ -68,6 +68,7 @@ _JSON_INVARIANTS = '{\n    "g1": [\n      %r,\n      %r\n    ],\n    "g1_abs": %
 _JSON_MONTE_CARLO = '{\n      "mean": %r,\n      "std_err": %r,\n      "n_samples": %r,\n      "seed": %r\n    }'
 _JSON_BOOL = {True: "true", False: "false"}
 _json_str = json.encoder.encode_basestring_ascii  # every string of a record goes through it, never a template
+_chain = itertools.chain.from_iterable
 
 
 def _fmt(x: float) -> str:
@@ -153,11 +154,14 @@ def load_matrix_file(path: str) -> tuple[str | None, np.ndarray]:
 
     Schema: {"matrix": 4x4 array of [re, im] pairs of JSON numbers, "name": optional printable string}.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
-            raise ValueError(f"{path}: {exc}") from None
+    # one binary read and one decode cost less than a text-mode read; \r\n and a lone \r become \n,
+    # as text mode reads them, so json's error offsets are those of the text-mode read
+    with open(path, "rb") as fh:
+        content = fh.read()
+    try:
+        data = json.loads(content.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'matrix' key")
     raw = data["matrix"]
@@ -208,7 +212,7 @@ def _json_pe(pe: dict) -> str:
 _JSON_BLOCKS = {
     "name": _json_str,
     "point": lambda v: _JSON_POINT % tuple(v),
-    "matrix": lambda v: _JSON_MATRIX % tuple([x for row in v for cell in row for x in cell]),
+    "matrix": lambda v: _JSON_MATRIX % tuple(_chain(_chain(v))),
     "invariants": lambda v: _JSON_INVARIANTS % (*v["g1"], v["g1_abs"], v["g2"]),
     "ep": _json_ep,
     "pe": _json_pe,

@@ -82,6 +82,7 @@ def ep_from_g1_abs(g1_abs: float | np.ndarray) -> float | np.ndarray:
 _REALIGN, _REALIGN_SWAPPED = (
     np.arange(16).reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4) for axes in ((0, 2, 1, 3), (0, 3, 1, 2))
 )
+_REALIGN_BOTH = np.stack([_REALIGN, _REALIGN_SWAPPED])  # both, as one (2, 4, 4) gather of one gate
 
 
 def _operator_entanglement(m: np.ndarray, realign: np.ndarray = _REALIGN) -> np.ndarray:
@@ -91,7 +92,8 @@ def _operator_entanglement(m: np.ndarray, realign: np.ndarray = _REALIGN) -> np.
     indices of qubit 1 into rows and those of qubit 2 into columns, so
     ||R R†||_F^2 is the operator purity of m across the qubit cut. The
     value is 0 for local gates and 3/4 for SWAP. realign=_REALIGN_SWAPPED
-    gives that of m with columns 1 and 2 swapped.
+    gives that of m with columns 1 and 2 swapped; realign=_REALIGN_BOTH
+    gives both, along a new axis after the stack's.
     """
     r = m.reshape(m.shape[:-2] + (16,)).take(realign, axis=-1)  # one gather, whatever the stack's shape
     rr = r @ r.conj().swapaxes(-1, -2)
@@ -109,8 +111,13 @@ def _ep_operator(m: np.ndarray) -> np.ndarray:
     input, and the library's own canonical gates are unitary by construction.
     """
     # m @ SWAP is m with columns 1 and 2 swapped, up to the sign of zero entries, which E does not see, so
-    # its realignment is one take of m. Each realignment gets its own take and matmul: one take of both
-    # doubled the arrays every step works on, and made verify routes 3-13% slower at 400 to 3000 points
+    # its realignment is one take of m. One gate takes both in one gather, matmul and sum, which is cheaper
+    # than two calls (9.0 us against 14.9 us by timeit) with the same bits. A stack keeps one take and matmul
+    # each: one take of both doubled the arrays every step works on, and made verify routes 3-13% slower
+    # at 400 to 3000 points
+    if m.ndim == 2:
+        e = _operator_entanglement(m, _REALIGN_BOTH)
+        return (4.0 / 9.0) * (e[0] + e[1] - _E_SWAP)
     return (4.0 / 9.0) * (_operator_entanglement(m) + _operator_entanglement(m, _REALIGN_SWAPPED) - _E_SWAP)
 
 

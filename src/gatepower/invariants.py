@@ -93,9 +93,9 @@ def _invariants(m4: np.ndarray) -> LocalInvariants:
     um = _MAGIC_BASIS_H @ m4 @ MAGIC_BASIS
     m = um.T @ um
     det = complex(np.linalg.det(um))
-    tr = complex(np.trace(m))
+    tr = complex(m.trace())
     g1 = tr * tr / (16.0 * det)
-    g2 = (tr * tr - complex(np.trace(m @ m))) / (4.0 * det)
+    g2 = (tr * tr - complex((m @ m).trace())) / (4.0 * det)
     return LocalInvariants(g1, g2.real)  # g2 is real on a unitary: Im g2 is at most about 3x the defect
 
 

@@ -296,6 +296,40 @@ def test_malformed_matrix_file_exits_2_naming_the_path(capsys, tmp_path, case):
     assert err.startswith(f"error: {path}: ")
 
 
+# the bytes of matrix files that are not UTF-8 JSON as written, and the message the text-mode read gave
+# for each: a read in binary mode must give the same, newline offsets included
+_UNDECODED_MATRIX_FILES = {
+    "crlf": (b'{\r\n "name": "swap",\r\n "matrix": oops\r\n}', "Expecting value: line 3 column 12 (char 30)"),
+    "lone-cr": (b'{\r "name": "swap",\r "matrix": oops\r}', "Expecting value: line 3 column 12 (char 30)"),
+    "mixed-newlines": (b'{\r\n "name": "swap",\r "matrix":\n\r\n oops\r}', "Expecting value: line 5 column 2 (char 32)"),
+    "utf8-bom": (b'\xef\xbb\xbf{"matrix": []}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf16": ('{"matrix": []}'.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "latin1": ('{"name": "sw\xe9p", "matrix": []}'.encode("latin-1"),
+               "'utf-8' codec can't decode byte 0xe9 in position 12: invalid continuation byte"),
+    "latin1-past-8k": (('{"pad": "' + "x" * 10000 + '\xe9"}').encode("latin-1"),
+                       "'utf-8' codec can't decode byte 0xe9 in position 10009: invalid continuation byte"),
+    "empty": (b"", "Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNDECODED_MATRIX_FILES))
+def test_matrix_file_read_errors_keep_text_mode_messages(tmp_path, case):
+    data, message = _UNDECODED_MATRIX_FILES[case]
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        load_matrix_file(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_matrix_file_with_crlf_or_cr_newlines_loads(tmp_path, newline):
+    path = tmp_path / "m.json"
+    path.write_bytes(json.dumps({"matrix": matrix_to_json(SWAP), "name": "swap"}, indent=1).replace("\n", newline).encode())
+    name, m = load_matrix_file(str(path))
+    assert name == "swap" and m.tobytes() == SWAP.astype(complex).tobytes()
+
+
 @pytest.mark.parametrize("name", [7, "\ud800", "a\nb", "tab\there", "\x7f"])
 def test_matrix_file_name_must_be_printable(tmp_path, name):
     path = tmp_path / "m.json"

@@ -241,6 +241,36 @@ def test_operator_entanglement_sum_is_bit_identical_to_two_axis_reference():
             assert np.ndim(got) == 0 and float(got).hex() == float(want).hex()
 
 
+def _dressed_stack(n: int, seed: int) -> np.ndarray:
+    """n canonical gates at random chamber points, each between Haar-random local unitaries, as one stack."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, n, 2, 2)) + 1j * rng.normal(size=(4, n, 2, 2))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    a = q * (d / np.abs(d))[..., None, :]  # four Haar-random single-qubit stacks
+    before, after = (np.einsum("nij,nkl->nikjl", x, y).reshape(n, 4, 4) for x, y in ((a[0], a[1]), (a[2], a[3])))
+    return after @ canonical_gate_array(*random_chamber_coords(seed, n).T) @ before
+
+
+def _two_takes(m: np.ndarray) -> np.ndarray:
+    """_ep_operator with one take and matmul per realignment, kept as the reference."""
+    E = _reference_operator_entanglement
+    return (4.0 / 9.0) * (E(m) + E(m, epower._REALIGN_SWAPPED) - float(E(SWAP)))
+
+
+def test_single_gate_operator_route_is_bit_identical_to_stack_and_two_takes():
+    """One gate takes both realignments in one (2, 4, 4) gather; each value has the bits of its entry in
+    the stacked route and of the two takes, on the stack and on the gate alone."""
+    us = np.concatenate([
+        _dressed_stack(20_000, 43),
+        np.stack([rec.matrix for rec in catalog_records()]),
+        [np.eye(4, dtype=complex), SWAP],
+    ])
+    single = np.array([epower._ep_operator(u) for u in us])
+    for want in (epower._ep_operator(us), _two_takes(us), np.array([_two_takes(u) for u in us])):
+        assert np.array_equal(single.view(np.int64), want.view(np.int64))
+
+
 # ------------------------------------------------------------------ monte carlo
 
 

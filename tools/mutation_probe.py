@@ -78,8 +78,8 @@ MUTANTS = [
     ("point_verdict_from_invariant", _CLI, '{"verdict": rec.pe_verdict}', '{"verdict": rec.routes["invariant"].is_pe}'),
     ("squared_product_pow", _CLASSIFY, "    return p * p\n", "    return p ** 2\n"),
     ("gate_phase_sum_for_complex", _CLASSIFY, "complex(ec, -es)", "ec - 1j * es"),
-    ("point_trig_math_module", _CLASSIFY, "cs, sn = np.cos(angles).tolist(), np.sin(angles).tolist()",
-     "cs, sn = [math.cos(a) for a in angles.tolist()], [math.sin(a) for a in angles.tolist()]"),
+    ("point_trig_numpy", _CLASSIFY, "cs, sn = list(map(math.cos, angles)), list(map(math.sin, angles))",
+     "cs, sn = np.cos(angles).tolist(), np.sin(angles).tolist()"),
     ("g1_imag_scaling_reordered", _CLASSIFY, "-0.25 * s1 * s2 * s3", "-(s1 * s2 * s3) / 4"),
     # route tolerances, snapping and the Monte-Carlo pass rule
     ("route_tol_g1_1e-11", _CLASSIFY, "d_g1, 1e-12)", "d_g1, 1e-11)"),
@@ -115,7 +115,7 @@ MUTANTS = [
     ("json_pe_routes_comma_dropped", _CLI, 'pe.items()]\n    return "{\\n    " + ",\\n    ".join(routes)',
      'pe.items()]\n    return "{\\n    " + "\\n    ".join(routes)'),
     ("point_gate_sines_from_cosines", _CLASSIFY, "(cm, cp, ec), (sm, sp, es) = cs[6:], sn[6:]", "(cm, cp, ec), (sm, sp, es) = cs[6:], cs[6:]"),
-    ("point_gate_half_angle_reversed", _CLASSIFY, "(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2])", "(c2 - c1) / 2, (c1 + c2) / 2, c3 / 2])"),
+    ("point_gate_half_angle_reversed", _CLASSIFY, "(c1 - c2) / 2, (c1 + c2) / 2, c3 / 2)", "(c2 - c1) / 2, (c1 + c2) / 2, c3 / 2)"),
     ("operator_sum_last_axis", _EPOWER, "sq.sum(axis=(-2, -1))", "sq.sum(axis=-1)[..., 0]"),
     # one input-precision policy for matrices: the ingest tolerance alone
     ("g2_residue_check_restored", _INVARIANTS, "    return LocalInvariants(g1, g2.real)",
@@ -137,6 +137,11 @@ MUTANTS = [
     ("digit_remainder_wrong_quotient", _CLI, "q[2] - q[1] * 10**4", "q[2] - q[0] * 10**4"),
     ("shown_digits_one_more", _CLI, "(exponent - 1015) >> 3", "(exponent - 1007) >> 3"),
     ("point_kept_without_fraction", _CLI, "np.r_[7, 9:25]", "np.r_[8, 9:25]"),
+    # the fixed cost of one analyze op: one gather for one gate's operator route, one binary matrix read
+    ("single_gate_route_first_twice", _EPOWER, "(e[0] + e[1] - _E_SWAP)", "(e[0] + e[0] - _E_SWAP)"),
+    ("realign_both_plain_twice", _EPOWER, "np.stack([_REALIGN, _REALIGN_SWAPPED])", "np.stack([_REALIGN, _REALIGN])"),
+    ("matrix_file_newlines_kept", _CLI, '.replace("\\r\\n", "\\n").replace("\\r", "\\n")', ""),
+    ("invariants_trace_of_m_for_m_squared", _INVARIANTS, "complex((m @ m).trace())", "complex(m.trace())"),
 ]
 
 # mutants that change no result by design
@@ -145,7 +150,7 @@ EQUIVALENT = {
     # only for points moved off an edge in two coordinates at once
     "edge_tags_last_moving_k",
     # numpy's float64 cos and sin are libm's on the reference host
-    "point_trig_math_module",
+    "point_trig_numpy",
     # scaling by 0.25 or dividing by 4 is exact either way
     "g1_imag_scaling_reordered",
 }
