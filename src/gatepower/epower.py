@@ -20,7 +20,8 @@ reports exactly.
 This module keeps the other three: the |g1|, operator and Monte-Carlo
 routes. The operator route is written once over (..., 4, 4) stacks of
 matrices; ep_operator_exact checks one 4x4 input and evaluates it there,
-and classify.verify_route_agreement evaluates stacks of canonical gates.
+gathering its two realignments at once, and classify.verify_route_agreement
+evaluates stacks of canonical gates, one realignment at a time.
 """
 from __future__ import annotations
 
