@@ -142,6 +142,12 @@ MUTANTS = [
     ("realign_both_plain_twice", _EPOWER, "np.stack([_REALIGN, _REALIGN_SWAPPED])", "np.stack([_REALIGN, _REALIGN])"),
     ("matrix_file_newlines_kept", _CLI, '.replace("\\r\\n", "\\n").replace("\\r", "\\n")', ""),
     ("invariants_trace_of_m_for_m_squared", _INVARIANTS, "complex((m @ m).trace())", "complex(m.trace())"),
+    # analyze --json's canonical matrix block: a point or name record's matrix from its four entries
+    ("canonical_entries_03_12_swapped", _CLI, "v[0][3] + v[1][1] + v[1][2]", "v[1][2] + v[1][1] + v[0][3]"),
+    ("canonical_zero_cell_from_entry", _CLI, "{(0, 0): 0, (3, 3): 0,", "{(0, 0): 0, (0, 1): 0, (3, 3): 0,"),
+    ("canonical_entry_re_im_swapped", _CLI, "map(repr, v[0][0] + v[0][3]", "map(repr, v[0][0][::-1] + v[0][3]"),
+    ("canonical_blocks_for_matrix_records", _CLI, "_JSON_CANONICAL_BLOCKS if rec.point is not None else _JSON_BLOCKS",
+     "_JSON_CANONICAL_BLOCKS"),
 ]
 
 # mutants that change no result by design
