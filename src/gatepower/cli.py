@@ -65,9 +65,9 @@ _JSON_MATRIX = "[\n    " + ",\n    ".join([_JSON_ROW] * 4) + "\n  ]"
 # the entry of a canonical gate that fills each cell canonical._fill_canonical writes: (0,0)=(3,3),
 # (0,3)=(3,0), (1,1)=(2,2) and (1,2)=(2,1); the other eight cells keep the +0.0 of np.zeros
 _CANONICAL_ENTRY = {(0, 0): 0, (3, 3): 0, (0, 3): 1, (3, 0): 1, (1, 1): 2, (2, 2): 2, (1, 2): 3, (2, 1): 3}
-# _JSON_MATRIX of a canonical gate: a %s in each of the 24 numbers its entries fill, a literal 0.0
-# in the other 8. _CANONICAL_SLOTS picks the text of each %s, in order, from the reprs of the
-# entries' 8 floats, where entry k's re and im are items 2k and 2k + 1
+# _JSON_MATRIX of a canonical gate: a %s in each of the 16 numbers of the cells its entries fill, a
+# literal 0.0 in the 16 of the other cells. _CANONICAL_SLOTS picks the text of each %s, in order, from
+# the reprs of the entries' 8 floats, where entry k's re and im are items 2k and 2k + 1
 _JSON_CANONICAL_MATRIX = _JSON_MATRIX.replace("%r", "%s") % tuple(
     "%s" if cell in _CANONICAL_ENTRY else "0.0" for cell in itertools.product(range(4), repeat=2) for _ in "ri"
 )
