@@ -147,8 +147,8 @@ def _block_states(keys: list[int], count: int) -> np.ndarray:
     """The (len(keys) * count, 4) Haar-random product states of consecutive sample blocks.
 
     Sample s of block b consumes uniforms 8*(s mod BLOCK) .. +7 of the
-    substream keyed by key = value(seed, b): four Box-Muller pairs
-    giving the two complex amplitudes of each qubit's Haar-random state.
+    substream keyed by key = value(seed, b): four Box-Muller pairs, each
+    one amplitude r exp(i 2 pi u2) of a qubit's state, normalised per qubit.
     Every step is elementwise per sample, so a block's states do not depend
     on the blocks drawn with it.
     """
@@ -156,13 +156,12 @@ def _block_states(keys: list[int], count: int) -> np.ndarray:
     # axes: sample, qubit, amplitude, (u1, u2) of the amplitude's Box-Muller pair; one stream call
     # per block keeps one scalar key per draw, as perfbench's tracer counts draws per key
     us = np.concatenate([rng.uniform_stream(key, 0, 8 * count) for key in keys]).reshape(n, 2, 2, 2)
-    q = np.empty((n, 2, 2), dtype=complex)
-    q.real, q.imag = rng.box_muller(us[..., 0], us[..., 1])
-    # the squared norm as np.linalg.norm forms it, from the complex product q* q and not from
-    # re**2 + im**2, and one complex division by it; q_bar is bound for the reason in _entropy_sums
+    q = rng._box_muller_complex(us[..., 0], us[..., 1])
+    # the squared norm as np.linalg.norm forms it, from q* q and not from re**2 + im**2, and a multiply by
+    # the reciprocal of its root, as numpy divides a complex by a real; q_bar is bound as in _entropy_sums
     q_bar = q.conj()
     sq = (q_bar * q).real
-    q /= np.sqrt(sq[..., 0] + sq[..., 1])[..., None]
+    q *= (1.0 / np.sqrt(sq[..., 0] + sq[..., 1]))[..., None]
     return np.einsum("ni,nj->nij", q[:, 0], q[:, 1]).reshape(n, 4)
 
 

@@ -424,6 +424,8 @@ def test_mc_chunked_block_sums_are_bit_identical_to_one_block_reference(seed, co
     for width in (1, 2, 3, 16, 64):
         psi = epower._block_states(keys[:width], count)
         assert psi.shape == (width * count, 4)
+        # the states themselves, not only the sums scored on them
+        np.testing.assert_array_equal(psi.view(np.int64), np.concatenate(ref_psi[:width]).view(np.int64))
         for u_t, ref in zip(u_ts, want):
             got = np.stack(epower._entropy_sums(psi, u_t, width), axis=1)
             np.testing.assert_array_equal(got.view(np.int64), ref[:width].view(np.int64))

@@ -76,7 +76,7 @@ def test_box_muller_moments():
 
 
 def _reference_box_muller(u1, u2):
-    """box_muller with 2 pi u2 written in both expressions, kept as the reference."""
+    """box_muller and the parts of _box_muller_complex, with 2 pi u2 written in both expressions; the reference."""
     r = np.sqrt(-2.0 * np.log(u1))
     return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
 
@@ -96,7 +96,31 @@ def test_box_muller_bits_match_two_expression_reference():
         # same layout and on contiguous copies
         same_layout = _reference_box_muller(u1, u2)
         contiguous = _reference_box_muller(np.ascontiguousarray(u1), np.ascontiguousarray(u2))
-        for got, *wants in zip(rng.box_muller(u1, u2), same_layout, contiguous):
+        z = rng._box_muller_complex(u1, u2)
+        assert z.dtype == np.complex128
+        for got, *wants in zip((z.real, z.imag), same_layout, contiguous):
             for want in wants:
                 assert got.shape == want.shape == u1.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_box_muller_parts_are_the_complex_helpers():
+    u = rng.uniform_stream(8, 0, 4096).reshape(-1, 2)
+    z = rng._box_muller_complex(u[:, 0], u[:, 1])
+    for got, want in zip(rng.box_muller(u[:, 0], u[:, 1]), (z.real, z.imag)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_complex_exp_of_an_imaginary_angle_is_libm_cos_and_sin():
+    # the sampler takes cos and sin of its Box-Muller angles from one complex exponential; glibc's cexp
+    # at a zero real part returns libm's cos and sin, and where a platform's does not, this fails instead
+    # of the Monte-Carlo estimates changing silently. Angles 2 pi u2 of the sampler's own uniforms, and of
+    # u2 from the smallest and the largest uniform_stream value to 1e-3 away
+    keys = rng.raw_stream(46, 0, 8).tolist()
+    u2s = [rng.uniform_stream(key, 0, 8192) for key in keys]
+    u2s += [np.geomspace(2.0**-54, 1e-3, 20_000), 1.0 - np.geomspace(2.0**-53, 1e-3, 20_000)]
+    for u2 in u2s:
+        t = 2.0 * np.pi * u2
+        z = np.exp(1j * t)
+        np.testing.assert_array_equal(z.real.view(np.int64), np.cos(t).view(np.int64))
+        np.testing.assert_array_equal(z.imag.view(np.int64), np.sin(t).view(np.int64))

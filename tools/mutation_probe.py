@@ -40,6 +40,7 @@ _INVARIANTS = "src/gatepower/invariants.py"
 _LINALG = "src/gatepower/linalg.py"
 _CATALOG = "src/gatepower/catalog.py"
 _CLI = "src/gatepower/cli.py"
+_RNG = "src/gatepower/rng.py"
 
 # (name, file, old, new): the mutants that CHANGES.md records as run by hand, oldest first, written
 # against the current code
@@ -148,6 +149,17 @@ MUTANTS = [
     ("canonical_entry_re_im_swapped", _CLI, "map(repr, v[0][0] + v[0][3]", "map(repr, v[0][0][::-1] + v[0][3]"),
     ("canonical_blocks_for_matrix_records", _CLI, "_JSON_CANONICAL_BLOCKS if rec.point is not None else _JSON_BLOCKS",
      "_JSON_CANONICAL_BLOCKS"),
+    # the Monte-Carlo states: cos and sin from one complex exponential, normalised by a reciprocal
+    ("box_muller_angle_sign_flipped", _RNG, "np.multiply(2.0 * np.pi, u2, out=z.imag)",
+     "np.multiply(-2.0 * np.pi, u2, out=z.imag)"),
+    ("box_muller_radius_dropped", _RNG, "return np.multiply(np.exp(z, out=z), r, out=z)", "return np.exp(z, out=z)"),
+    ("box_muller_cos_sin_apart", _RNG, "return np.multiply(np.exp(z, out=z), r, out=z)",
+     "return r * (np.cos(z.imag) + 1j * np.sin(z.imag))"),
+    ("states_times_norm", _EPOWER, "q *= (1.0 / np.sqrt(sq[..., 0] + sq[..., 1]))[..., None]",
+     "q *= np.sqrt(sq[..., 0] + sq[..., 1])[..., None]"),
+    ("states_divided_by_norm", _EPOWER, "q *= (1.0 / np.sqrt(sq[..., 0] + sq[..., 1]))[..., None]",
+     "q /= np.sqrt(sq[..., 0] + sq[..., 1])[..., None]"),
+    ("states_norm_first_amplitude_twice", _EPOWER, "sq[..., 0] + sq[..., 1]", "sq[..., 0] + sq[..., 0]"),
 ]
 
 # mutants that change no result by design
@@ -159,6 +171,10 @@ EQUIVALENT = {
     "point_trig_numpy",
     # scaling by 0.25 or dividing by 4 is exact either way
     "g1_imag_scaling_reordered",
+    # glibc's cexp at a zero real part returns libm's cos and sin, which the rng tests check
+    "box_muller_cos_sin_apart",
+    # numpy divides a complex by a real as a multiply by the real's reciprocal
+    "states_divided_by_norm",
 }
 
 _FAILED = re.compile(r"^FAILED (.+?)(?: - .*)?$", re.M)
