@@ -92,23 +92,16 @@ def test_box_muller_bits_match_two_expression_reference():
         pairs = np.stack([u1, u[: u1.size]], axis=1)
         cases += [(u1, u[: u1.size]), (pairs[:, 0], pairs[:, 1])]
     for u1, u2 in cases:
-        # box_muller logs a contiguous copy of u1: its bits must be those of the reference on the
-        # same layout and on contiguous copies
+        # _box_muller_complex logs a contiguous copy of u1: its parts, and box_muller's, must have the
+        # bits of the reference on the same layout and on contiguous copies
         same_layout = _reference_box_muller(u1, u2)
         contiguous = _reference_box_muller(np.ascontiguousarray(u1), np.ascontiguousarray(u2))
         z = rng._box_muller_complex(u1, u2)
         assert z.dtype == np.complex128
-        for got, *wants in zip((z.real, z.imag), same_layout, contiguous):
+        for got, *wants in zip((z.real, z.imag), same_layout, contiguous, rng.box_muller(u1, u2)):
             for want in wants:
                 assert got.shape == want.shape == u1.shape
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_box_muller_parts_are_the_complex_helpers():
-    u = rng.uniform_stream(8, 0, 4096).reshape(-1, 2)
-    z = rng._box_muller_complex(u[:, 0], u[:, 1])
-    for got, want in zip(rng.box_muller(u[:, 0], u[:, 1]), (z.real, z.imag)):
-        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_complex_exp_of_an_imaginary_angle_is_libm_cos_and_sin():
