@@ -53,8 +53,8 @@ CHAMBER_TOL = 1e-11
 _EDGE_TAG_TOL = 1e-9  # slack on each coordinate of a point's offset from a named edge; see edge_tags
 # _lattice_axes keeps each axis index in a uint8, which holds grid_n <= 256; at 256 (2812544 chamber
 # points) verify theorems, 65536 points at a time, peaked at 94 MB ru_maxrss, 35 MB of it its 204644
-# report lines, and scan --chamber, 1024 rows at a time, at 42 MB, both in a fresh process on a 2-core
-# host
+# report lines, and scan --chamber --out, 2048 rows at a time, at 43 MB, both in a fresh process on a
+# 2-core host
 _GRID_MAX = 256
 # attempts per _chamber_coord_passes pass: 0.75 MB of coordinates. verify routes --n 1000000 --seed 3 in
 # alternating fresh-process rounds on a 2-core host, same output at every value: at 2^13 517k minor

@@ -23,8 +23,9 @@ block's stream.
 Floating-point outputs:
 
     uniform: u = ((raw >> 11) + 0.5) * 2**-53, strictly inside (0, 1)
-    normal pair (Box-Muller): z0 + i z1 = r exp(i 2 pi u2), r = sqrt(-2 ln u1); cos and sin come
-                              from one complex exponential, glibc's cexp: libm's, bit for bit
+    normal pair (Box-Muller, the private _box_muller_complex the Monte-Carlo sampler reads):
+        z0 + i z1 = r exp(i 2 pi u2), r = sqrt(-2 ln u1); cos and sin come from one complex
+        exponential, glibc's cexp: libm's, bit for bit
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ __all__ = [
     "MASK64",
     "raw_stream",
     "uniform_stream",
-    "box_muller",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -61,14 +61,8 @@ def uniform_stream(key: int, start: int, count: int) -> np.ndarray:
 
 def _box_muller_complex(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """z0 + i z1 = r exp(i 2 pi u2) of each Box-Muller pair, one complex array of u2's shape."""
-    # log of a contiguous copy of the strided u1 of a Monte-Carlo chunk: 14-19 us, not 25-27 (2-core host)
-    r = np.sqrt(-2.0 * np.log(np.ascontiguousarray(u1)))
+    r = np.sqrt(-2.0 * np.log(u1))
     z = np.zeros(u2.shape, dtype=complex)
     np.multiply(2.0 * np.pi, u2, out=z.imag)
     return np.multiply(np.exp(z, out=z), r, out=z)
 
-
-def box_muller(u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two standard-normal arrays from two uniform-(0,1) arrays: z0 and z1 of _box_muller_complex."""
-    z = _box_muller_complex(u1, u2)
-    return z.real, z.imag

@@ -42,7 +42,7 @@ PUBLIC_NAMES = {
         "is_pe_invariant", "named_gate", "verify_monte_carlo", "verify_route_agreement", "verify_theorems",
     ),
     "linalg": ("INGEST_UNITARY_TOL", "SWAP", "require_unitary", "unitarity_defect"),
-    "rng": ("GAMMA", "MASK64", "box_muller", "raw_stream", "uniform_stream"),
+    "rng": ("GAMMA", "MASK64", "raw_stream", "uniform_stream"),
     "canonical": (
         "CHAMBER_TOL", "EdgeId", "WeylPoint", "canonical_gate_array", "chamber_lattice",
         "chamber_mask", "edge_point", "edge_tags", "in_weyl_chamber", "random_chamber_coords",

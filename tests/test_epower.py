@@ -20,7 +20,7 @@ from gatepower.epower import (
 from gatepower.errors import NonUnitaryError
 from gatepower.invariants import _RANGE_TOL
 from gatepower.linalg import INGEST_UNITARY_TOL, SWAP, unitarity_defect
-from gatepower.rng import box_muller, raw_stream, uniform_stream
+from gatepower.rng import _box_muller_complex, raw_stream, uniform_stream
 
 from helpers import dress, haar_unitary
 
@@ -387,8 +387,8 @@ def test_mc_entropy_sums_match_reduced_density_matrix_form():
 def _reference_block_states(key: int, count: int) -> np.ndarray:
     """The states of one block, drawn one block per call as _block_states once did; the reference."""
     us = uniform_stream(key, 0, 8 * count).reshape(count, 2, 2, 2)
-    z_re, z_im = box_muller(us[..., 0], us[..., 1])
-    q = z_re + 1j * z_im
+    z = _box_muller_complex(us[..., 0], us[..., 1])
+    q = z.real + 1j * z.imag
     q /= np.linalg.norm(q, axis=2, keepdims=True)
     return np.einsum("ni,nj->nij", q[:, 0], q[:, 1]).reshape(count, 4)
 
