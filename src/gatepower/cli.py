@@ -17,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 
@@ -61,6 +62,19 @@ _ASCII_ZEROS = np.uint64(0x3030303030303030)  # eight "0" bytes
 _JSON_CELL = "[\n        %r,\n        %r\n      ]"
 _JSON_ROW = "[\n      " + ",\n      ".join([_JSON_CELL] * 4) + "\n    ]"
 _JSON_MATRIX = "[\n    " + ",\n    ".join([_JSON_ROW] * 4) + "\n  ]"
+# the entry of a canonical gate that fills each cell canonical._fill_canonical writes: (0,0)=(3,3),
+# (0,3)=(3,0), (1,1)=(2,2) and (1,2)=(2,1); the other eight cells keep the +0.0 of np.zeros
+_CANONICAL_ENTRY = {(0, 0): 0, (3, 3): 0, (0, 3): 1, (3, 0): 1, (1, 1): 2, (2, 2): 2, (1, 2): 3, (2, 1): 3}
+# _JSON_MATRIX of a canonical gate: a %s in each of the 16 numbers of the cells its entries fill, a
+# literal 0.0 in the 16 of the other cells. _CANONICAL_SLOTS picks the text of each %s, in order, from
+# the reprs of the entries' 8 floats, where entry k's re and im are items 2k and 2k + 1
+_JSON_CANONICAL_MATRIX = _JSON_MATRIX.replace("%r", "%s") % tuple(
+    "%s" if cell in _CANONICAL_ENTRY else "0.0" for cell in itertools.product(range(4), repeat=2) for _ in "ri"
+)
+_CANONICAL_SLOTS = operator.itemgetter(*[
+    2 * k + part for k in map(_CANONICAL_ENTRY.get, itertools.product(range(4), repeat=2)) if k is not None
+    for part in (0, 1)
+])
 # json.dumps(v, indent=2) of the other fixed-shape blocks of a record; every float a record holds is
 # a finite builtin float, whose %r is float.__repr__, as json writes it
 _JSON_POINT = "[\n    %r,\n    %r,\n    %r\n  ]"
@@ -217,17 +231,25 @@ _JSON_BLOCKS = {
     "pe": _json_pe,
     "tags": lambda v: "[\n    " + ",\n    ".join(map(_json_str, v)) + "\n  ]" if v else "[]",
 }
+# the renderers of a point or name record, whose matrix classify_gate(point) builds as a canonical
+# gate: its matrix block takes the repr of the 8 floats of the four entries, not of all 32
+_JSON_CANONICAL_BLOCKS = _JSON_BLOCKS | {
+    "matrix": lambda v: _JSON_CANONICAL_MATRIX % _CANONICAL_SLOTS(list(map(repr, v[0][0] + v[0][3] + v[1][1] + v[1][2]))),
+}
 
 
-def _record_json(out: dict) -> str:
+def _record_json(out: dict, blocks: dict = _JSON_BLOCKS) -> str:
     """An analyze record as json.dumps renders it with indent=2, byte for byte.
 
     CPython falls back to its pure-Python encoder whenever indent is set; this renders
-    each top-level key of the record with its own fixed-shape renderer from _JSON_BLOCKS,
+    each top-level key of the record with its own fixed-shape renderer from blocks,
     in the record's order, and raises KeyError on a key that has none. Floats and ints
     fill %r templates; strings are escaped by json's encoder and concatenated.
+    blocks is _JSON_BLOCKS, which renders any record, or _JSON_CANONICAL_BLOCKS, which
+    renders the matrix from the four entries of a canonical gate and so holds only for
+    a record classify_gate(point) builds; the caller chooses by the record's kind.
     """
-    return "{\n" + ",\n".join(["  " + _json_str(k) + ": " + _JSON_BLOCKS[k](v) for k, v in out.items()]) + "\n}"
+    return "{\n" + ",\n".join(["  " + _json_str(k) + ": " + blocks[k](v) for k, v in out.items()]) + "\n}"
 
 
 def _parse_point(text: str, degrees: bool) -> WeylPoint:
@@ -307,7 +329,7 @@ def cmd_analyze(args) -> int:
     mc = None if args.mc is None else ep_monte_carlo(rec.matrix, args.mc, 42 if args.seed is None else args.seed)
     out = _record(rec, mc)
     if args.json:
-        print(_record_json(out))
+        print(_record_json(out, _JSON_CANONICAL_BLOCKS if rec.point is not None else _JSON_BLOCKS))
     else:
         _print_record(out)
     return 0

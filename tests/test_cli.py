@@ -1538,10 +1538,10 @@ def test_analyze_record_holds_only_plain_json_leaves(kind):
 
 
 def _assert_canonical_blocks_match_json_dumps(points) -> None:
-    """The record classify_gate builds at each point, a canonical gate's, renders as json.dumps does."""
+    """The record classify_gate builds at each point renders with _JSON_CANONICAL_BLOCKS as json.dumps does."""
     for p in points:
         record = _record(classify_gate(WeylPoint(*p)), None)
-        assert _record_json(record) == json.dumps(record, indent=2), p
+        assert _record_json(record, cli._JSON_CANONICAL_BLOCKS) == json.dumps(record, indent=2), p
 
 
 @pytest.mark.parametrize("grid_n", [25, 40])
@@ -1563,22 +1563,24 @@ _NAMES_AT_RANGE_ENDS = [
 
 @pytest.mark.parametrize("name", [*catalog.FIXED_GATES, "SPE:0.7853981633974483", "SWAP_ALPHA:0.5", *_NAMES_AT_RANGE_ENDS])
 def test_analyze_name_json_matches_json_dumps(capsys, name):
-    """analyze --name --json renders a catalog gate's record, at both ends of each range, as json.dumps would."""
+    """analyze --name --json renders the matrix block from the canonical gate's four entries, as json.dumps would."""
     record = _record(catalog.named_gate(name), None)
-    assert _record_json(record) == json.dumps(record, indent=2)
+    assert _record_json(record, cli._JSON_CANONICAL_BLOCKS) == json.dumps(record, indent=2)
     code, out, _ = run(capsys, "analyze", "--name", name, "--json")
     assert (code, out) == (0, json.dumps(record, indent=2) + "\n")
 
 
 def test_analyze_matrix_json_keeps_negative_zero_where_a_canonical_gate_has_none(capsys, tmp_path):
-    """A matrix file that holds the canonical gate at (1.0, 0.5, 0.2) with -0.0 in a cell _fill_canonical
-    never writes prints -0.0 there, where the gate classify_gate builds at the point holds 0.0."""
+    """Only point and name records take the canonical matrix block. A matrix file that holds the canonical
+    gate at (1.0, 0.5, 0.2) with -0.0 in a cell _fill_canonical never writes prints -0.0 there, where the
+    canonical template would print 0.0."""
     m = matrix_to_json(classify_gate(WeylPoint(1.0, 0.5, 0.2)).matrix)
     m[0][1][1] = -0.0
     path = tmp_path / "gate.json"
     path.write_text(json.dumps({"matrix": m}), encoding="utf-8")
     record = _record(classify_gate(load_matrix_file(str(path))[1]), None)
     assert record["matrix"] == m and math.copysign(1.0, record["matrix"][0][1][1]) == -1.0
+    assert _record_json(record, cli._JSON_CANONICAL_BLOCKS) != json.dumps(record, indent=2)
     code, out, _ = run(capsys, "analyze", "--matrix", str(path), "--json")
     assert (code, out) == (0, json.dumps(record, indent=2) + "\n")
 
